@@ -26,6 +26,7 @@ from .errors import (
     DuplicateEntry,
     IndexOutOfRange,
     NotUnitary,
+    PatternMismatch,
 )
 
 MAX_DIM = 16
@@ -211,6 +212,27 @@ def build_general(n, C_entries=(), D_entries=(), tol=None):
 def unimodularity_defect(a):
     """Vector w with w_i = sum_r (C^r_{ri} + D^r_{ri}); zero iff unimodular."""
     return np.einsum("rri->i", a.C + a.D)
+
+
+def require_ideal_pattern(a, allowed_d, pattern):
+    """Raise PatternMismatch unless e_2..e_n span an abelian ideal, which
+    allows only C^j_{1k} and C^j_{i1} with j >= 2, and D fits the mask
+    ``allowed_d(j, i, k)`` built on 0-based index grids.
+
+    The error names the first structure constant above the tolerance
+    outside its mask, in (j, i, k) order with C before D at the same
+    index, as a 1-based (tensor, j, i, k) tuple.
+    """
+    j, i, k = np.ogrid[: a.n, : a.n, : a.n]
+    allowed_c = (j >= 1) & (((i == 0) & (k >= 1)) | ((k == 0) & (i >= 1)))
+    bad = np.stack([(np.abs(a.C) > a.tol) & ~allowed_c,
+                    (np.abs(a.D) > a.tol) & ~allowed_d(j, i, k)], axis=-1)
+    if bad.any():
+        j, i, k, t = (int(x) for x in np.unravel_index(np.argmax(bad), bad.shape))
+        raise PatternMismatch(
+            "%s entry outside the %s pattern" % ("CD"[t], pattern),
+            offending=("CD"[t], j + 1, i + 1, k + 1),
+        )
 
 
 def check_unitary(U, n=None, tol=1e-9):

@@ -18,9 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, default_tolerance, make_algebra, max_abs, is_nilpotent
+from .algebra import (
+    Algebra,
+    default_tolerance,
+    is_nilpotent,
+    make_algebra,
+    max_abs,
+    require_ideal_pattern,
+)
 from .errors import (
-    CrossCheckFailure,
     DimensionMismatch,
     NotAstheno,
     ParameterDomain,
@@ -107,22 +113,9 @@ def extract_almost_abelian(a):
     n = a.n
     tol = a.tol
     C, D = a.C, a.D
-
-    for j in range(n):
-        for i in range(n):
-            for k in range(n):
-                ok = j >= 1 and ((i == 0 and k >= 1) or (k == 0 and i >= 1))
-                if not ok and abs(C[j, i, k]) > tol:
-                    raise PatternMismatch(
-                        "C entry outside the codimension-one pattern",
-                        offending=("C", j + 1, i + 1, k + 1),
-                    )
-                okd = k == 0 and not (j >= 1 and i == 0)
-                if not okd and abs(D[j, i, k]) > tol:
-                    raise PatternMismatch(
-                        "D entry outside the codimension-one pattern",
-                        offending=("D", j + 1, i + 1, k + 1),
-                    )
+    require_ideal_pattern(
+        a, lambda j, i, k: (k == 0) & ~((j >= 1) & (i == 0)), "codimension-one"
+    )
     lam = D[0, 0, 0]
     if abs(lam.imag) > tol:
         raise PatternMismatch(
@@ -131,14 +124,12 @@ def extract_almost_abelian(a):
     v = np.array(D[0, 1:, 0])
     A = np.array(D[1:, 1:, 0]).T
     # C must be minus the conjugate transpose of the ideal action.
-    for j in range(1, n):
-        for i in range(1, n):
-            want = -np.conj(A[j - 1, i - 1])
-            if abs(C[j, 0, i] - want) > tol:
-                raise PatternMismatch(
-                    "C block inconsistent with the ideal action",
-                    offending=("C", j + 1, 1, i + 1),
-                )
+    off = np.argwhere(np.abs(C[1:, 0, 1:] + np.conj(A)) > tol)
+    if off.size:
+        raise PatternMismatch(
+            "C block inconsistent with the ideal action",
+            offending=("C", int(off[0, 0]) + 2, 1, int(off[0, 1]) + 2),
+        )
     return AlmostAbelianData(n=n, lam=float(lam.real), v=v, A=A, tol=a.tol)
 
 
@@ -270,38 +261,6 @@ def aa_scalars(d):
     return s, s_hat
 
 
-def aa_curvature(d):
-    """Chern curvature tensor assembled from the closed-form entries.
-
-    Only components with both first slots transverse are nonzero:
-    the (1,1,1,1) scalar, the row coupling to -A* v, and the ideal block
-    v v* + [A, A*] - lam (A + A*).
-    """
-    n, lam, v, A = d.n, d.lam, d.v, d.A
-    R = np.zeros((n, n, n, n), dtype=complex)
-    R[0, 0, 0, 0] = -2.0 * lam * lam - np.vdot(v, v)
-    col = -(A.conj().T @ v)
-    R[0, 0, 1:, 0] = col
-    R[0, 0, 0, 1:] = np.conj(col)
-    block = np.outer(v, np.conj(v)) + (A @ A.conj().T - A.conj().T @ A)
-    block = block - lam * _hermitian_double(A)
-    R[0, 0, 1:, 1:] = block
-    return R
-
-
-_BOOL_KEYS = (
-    "unimodular",
-    "kaehler",
-    "balanced",
-    "pluriclosed",
-    "astheno_kaehler",
-    "chern_flat",
-    "chern_kaehler_like",
-    "btp",
-    "bkl",
-)
-
-
 def aa_report(d):
     """Predicates, scalars and eigenvalue data for one parameter triple.
 
@@ -323,52 +282,17 @@ def aa_report(d):
     if not unimodular:
         props["cyt"] = None
 
-    for key in _BOOL_KEYS:
-        closed = props.get(key)
-        mine = engine["properties"].get(key)
-        if closed is None or mine is None:
-            continue
-        if closed != mine:
-            raise CrossCheckFailure(
-                "closed form and tensor engine disagree on %r" % key,
-                name=key,
-                closed=res[key],
-                engine=engine["residuals"][key],
-            )
-    if unimodular and props["cyt"] is not None:
-        if props["cyt"] != engine["properties"]["cyt"]:
-            raise CrossCheckFailure(
-                "closed form and tensor engine disagree on 'cyt'",
-                name="cyt",
-                closed=res["cyt"],
-                engine=engine["residuals"]["cyt"],
-            )
-
     nilp_engine = is_nilpotent(alg)
-    if props["nilpotent"] != nilp_engine:
-        raise CrossCheckFailure(
-            "closed form and lower central series disagree on nilpotency",
-            name="nilpotent",
-            closed=res["nilpotent"],
-            engine=float(not nilp_engine),
-        )
-
-    if unimodular:
-        s, s_hat = aa_scalars(d)
-        for name, closed_val, engine_val in (
-            ("s", s, engine["scalars"]["s"]),
-            ("s_hat", s_hat, engine["scalars"]["s_hat"]),
-        ):
-            if abs(closed_val - engine_val) > 10.0 * tol:
-                raise CrossCheckFailure(
-                    "scalar %r disagrees with the tensor engine" % name,
-                    name=name,
-                    closed=closed_val,
-                    engine=engine_val,
-                )
-        scalars = {"s": s, "s_hat": s_hat}
-    else:
-        scalars = {"s": None, "s_hat": None}
+    hermitian.cross_check(
+        props,
+        dict(engine["properties"], nilpotent=nilp_engine),
+        tol,
+        res,
+        dict(engine["residuals"], nilpotent=float(not nilp_engine)),
+    )
+    s, s_hat = aa_scalars(d) if unimodular else (None, None)
+    scalars = {"s": s, "s_hat": s_hat}
+    hermitian.cross_check(scalars, engine["scalars"], tol)
 
     eigs = np.sort_complex(np.linalg.eigvals(d.A))
     eigen_data = {

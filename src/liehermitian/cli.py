@@ -153,13 +153,9 @@ def _load(args):
 
 
 def _structure_checks(a):
-    dd = max(
-        forms.max_coeff(forms.exterior_d(a, forms.exterior_d(a, forms.phi(k))))
-        for k in range(1, a.n + 1)
-    )
     return {
         "jacobi_residual": a.jacobi_max,
-        "d_squared_residual": dd,
+        "d_squared_residual": forms.d_squared_residual(a),
         "unimodularity_defect": max_abs(unimodularity_defect(a)),
         "curvature_hermitian_residual": hermitian.curvature_hermitian_residual(
             hermitian.chern_curvature(a)),
@@ -176,11 +172,13 @@ def cmd_check(args):
     report["input"] = spec
     report["family"] = family
     report["n"] = a.n
-    report["report"] = hermitian.property_report(a)
-    if family == "almost_abelian":
-        report["family_report"] = aa_report(data)
-    elif family != "general":
-        report["family_report"] = c2_report(data)
+    if family == "general":
+        report["report"] = hermitian.property_report(a)
+    else:
+        # The family report already holds the engine's property report.
+        fam = aa_report(data) if family == "almost_abelian" else c2_report(data)
+        report["family_report"] = fam
+        report["report"] = fam["engine"]
     report["structure"] = _structure_checks(a)
     _emit(serial.jsonable(report), args)
     return EXIT_OK
@@ -189,6 +187,7 @@ def cmd_check(args):
 def cmd_tensors(args):
     spec, family, data = _load(args)
     a = serial.algebra_of(family, data)
+    hermitian.require_lie_algebra(a)
     cut = a.tol
     T = hermitian.chern_torsion(a)
     R = hermitian.chern_curvature(a)
@@ -216,7 +215,7 @@ def cmd_tensors(args):
         "bracket_trace": serial.cvec(hermitian.bracket_trace(a)),
         "divergence": serial.cvec(hermitian.chern_divergence(a)),
     }
-    report["scalars"] = hermitian.property_report(a)["scalars"]
+    report["scalars"] = hermitian.report_scalars(a, R, b11)
     report["structure"] = _structure_checks(a)
     _emit(serial.jsonable(report), args)
     return EXIT_OK
@@ -249,10 +248,7 @@ _SAMPLE_FAMILIES = ("general", "almost_abelian", "codim2", "btpv1", "btpv2", "bt
 def _sample_general(rng, tol):
     a = sm.random_general(rng, int(rng.integers(2, 5)))
     bound = 10.0 * a.tol
-    dd = max(
-        forms.max_coeff(forms.exterior_d(a, forms.exterior_d(a, forms.phi(k))))
-        for k in range(1, a.n + 1)
-    )
+    dd = forms.d_squared_residual(a)
     checks = {"duality": (a.jacobi_max <= bound) == (dd <= bound)}
     return a, checks
 
@@ -294,22 +290,11 @@ def _sample_c2(rng, tol):
 def _sample_generator(kind):
     def draw(rng, tol):
         d = sm.c2_generator(rng, int(rng.integers(3, 7)), kind=kind)
-        eng = c2_report(d)["engine"]["properties"]
-        checks = {"unimodular": eng["unimodular"], "torsion_parallel": eng["btp"]}
-        if kind == "v1":
-            checks["bkl"] = eng["bkl"]
-            checks["pluriclosed"] = eng["pluriclosed"]
-        elif kind == "v2":
-            checks["not_balanced"] = not eng["balanced"]
-            checks["not_pluriclosed"] = not eng["pluriclosed"]
-        else:
-            checks["balanced"] = eng["balanced"]
-            checks["not_pluriclosed"] = not eng["pluriclosed"]
+        r, expected = verify.generator_answer(kind, d)
+        checks = verify.generator_checks(kind, d, c2_report(d), r)
         scrambled = sm.c2_scramble(rng, d)
         try:
-            out = classify_btp(scrambled)
-            expected = kind if not (kind == "v2" and d.n < 3) else "v1"
-            checks["classify_roundtrip"] = out["family"] == expected
+            checks["classify_roundtrip"] = classify_btp(scrambled)["family"] == expected
         except LieHermitianError:
             checks["classify_roundtrip"] = False
         return d, checks

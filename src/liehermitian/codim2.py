@@ -24,7 +24,13 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .algebra import change_frame, default_tolerance, make_algebra, max_abs
+from .algebra import (
+    change_frame,
+    default_tolerance,
+    make_algebra,
+    max_abs,
+    require_ideal_pattern,
+)
 from .errors import (
     CrossCheckFailure,
     DimensionMismatch,
@@ -150,24 +156,11 @@ def extract_codim2(a):
     """
     n, tol = a.n, a.tol
     C, D = a.C, a.D
-    for j in range(n):
-        for i in range(n):
-            for k in range(n):
-                ok_c = j >= 1 and ((i == 0 and k >= 1) or (k == 0 and i >= 1))
-                if not ok_c and abs(C[j, i, k]) > tol:
-                    raise PatternMismatch(
-                        "C entry outside the codimension-two pattern",
-                        offending=("C", j + 1, i + 1, k + 1),
-                    )
-                if j == 0:
-                    ok_d = (i, k) == (0, 0) or (i >= 1 and k == 0) or (i >= 1 and k >= 1)
-                else:
-                    ok_d = i >= 1 and k == 0
-                if not ok_d and abs(D[j, i, k]) > tol:
-                    raise PatternMismatch(
-                        "D entry outside the codimension-two pattern",
-                        offending=("D", j + 1, i + 1, k + 1),
-                    )
+    require_ideal_pattern(
+        a,
+        lambda j, i, k: np.where(j == 0, (i >= 1) | (k == 0), (i >= 1) & (k == 0)),
+        "codimension-two",
+    )
     lam = D[0, 0, 0]
     if abs(lam.imag) > tol:
         raise PatternMismatch(
@@ -304,9 +297,6 @@ def c2_residuals(d):
     }
 
 
-_C2_BOOL_KEYS = ("unimodular", "balanced", "kaehler", "pluriclosed", "chern_flat", "cyt")
-
-
 def c2_report(d):
     """Predicates, scalars and curvature blocks with full engine cross-check.
 
@@ -319,45 +309,21 @@ def c2_report(d):
     tol = alg.tol
     res = c2_residuals(d)
     props = {k: bool(val <= tol) for k, val in res.items()}
-
-    for key in _C2_BOOL_KEYS:
-        if props[key] != engine["properties"][key]:
-            raise CrossCheckFailure(
-                "closed form and tensor engine disagree on %r" % key,
-                name=key,
-                closed=res[key],
-                engine=engine["residuals"][key],
-            )
-
+    hermitian.cross_check(props, engine["properties"], tol, res, engine["residuals"])
     scal = c2_scalars(d)
-    for name in ("s", "s_hat", "s_b"):
-        if abs(scal[name] - engine["scalars"][name]) > 10.0 * tol:
-            raise CrossCheckFailure(
-                "scalar %r disagrees with the tensor engine" % name,
-                name=name,
-                closed=scal[name],
-                engine=engine["scalars"][name],
-            )
+    hermitian.cross_check(scal, engine["scalars"], tol)
 
     R = hermitian.chern_curvature(alg)
     ric1, ric2, ric3 = c2_ricci_closed(d)
-    gaps = {
-        "ric1": max_abs(ric1 - hermitian.ricci_first(R)),
-        "ric2": max_abs(ric2 - hermitian.ricci_second(R)),
-        "ric3": max_abs(ric3 - hermitian.ricci_third(R)),
-    }
     M, P = c2_bismut_blocks(d)
     Me, Pe = hermitian.bismut_ricci_blocks(alg)
-    gaps["bismut_one_one"] = max_abs(M - Me)
-    gaps["bismut_two_zero"] = max_abs(P - Pe)
-    for name, gap in gaps.items():
-        if gap > 10.0 * tol:
-            raise CrossCheckFailure(
-                "matrix %r disagrees with the tensor engine" % name,
-                name=name,
-                closed=gap,
-                engine=0.0,
-            )
+    gaps = hermitian.cross_check(
+        {"ric1": ric1, "ric2": ric2, "ric3": ric3,
+         "bismut_one_one": M, "bismut_two_zero": P},
+        {"ric1": hermitian.ricci_first(R), "ric2": hermitian.ricci_second(R),
+         "ric3": hermitian.ricci_third(R), "bismut_one_one": Me, "bismut_two_zero": Pe},
+        tol,
+    )
 
     sv = np.linalg.svd(hermitian.ricci_first(R), compute_uv=False)
     rank = int(np.count_nonzero(sv > 10.0 * tol))
@@ -444,10 +410,6 @@ def c2_btp_residuals(d):
         ),
         "unimodular": abs(lam + tB),
     }
-
-
-def c2_btp_system_residual(d):
-    return max(c2_btp_residuals(d).values())
 
 
 # ---------------------------------------------------------------------------
@@ -885,15 +847,11 @@ def classify_btp(d):
             warnings.simplefilter("ignore", RuntimeWarning)
             rebuilt = make_btpv0(n, r, S, Wf, vals, tol=d.tol)
 
-    _postcondition_invariants(d, rebuilt, 10.0 * max(tol, rebuilt.tol))
+    _postcondition_invariants(d, rebuilt, max(tol, rebuilt.tol))
     report["family"] = family
     report["params"] = params
     report["frame"] = ideal_frame(n, frame)
     return report
-
-
-def _sorted_singular(Mat):
-    return np.linalg.svd(Mat, compute_uv=False)
 
 
 def spectrum_distance(vals_a, vals_b):
@@ -915,37 +873,26 @@ def spectrum_distance(vals_a, vals_b):
     return float(cost[rows, cols].max())
 
 
-def _postcondition_invariants(original, rebuilt, bound):
+def _invariants(d):
+    """Frame-invariant data of a parameter set."""
+    return {
+        "singular values of B": np.linalg.svd(d.Y - d.X, compute_uv=False),
+        "singular values of Z": np.linalg.svd(d.Z, compute_uv=False),
+        "norm of v": np.linalg.norm(d.v),
+    }
+
+
+def _postcondition_invariants(original, rebuilt, tol):
     """Frame-invariant agreement between input data and its normal form."""
-    pairs = (
-        ("singular values of B",
-         _sorted_singular(original.Y - original.X),
-         _sorted_singular(rebuilt.Y - rebuilt.X)),
-        ("singular values of Z",
-         _sorted_singular(original.Z), _sorted_singular(rebuilt.Z)),
-        ("norm of v",
-         np.array([np.linalg.norm(original.v)]),
-         np.array([np.linalg.norm(rebuilt.v)])),
-    )
-    for name, got, want in pairs:
-        _structural("%s must survive the reduction" % name,
-                    max_abs(got - want), bound)
-    ev_o = np.linalg.eigvals(original.X)
-    ev_r = np.linalg.eigvals(rebuilt.X)
+    sides = "input and its torsion-parallel normal form"
+    hermitian.cross_check(_invariants(original), _invariants(rebuilt), tol, sides=sides)
     _structural("the spectrum of X must survive the reduction",
-                spectrum_distance(ev_o, ev_r), bound)
+                spectrum_distance(np.linalg.eigvals(original.X), np.linalg.eigvals(rebuilt.X)),
+                10.0 * tol)
     rep_o = hermitian.property_report(build_codim2(original))
     rep_r = hermitian.property_report(build_codim2(rebuilt))
-    for key, val in rep_o["properties"].items():
-        if val is None:
-            continue
-        if rep_r["properties"][key] != val:
-            raise CrossCheckFailure(
-                "property %r changed across the torsion-parallel reduction" % key,
-                name=key,
-                closed=rep_o["residuals"][key],
-                engine=rep_r["residuals"][key],
-            )
+    hermitian.cross_check(rep_o["properties"], rep_r["properties"], tol,
+                          rep_o["residuals"], rep_r["residuals"], sides=sides)
 
 
 # ---------------------------------------------------------------------------

@@ -260,16 +260,6 @@ def kaehler_form(n):
     return {((k,), (k,)): 1.0j for k in range(1, n + 1)}
 
 
-def form_power(f, k):
-    """k-th wedge power of a form; k = 0 gives the scalar 1."""
-    if k < 0:
-        raise InvalidDegree(f"negative wedge power {k}")
-    acc = {((), ()): 1.0 + 0.0j}
-    for _ in range(k):
-        acc = wedge(acc, f)
-    return acc
-
-
 _POWER_CACHE = {}
 
 
@@ -301,14 +291,15 @@ def del_delbar_residual(alg, k):
     return max_coeff(bidegree_project(outer, k + 1, k + 1))
 
 
-def d_omega_residual(alg):
-    """Max coefficient of d(omega); zero iff the metric is Kaehler."""
-    return max_coeff(exterior_d(alg, kaehler_form(alg.n)))
+def d_squared_residual(alg):
+    """Max coefficient of d(d phi_k) over the generators phi_1..phi_n.
 
-
-def balanced_residual_forms(alg):
-    """Max coefficient of d(omega^(n-1)); zero iff the metric is balanced."""
-    return max_coeff(exterior_d(alg, kaehler_power(alg.n, alg.n - 1)))
+    Zero exactly when the Jacobi identity holds, which makes it the
+    forms-side twin of the bracket's Jacobi residual."""
+    return max(
+        max_coeff(exterior_d(alg, exterior_d(alg, phi(k))))
+        for k in range(1, alg.n + 1)
+    )
 
 
 def top_holomorphic_form(n):

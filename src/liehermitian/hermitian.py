@@ -35,7 +35,7 @@ import numpy as np
 
 from . import forms
 from .algebra import max_abs, unimodularity_defect
-from .errors import DimensionMismatch, InvalidAlgebra
+from .errors import CrossCheckFailure, DimensionMismatch, InvalidAlgebra
 
 # term signs for (C, D, D-swapped) in the torsion and for the four
 # curvature terms.  Do not edit; flip temporarily via sign_mutation().
@@ -175,15 +175,6 @@ def curvature_hermitian_residual(R):
     return max_abs(R - np.conj(R.transpose(1, 0, 3, 2)))
 
 
-def curvature_symmetry_residual(R):
-    """Max-abs deviation from the symmetry R[i,j,k,l] = R[k,j,i,l].
-
-    Not automatic: it characterizes the Kaehler-like curvature class of
-    the canonical connection.
-    """
-    return max_abs(R - R.transpose(2, 1, 0, 3))
-
-
 def scalar_s(a):
     """Both trace routes to the scalar curvature of the canonical
     connection: (trace of Ric1, trace of Ric2).  Equal by inspection of
@@ -276,24 +267,23 @@ def torsion_bianchi_residual(a):
 # trace forms and Ricci forms
 
 
+def _invariant_one_form(alpha):
+    """The invariant 1-form sum_k alpha_k phi_k - conj(alpha_k) phibar_k."""
+    entries = []
+    for k, c in enumerate(alpha):
+        entries.append(((k + 1,), (), c))
+        entries.append(((), (k + 1,), -np.conj(c)))
+    return forms.form(entries)
+
+
 def chern_trace_form(a):
     """trace of the canonical connection form, as an invariant 1-form."""
-    zeta = chern_connection_trace(a)
-    entries = []
-    for k in range(a.n):
-        entries.append(((k + 1,), (), zeta[k]))
-        entries.append(((), (k + 1,), -np.conj(zeta[k])))
-    return forms.form(entries)
+    return _invariant_one_form(chern_connection_trace(a))
 
 
 def bismut_trace_form(a):
     """trace of the skew-torsion connection form, as an invariant 1-form."""
-    alpha = -bracket_trace(a) + chern_divergence(a)
-    entries = []
-    for k in range(a.n):
-        entries.append(((k + 1,), (), alpha[k]))
-        entries.append(((), (k + 1,), -np.conj(alpha[k])))
-    return forms.form(entries)
+    return _invariant_one_form(-bracket_trace(a) + chern_divergence(a))
 
 
 def chern_ricci_form(a):
@@ -392,7 +382,7 @@ def skt_form_tensor_residual(a):
 
 
 # ---------------------------------------------------------------------------
-# scalar identities and closed-form Ricci cross-checks
+# scalar identities
 
 
 def scalar_identity_residuals(a):
@@ -420,48 +410,6 @@ def scalar_identity_residuals(a):
     }
 
 
-def ricci_closed_form_residuals(a):
-    """Gaps between the curvature-trace Ricci matrices and their
-    structure-constant expressions.
-
-    The first Ricci form has an unconditional expression through the
-    connection trace vector zeta.  The second and third only close up
-    in terms of eta on unimodular algebras, so those two keys (and the
-    quadratic expression for s) are None when the algebra is not
-    unimodular.
-    """
-    D = a.D
-    Dc = np.conj(D)
-    zeta = chern_connection_trace(a)
-    R = chern_curvature(a)
-    ric1_closed = -(
-        np.einsum("r,irj->ij", zeta, Dc)
-        + np.einsum("r,jri->ij", np.conj(zeta), D)
-    )
-    out = {
-        "ric1": max_abs(ricci_first(R) - ric1_closed),
-        "ric2": None,
-        "ric3": None,
-        "s_quadratic": None,
-    }
-    if max_abs(unimodularity_defect(a)) <= a.tol:
-        eta = torsion_trace(a)
-        ric2_closed = (
-            np.einsum("ris,rjs->ij", D, Dc)
-            - np.einsum("jrs,irs->ij", D, Dc)
-            - np.einsum("r,ijr->ij", eta, Dc)
-            - np.einsum("r,jir->ij", np.conj(eta), D)
-        )
-        ric3_closed = -np.einsum("jrs,isr->ij", D, Dc) - np.einsum(
-            "r,irj->ij", eta, Dc
-        )
-        q = complex(np.einsum("trs,tsr->", D, Dc))
-        out["ric2"] = max_abs(ricci_second(R) - ric2_closed)
-        out["ric3"] = max_abs(ricci_third(R) - ric3_closed)
-        out["s_quadratic"] = abs(chern_scalar(R) + q)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the property report
 
@@ -473,6 +421,32 @@ def _realpart(z, tol):
             f"expected a real scalar, got imaginary part {z.imag:.3e}"
         )
     return z.real
+
+
+def require_lie_algebra(a):
+    """Raise InvalidAlgebra when the Jacobi residual exceeds the
+    tolerance; no predicate or curvature scalar means anything then."""
+    if a.jacobi_max > a.tol:
+        raise InvalidAlgebra(
+            "Jacobi residual %.3e exceeds tolerance %.3e; "
+            "not a Lie algebra" % (a.jacobi_max, a.tol)
+        )
+
+
+def report_scalars(a, R, bismut_one_one):
+    """The five scalars of a report, from the Chern curvature R and the
+    (1,1) block of the skew-torsion Ricci form: s, s_hat, the Bismut
+    scalar s_b, chi = sum_r eta_r conj(nu_r) and |eta|^2."""
+    tol = a.tol
+    eta = torsion_trace(a)
+    nu = chern_divergence(a)
+    return {
+        "s": _realpart(chern_scalar(R), tol),
+        "s_hat": _realpart(chern_scalar_alt(R), tol),
+        "s_b": _realpart(np.trace(bismut_one_one), tol),
+        "chi": _realpart(np.sum(eta * np.conj(nu)), tol),
+        "eta_norm_sq": float(np.sum(np.abs(eta) ** 2)),
+    }
 
 
 def property_report(a):
@@ -488,16 +462,11 @@ def property_report(a):
     tolerance; none of the predicates mean anything in that case.
     """
     n, tol = a.n, a.tol
-    if a.jacobi_max > tol:
-        raise InvalidAlgebra(
-            "Jacobi residual %.3e exceeds tolerance %.3e; "
-            "not a Lie algebra" % (a.jacobi_max, tol)
-        )
+    require_lie_algebra(a)
 
     T = chern_torsion(a)
     R = chern_curvature(a)
     eta = torsion_trace(a)
-    nu = chern_divergence(a)
     w = unimodularity_defect(a)
     rho_b = bismut_ricci_form(a)
 
@@ -522,22 +491,51 @@ def property_report(a):
         k: (None if v is None else bool(v <= tol)) for k, v in res.items()
     }
 
-    s = _realpart(chern_scalar(R), tol)
-    s_hat = _realpart(chern_scalar_alt(R), tol)
-    s_b = _realpart(np.trace(one_one_matrix(rho_b, n)), tol)
-    chi = _realpart(np.sum(eta * np.conj(nu)), tol)
-
     return {
         "n": n,
         "tol": tol,
         "jacobi_residual": list(a.jacobi),
         "properties": props,
         "residuals": res,
-        "scalars": {
-            "s": s,
-            "s_hat": s_hat,
-            "s_b": s_b,
-            "chi": chi,
-            "eta_norm_sq": float(np.sum(np.abs(eta) ** 2)),
-        },
+        "scalars": report_scalars(a, R, one_one_matrix(rho_b, n)),
     }
+
+
+# ---------------------------------------------------------------------------
+# closed forms against the engine
+
+
+def cross_check(closed, engine, tol, closed_res=None, engine_res=None,
+                sides="closed form and tensor engine"):
+    """Hold closed-form values against the engine's, key by key.
+
+    This is the one place where a family closed form, or a second route
+    to a quantity, is compared with the general engine.  Every key of
+    ``closed`` is compared with the same key of ``engine``; a key that
+    is missing or None on either side is skipped, since the quantity
+    has no content there.  Booleans must be equal, numbers and arrays
+    must agree entrywise within 10 tol.  The first disagreement raises
+    CrossCheckFailure naming the key.  A boolean's error carries the
+    residuals it thresholds, taken from ``closed_res`` and
+    ``engine_res``; a number's error carries the two values, an array's
+    the largest entrywise gap against 0.
+
+    Returns the gap of every number and array compared.
+    """
+    gaps = {}
+    for key, mine in closed.items():
+        theirs = engine.get(key)
+        if mine is None or theirs is None:
+            continue
+        message = "%s disagree on %r" % (sides, key)
+        if isinstance(mine, bool):
+            if mine != theirs:
+                raise CrossCheckFailure(message, name=key, closed=closed_res[key],
+                                        engine=engine_res[key])
+            continue
+        gaps[key] = gap = max_abs(np.asarray(mine) - np.asarray(theirs))
+        if gap > 10.0 * tol:
+            if np.ndim(mine) == 0:
+                raise CrossCheckFailure(message, name=key, closed=mine, engine=theirs)
+            raise CrossCheckFailure(message, name=key, closed=gap, engine=0.0)
+    return gaps

@@ -81,14 +81,10 @@ def aa_random(rng, n, unimodular=False):
     A = cgauss(rng, (m, m))
     v = cgauss(rng, m)
     if unimodular:
-        lam = -trace_sum_of(A)
+        lam = -trace_sum(A)
     else:
         lam = float(rng.standard_normal())
     return AlmostAbelianData(n=n, lam=lam, v=v, A=A)
-
-
-def trace_sum_of(A):
-    return float(2.0 * np.trace(A).real)
 
 
 def aa_normal_matrix(rng, n, eig_real=None, unimodular=False):
@@ -100,7 +96,7 @@ def aa_normal_matrix(rng, n, eig_real=None, unimodular=False):
         mu = np.asarray(eig_real, dtype=float) + 1j * mu.imag
     A = Q @ np.diag(mu) @ Q.conj().T
     v = cgauss(rng, m)
-    lam = -trace_sum_of(A) if unimodular else float(rng.standard_normal())
+    lam = -trace_sum(A) if unimodular else float(rng.standard_normal())
     return AlmostAbelianData(n=n, lam=lam, v=v, A=A)
 
 

@@ -18,7 +18,7 @@ import re
 
 import pytest
 
-from liehermitian import verify
+from liehermitian import hermitian, verify
 
 
 @pytest.fixture(scope="session")
@@ -58,3 +58,13 @@ def test_battery_is_seed_stable():
     one = verify.run_battery(name_filter="criterion-4")
     two = verify.run_battery(name_filter="criterion-4")
     assert [r.as_dict() for r in one] == [r.as_dict() for r in two]
+
+
+@pytest.mark.parametrize("criterion", [verify.criterion_8, verify.criterion_10])
+def test_report_disagreement_is_a_recorded_failure(criterion):
+    # Under a curvature sign flip the family reports raise
+    # CrossCheckFailure; the criterion records that as a failed draw.
+    with hermitian.sign_mutation(curvature_index=1):
+        res = criterion(verify.DEFAULT_SEED, count=10)
+    assert not res.passed
+    assert re.match(r"draw \d+: report raised .*disagree", res.failures[0])

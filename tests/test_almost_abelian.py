@@ -3,6 +3,7 @@ import pytest
 
 from liehermitian import (
     AlmostAbelianData,
+    CrossCheckFailure,
     NotAstheno,
     ParameterDomain,
     PatternMismatch,
@@ -11,11 +12,13 @@ from liehermitian import (
     aa_astheno_profile,
     build_almost_abelian,
     extract_almost_abelian,
+    make_algebra,
     property_report,
     scalar_s,
     scalar_s_hat,
 )
 from liehermitian.almost_abelian import aa_residuals
+from liehermitian.hermitian import sign_mutation
 from liehermitian.algebra import max_abs, unimodularity_defect
 from liehermitian.sampling import (
     aa_balanced,
@@ -47,6 +50,20 @@ def test_extract_refuses_wrong_pattern():
         extract_almost_abelian(hopf_algebra(2))
     # the offending structure constant is named
     assert info.value.offending is not None
+
+
+@pytest.mark.parametrize("extra_d, named", [
+    ((1, 1, 2), ("C", 2, 2, 3)),  # C and D break at one index: C is named
+    ((0, 0, 1), ("D", 1, 1, 2)),  # D breaks at an earlier index
+])
+def test_extract_names_first_offending_entry(extra_d, named):
+    a = build_almost_abelian(aa_random(rng_for(60, 2), 3))
+    C, D = np.array(a.C), np.array(a.D)
+    C[1, 1, 2], C[1, 2, 1] = 0.5, -0.5
+    D[extra_d] = 0.5
+    with pytest.raises(PatternMismatch) as info:
+        extract_almost_abelian(make_algebra(3, C, D))
+    assert info.value.offending == named
 
 
 def test_unimodular_draws_have_zero_defect():
@@ -87,6 +104,17 @@ def test_report_fields_and_crosscheck():
     eng = rep["engine"]["properties"]
     for key in ("kaehler", "balanced", "pluriclosed", "btp", "bkl"):
         assert rep["properties"][key] == eng[key]
+
+
+def test_report_crosscheck_catches_a_sign_flip():
+    d = aa_random(rng_for(60, 30), 3, unimodular=True)
+    with sign_mutation(curvature_index=1):
+        with pytest.raises(CrossCheckFailure) as info:
+            aa_report(d)
+    err = info.value
+    assert err.name in aa_report(d)["engine"]["scalars"]
+    assert err.closed is not None and err.engine is not None
+    assert abs(err.closed - err.engine) > 10 * build_almost_abelian(d).tol
 
 
 def test_report_scalars_none_outside_unimodular():

@@ -6,12 +6,13 @@ acceptance battery itself is exercised in test_acceptance; here the
 verify subcommand only runs single fast criteria.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from liehermitian import cli
+from liehermitian import cli, sampling
 from liehermitian.errors import CrossCheckFailure, NotUnimodular, ParseError
 
 
@@ -117,6 +118,24 @@ def test_check_non_integrable_exits_3_with_residuals(tmp_path, capsys):
     assert "residuals" in payload
 
 
+def non_jacobi_spec():
+    # [e1, e2] = e2 and [e2, e3] = e1 alone violate the Jacobi identity
+    return {"schema": "lie-hermitian/v1", "n": 3, "family": "general",
+            "payload": {"C": [{"j": 2, "i": 1, "k": 2, "v": [1.0, 0.0]},
+                              {"j": 1, "i": 2, "k": 3, "v": [1.0, 0.0]}],
+                        "D": []}}
+
+
+@pytest.mark.parametrize("command", ["check", "tensors"])
+def test_non_jacobi_spec_exits_3(tmp_path, capsys, command):
+    path = write(tmp_path, "nj.json", non_jacobi_spec())
+    code = cli.main([command, path])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "InvalidAlgebra"
+
+
 def test_exit_code_table():
     assert cli.exit_code_for(ParseError("x")) == 2
     assert cli.exit_code_for(NotUnimodular("x")) == 3
@@ -216,11 +235,20 @@ def test_sample_exit_zero_and_deterministic(tmp_path, capsys):
 
 
 def test_sample_failures_are_data_with_repro_files(tmp_path, capsys, monkeypatch):
+    # A v1 draw with its coupling vector pushed off the torsion-parallel
+    # locus: still integrable, but no longer parallel.
+    drawn = sampling.c2_generator
+
+    def off_locus(rng, n, kind=None):
+        d = drawn(rng, n, kind=kind)
+        return dataclasses.replace(d, v=d.v + 0.5 * np.eye(n - 1)[1])
+
+    monkeypatch.setattr(sampling, "c2_generator", off_locus)
     monkeypatch.chdir(tmp_path)
-    code, rep = run_json(capsys, ["sample", "btpv0", "--count", "5",
+    code, rep = run_json(capsys, ["sample", "btpv1", "--count", "2",
                                   "--seed", "1"])
     assert code == 0
-    assert rep["failures"], "seed 1 draws a rank-two sample at index 4"
+    assert rep["failures"]
     first = rep["failures"][0]
     assert "torsion_parallel" in first["failed"]
     assert first["spec"]["family"] == "codim2"
@@ -229,7 +257,19 @@ def test_sample_failures_are_data_with_repro_files(tmp_path, capsys, monkeypatch
     code2, rep2 = run_json(capsys, ["check", fname])
     assert code2 == 0
     assert rep2["report"]["properties"]["btp"] is False
-    assert rep2["report"]["properties"]["balanced"] is True
+    assert rep2["report"]["properties"]["unimodular"] is True
+
+
+def test_sample_btpv0_counts_rank_two_as_refuted_witness(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, rep = run_json(capsys, ["sample", "btpv0", "--count", "5",
+                                  "--seed", "1"])
+    assert code == 0
+    assert rep["failures"] == [] and rep["failure_files"] == []
+    # index 4 draws block rank two: the obstruction witness, refuted
+    assert rep["tallies"]["rank_obstruction"] == {"pass": 1, "fail": 0}
+    assert rep["tallies"]["torsion_parallel"] == {"pass": 4, "fail": 0}
+    assert rep["tallies"]["classify_roundtrip"] == {"pass": 5, "fail": 0}
 
 
 def test_sample_count_must_be_positive(capsys):

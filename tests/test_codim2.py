@@ -34,6 +34,7 @@ from liehermitian import (
     classify_btp,
     extract_codim2,
     from_almost_abelian,
+    make_algebra,
     make_btpv0,
     make_btpv1,
     make_btpv2,
@@ -43,7 +44,7 @@ from liehermitian import (
 )
 from liehermitian import codim2 as C2
 from liehermitian.algebra import change_frame, max_abs
-from liehermitian.hermitian import bismut_torsion_derivative_residuals
+from liehermitian.hermitian import bismut_torsion_derivative_residuals, sign_mutation
 from liehermitian.sampling import (
     aa_chern_flat,
     aa_random,
@@ -84,6 +85,20 @@ def test_extract_refuses_generic_algebra():
     U = random_unitary(rng_for(70, 2), 3)
     with pytest.raises(PatternMismatch):
         extract_codim2(change_frame(a, U))
+
+
+@pytest.mark.parametrize("extra_d, named", [
+    ((1, 1, 2), ("C", 2, 2, 3)),  # C and D break at one index: C is named
+    ((0, 0, 1), ("D", 1, 1, 2)),  # D breaks at an earlier index
+])
+def test_extract_names_first_offending_entry(extra_d, named):
+    a = build_codim2(c2_random(rng_for(70, 3), 3, scramble=False))
+    C, D = np.array(a.C), np.array(a.D)
+    C[1, 1, 2], C[1, 2, 1] = 0.5, -0.5
+    D[extra_d] = 0.5
+    with pytest.raises(PatternMismatch) as info:
+        extract_codim2(make_algebra(3, C, D))
+    assert info.value.offending == named
 
 
 def test_negative_lambda_refused():
@@ -145,6 +160,17 @@ def test_report_crosscheck_clean(i):
     assert rep["family"] == "codim2"
     assert set(rep["properties"]) == set(C2.c2_residuals(d))
     assert rep["ric1_rank"] >= 0
+
+
+def test_report_crosscheck_catches_a_sign_flip():
+    d = c2_random(rng_for(71, 30), 4, unimodular=True)
+    with sign_mutation(curvature_index=1):
+        with pytest.raises(CrossCheckFailure) as info:
+            c2_report(d)
+    err = info.value
+    assert err.name in c2_report(d)["scalars"]
+    assert err.closed is not None and err.engine is not None
+    assert abs(err.closed - err.engine) > 10 * build_codim2(d).tol
 
 
 def test_scalars_against_engine():

@@ -11,6 +11,7 @@ import pytest
 
 from liehermitian import (
     AlmostAbelianData,
+    CrossCheckFailure,
     InvalidAlgebra,
     bismut_connection,
     bismut_ricci_blocks,
@@ -229,3 +230,26 @@ def test_sign_mutation_flips_and_restores():
     with H.sign_mutation(curvature_index=1):
         assert max_abs(chern_curvature(a) - Rbase) > 0.1
     assert max_abs(chern_curvature(a) - Rbase) == 0.0
+
+
+# ------------------------------------------------------------- cross-check
+
+
+def test_cross_check_booleans_exact_and_none_skipped():
+    closed = {"kaehler": True, "astheno_kaehler": None, "only_closed": False}
+    engine = {"kaehler": True, "astheno_kaehler": False}
+    assert H.cross_check(closed, engine, 1e-9) == {}
+    with pytest.raises(CrossCheckFailure) as info:
+        H.cross_check({"kaehler": False}, engine, 1e-9, {"kaehler": 0.5}, {"kaehler": 0.0})
+    assert (info.value.name, info.value.closed, info.value.engine) == ("kaehler", 0.5, 0.0)
+
+
+def test_cross_check_numbers_within_ten_tol():
+    gaps = H.cross_check({"s": 1.0, "M": np.eye(2)}, {"s": 1.0 + 5e-9, "M": np.eye(2)}, 1e-9)
+    assert gaps["s"] == pytest.approx(5e-9) and gaps["M"] == 0.0
+    with pytest.raises(CrossCheckFailure) as info:
+        H.cross_check({"s": 1.0}, {"s": 1.0 + 2e-8}, 1e-9)
+    assert (info.value.name, info.value.closed, info.value.engine) == ("s", 1.0, 1.0 + 2e-8)
+    with pytest.raises(CrossCheckFailure) as info:
+        H.cross_check({"M": np.eye(2)}, {"M": 2 * np.eye(2)}, 1e-9)
+    assert (info.value.name, info.value.closed, info.value.engine) == ("M", 1.0, 0.0)
