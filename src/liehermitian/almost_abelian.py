@@ -14,12 +14,11 @@ generic tensor engine.  A disagreement raises
 either side.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
-    Algebra,
     default_tolerance,
     is_nilpotent,
     make_algebra,

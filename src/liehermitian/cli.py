@@ -21,15 +21,13 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from . import forms
 from . import hermitian
 from . import serial
 from . import verify
 from . import sampling as sm
-from .algebra import jacobi_residual, max_abs, unimodularity_defect
+from .algebra import max_abs, unimodularity_defect
 from .almost_abelian import aa_report, build_almost_abelian
 from .codim2 import build_codim2, c2_report, classify_btp, from_almost_abelian
 from .errors import (

@@ -25,7 +25,6 @@ import scipy.linalg
 import scipy.optimize
 
 from .algebra import (
-    change_frame,
     default_tolerance,
     make_algebra,
     max_abs,

@@ -1,82 +1,96 @@
 """Left-invariant complex differential forms and the exterior differential.
 
-A form of bidegree (p, q) is represented as a dict mapping
-``(I, J) -> coefficient`` where I and J are strictly increasing tuples
-of 1-based frame indices: the key stands for the wedge monomial
+Forms go in and out as dicts mapping ``(I, J) -> coefficient``, where I
+and J are strictly increasing tuples of 1-based frame indices standing
+for the monomial phi_{I1} ^ .. ^ phi_{Ip} ^ phibar_{J1} ^ .. ^ phibar_{Jq};
+mixed-degree forms carry keys of several lengths.
 
-    phi_{I1} ^ .. ^ phi_{Ip} ^ phibar_{J1} ^ .. ^ phibar_{Jq}.
+Inside, a monomial is a bitmask, bit i-1 for phi_i and bit MAX_DIM+j-1
+for phibar_j, so that bit order is factor order, and a form is a pair of
+arrays: int64 keys and complex coefficients.  A sign is the parity of a
+count of transpositions; below(b) = b - 1 masks the bits under bit b.
 
-Mixed-degree forms simply carry keys of several lengths.  Coefficients
-below a caller-supplied cleanup threshold are dropped so dictionaries
-stay sparse.
+On generators d follows from the structure constants,
 
-The differential on generator 1-forms follows from the structure
-constants:
+    d phi_j = -1/2 sum C^j_{ik} phi_i ^ phi_k - sum conj(D^i_{jk}) phi_i ^ phibar_k,
 
-    d phi_j = -1/2 sum C^j_{ik} phi_i ^ phi_k - sum conj(D^i_{jk}) phi_i ^ phibar_k
+and d phibar_j is the conjugate.  Each term coef * x_lo ^ x_hi (lo below
+hi) of some d x_g is a row of a term table built once per Algebra and
+split into the rows of del (raising p) and of delbar (raising q).  The
+graded Leibniz rule turns a monomial K containing g, with N = K ^ g
+disjoint from lo and hi, into N | lo | hi with the sign
 
-and extends to arbitrary invariant forms by the graded Leibniz rule.
-Generator differentials are cached per Algebra instance.
+    (-1)^|(K & below(g)) ^ (N & (below(lo) ^ below(hi)))|:
+
+one count for moving g to the front, one for shuffling lo and hi into N.
+Coefficients of magnitude at most a cut (1e-14 unless given) are dropped
+once, when a result is returned.
 """
 
 import weakref
+from math import factorial
 
 import numpy as np
 
+from .algebra import MAX_DIM
 from .errors import InvalidDegree
 
 _ZERO_CUT = 1e-14
+_BAR = MAX_DIM  # bit of phibar_1
+_GRID = 1 << 18  # bound on (monomial, term) pairs tested, and on terms left unmerged
 
 
-def _merge_sorted(A, B):
-    """Merge two strictly increasing tuples.
-
-    Returns (merged_tuple, sign) with sign the parity of the shuffle,
-    or (None, 0) if the tuples share an element.
-    """
-    if not A:
-        return B, 1
-    if not B:
-        return A, 1
-    out = []
-    i = j = 0
-    inversions = 0
-    la, lb = len(A), len(B)
-    while i < la and j < lb:
-        if A[i] == B[j]:
-            return None, 0
-        if A[i] < B[j]:
-            out.append(A[i])
-            i += 1
-        else:
-            # B[j] jumps over the remaining elements of A
-            inversions += la - i
-            out.append(B[j])
-            j += 1
-    out.extend(A[i:])
-    out.extend(B[j:])
-    return tuple(out), (-1) ** inversions
+def _parity(x):
+    """Popcount parity (0 or 1) of masks of at most 32 bits."""
+    for s in (16, 8, 4, 2, 1):
+        x = x ^ (x >> s)
+    return x & 1
 
 
-def _normalize_key(I, J):
-    """Sort a possibly unordered monomial key, tracking sign; None if repeated."""
-    sign = 1
-    for part in (I, J):
-        lst = list(part)
-        if len(set(lst)) != len(lst):
-            return None, None, 0
-        # insertion sort, counting swaps (keys are short)
-        for a in range(1, len(lst)):
-            b = a
-            while b > 0 and lst[b - 1] > lst[b]:
-                lst[b - 1], lst[b] = lst[b], lst[b - 1]
-                sign = -sign
-                b -= 1
-        if part is I:
-            I = tuple(lst)
-        else:
-            J = tuple(lst)
-    return I, J, sign
+def _mask(I, J):
+    """(bitmask, sign) of phi_I ^ phibar_J with the factors sorted;
+    the sign is 0 when an index repeats."""
+    mask, sign = 0, 1
+    for b in [i - 1 for i in I] + [_BAR + j - 1 for j in J]:
+        if mask >> b & 1:
+            return 0, 0
+        if _parity(mask >> b):
+            sign = -sign
+        mask |= 1 << b
+    return mask, sign
+
+
+def _indices(mask):
+    """The key (I, J) of a bitmask."""
+    bits = [b for b in range(2 * _BAR) if mask >> b & 1]
+    return (tuple(b + 1 for b in bits if b < _BAR),
+            tuple(b - _BAR + 1 for b in bits if b >= _BAR))
+
+
+def _arrays(entries):
+    """(keys, coefficients) of (I, J, coefficient) triples, not merged."""
+    terms = [(_mask(I, J), c) for I, J, c in entries]
+    keys = np.array([m for (m, _), _ in terms], dtype=np.int64)
+    coeffs = np.array([s * complex(c) for (_, s), c in terms], dtype=complex)
+    return keys, coeffs
+
+
+def _from_dict(f):
+    return _arrays((I, J, c) for (I, J), c in f.items())
+
+
+def _to_dict(keys, coeffs, cut):
+    keep = np.abs(coeffs) > cut
+    return {_indices(int(k)): complex(c) for k, c in zip(keys[keep], coeffs[keep])}
+
+
+def _merge(*parts):
+    """One array form from (keys, coefficients) parts, with the
+    coefficients of equal keys added up."""
+    keys, coeffs = map(np.concatenate, zip(*parts))
+    keys, inv = np.unique(keys, return_inverse=True)
+    return keys, (np.bincount(inv, coeffs.real, keys.size)
+                   + 1j * np.bincount(inv, coeffs.imag, keys.size))
 
 
 def form(entries=(), cut=_ZERO_CUT):
@@ -85,15 +99,7 @@ def form(entries=(), cut=_ZERO_CUT):
     Index tuples may be unordered; they are sorted with the appropriate
     sign.  Repeated indices inside a tuple make the monomial vanish.
     """
-    out = {}
-    for I, J, c in entries:
-        I, J, sgn = _normalize_key(tuple(I), tuple(J))
-        if sgn == 0:
-            continue
-        c = complex(c) * sgn
-        key = (I, J)
-        out[key] = out.get(key, 0.0) + c
-    return {k: v for k, v in out.items() if abs(v) > cut}
+    return _to_dict(*_merge(_arrays(entries)), cut)
 
 
 def phi(i):
@@ -124,32 +130,19 @@ def scale(f, c):
 def wedge(f, g, cut=_ZERO_CUT):
     """Wedge product of two forms.
 
-    For monomials (I1,J1) and (I2,J2) the barred block of the first
-    factor moves past the unbarred block of the second, contributing
-    (-1)^(|J1| |I2|) on top of the two merge signs.
+    Monomials a, b that share a factor give nothing.  Otherwise a ^ b is
+    sorted by one transposition for each pair of a factor of a above a
+    factor of b, i.e. by |a & above(p)| of them for every bit p of b.
     """
-    out = {}
-    for (I1, J1), c1 in f.items():
-        for (I2, J2), c2 in g.items():
-            I, si = _merge_sorted(I1, I2)
-            if si == 0:
-                continue
-            J, sj = _merge_sorted(J1, J2)
-            if sj == 0:
-                continue
-            sgn = si * sj * ((-1) ** (len(J1) * len(I2)))
-            key = (I, J)
-            out[key] = out.get(key, 0.0) + sgn * c1 * c2
-    return {k: v for k, v in out.items() if abs(v) > cut}
-
-
-def wedge_all(forms_, cut=_ZERO_CUT):
-    if not forms_:
-        return {((), ()): 1.0 + 0.0j}
-    acc = forms_[0]
-    for g in forms_[1:]:
-        acc = wedge(acc, g, cut=cut)
-    return acc
+    ka, ca = _from_dict(f)
+    kb, cb = _from_dict(g)
+    a, b = ka[:, None], kb[None, :]
+    odd = np.zeros((ka.size, kb.size), dtype=np.int64)
+    for p in range(2 * _BAR):
+        odd ^= (b >> p) & _parity(a >> (p + 1))
+    ok = (a & b) == 0
+    coeffs = ca[:, None] * cb[None, :] * (1 - 2 * odd)
+    return _to_dict(*_merge(((a | b)[ok], coeffs[ok])), cut)
 
 
 def conjugate(f):
@@ -174,85 +167,80 @@ def max_coeff(f):
     return max(abs(v) for v in f.values())
 
 
-_GEN_CACHE = weakref.WeakKeyDictionary()
+_TABLES = weakref.WeakKeyDictionary()
 
 
-def _generator_differentials(alg):
-    """d(phi_i) and d(phibar_i) for every generator, cached per algebra."""
+def _term_table(alg):
+    """The terms of d on the generators, cached per algebra.
+
+    Returns the pair (del, delbar) of tables (g, test, pair, span, coef),
+    one entry per term coef * x_lo ^ x_hi of d x_g, with pair = lo | hi,
+    test = g | pair and span = below(lo) ^ below(hi).  A monomial K takes
+    the term when K & test == g: it contains g, and once g is gone,
+    neither lo nor hi.
+    """
     try:
-        return _GEN_CACHE[alg]
+        return _TABLES[alg]
     except KeyError:
         pass
     n = alg.n
-    C, D = alg.C, alg.D
-    Dc = np.conj(D)
-    d_phi = []
-    for m in range(n):
-        entries = []
-        for i in range(n):
-            for k in range(i + 1, n):
-                c = -C[m, i, k]
-                if abs(c) > _ZERO_CUT:
-                    entries.append(((i + 1, k + 1), (), c))
-        for i in range(n):
-            for k in range(n):
-                c = -Dc[i, m, k]
-                if abs(c) > _ZERO_CUT:
-                    entries.append(((i + 1,), (k + 1,), c))
-        d_phi.append(form(entries))
-    d_phibar = [conjugate(f) for f in d_phi]
-    _GEN_CACHE[alg] = (d_phi, d_phibar)
-    return d_phi, d_phibar
+    m, i, k = (x.ravel() for x in np.indices((n, n, n)))
+    u = np.int64(1) << np.arange(n, dtype=np.int64)
+    b = u << _BAR
+    C, D = alg.C[m, i, k], alg.D[i, m, k]
+    upper, every = i < k, np.ones(m.size, dtype=bool)
+    # (g, lo, hi, coef, kept): d phi_m and its conjugate d phibar_m
+    rows_del = ((u[m], u[i], u[k], -C, upper),
+                (b[m], u[k], b[i], D, every))
+    rows_delbar = ((u[m], u[i], b[k], -np.conj(D), every),
+                   (b[m], b[i], b[k], -np.conj(C), upper))
+    table = []
+    for rows in (rows_del, rows_delbar):
+        g, lo, hi, coef, kept = (np.concatenate(x) for x in zip(*rows))
+        kept &= np.abs(coef) > _ZERO_CUT
+        g, lo, hi, coef = g[kept], lo[kept], hi[kept], coef[kept]
+        pair = lo | hi
+        table.append((g, g | pair, pair, (lo - 1) ^ (hi - 1), coef))
+    _TABLES[alg] = tuple(table)
+    return _TABLES[alg]
+
+
+def _derive(keys, coeffs, table):
+    """Apply the derivation with the given term table to an array form.
+
+    Monomials are taken a block at a time so that no more than _GRID
+    (monomial, term) pairs are tested at once, and the terms found are
+    merged whenever more than _GRID of them wait."""
+    g, test, pair, span, coef = table
+    parts, waiting = [(keys[:0], coeffs[:0])], 0
+    step = max(1, _GRID // max(1, g.size))
+    for start in range(0, keys.size, step):
+        K, c = keys[start:start + step], coeffs[start:start + step]
+        r, t = np.nonzero((K[:, None] & test) == g)
+        K, gt = K[r], g[t]
+        N = K ^ gt
+        odd = _parity((K & (gt - 1)) ^ (N & span[t]))
+        parts.append((N | pair[t], c[r] * coef[t] * (1 - 2 * odd)))
+        waiting += r.size
+        if waiting > _GRID:
+            parts, waiting = [_merge(*parts)], 0
+    return _merge(*parts)
 
 
 def exterior_d(alg, f, cut=_ZERO_CUT):
-    """Exterior differential of an invariant form, by graded Leibniz.
-
-    For a monomial g_1 ^ .. ^ g_r in generators, d inserts d(g_m) in
-    place of g_m with sign (-1)^(m-1).
-    """
-    d_phi, d_phibar = _generator_differentials(alg)
-    pieces = []
-    for (I, J), c in f.items():
-        gens = [("u", i) for i in I] + [("b", j) for j in J]
-        r = len(gens)
-        for m in range(r):
-            kind, idx = gens[m]
-            dg = d_phi[idx - 1] if kind == "u" else d_phibar[idx - 1]
-            prefix = gens[:m]
-            suffix = gens[m + 1 :]
-            left = wedge_all(
-                [phi(i) if k == "u" else phibar(i) for k, i in prefix], cut=0.0
-            )
-            right = wedge_all(
-                [phi(i) if k == "u" else phibar(i) for k, i in suffix], cut=0.0
-            )
-            sgn = (-1) ** m
-            term = wedge(wedge(left, dg, cut=0.0), right, cut=0.0)
-            pieces.append(scale(term, sgn * c))
-    return add(*pieces, cut=cut)
+    """Exterior differential of an invariant form."""
+    keys, coeffs = _from_dict(f)
+    return _to_dict(*_merge(*(_derive(keys, coeffs, t) for t in _term_table(alg))), cut)
 
 
 def partial_d(alg, f, cut=_ZERO_CUT):
     """The (1,0) part of d, taken bidegree by bidegree."""
-    out = {}
-    degs = {(len(I), len(J)) for I, J in f}
-    for p, q in degs:
-        comp = bidegree_project(f, p, q)
-        dcomp = exterior_d(alg, comp, cut=cut)
-        out.update(bidegree_project(dcomp, p + 1, q))
-    return add(out, cut=cut)
+    return _to_dict(*_derive(*_from_dict(f), _term_table(alg)[0]), cut)
 
 
 def partial_dbar(alg, f, cut=_ZERO_CUT):
     """The (0,1) part of d, taken bidegree by bidegree."""
-    out = {}
-    degs = {(len(I), len(J)) for I, J in f}
-    for p, q in degs:
-        comp = bidegree_project(f, p, q)
-        dcomp = exterior_d(alg, comp, cut=cut)
-        out.update(bidegree_project(dcomp, p, q + 1))
-    return add(out, cut=cut)
+    return _to_dict(*_derive(*_from_dict(f), _term_table(alg)[1]), cut)
 
 
 def kaehler_form(n):
@@ -260,19 +248,24 @@ def kaehler_form(n):
     return {((k,), (k,)): 1.0j for k in range(1, n + 1)}
 
 
-_POWER_CACHE = {}
+_POWERS = {}
+
+
+def _power(n, k):
+    """omega^k as arrays, cached: sorting the factors of
+    (phi_1 phibar_1) .. (phi_k phibar_k) takes k(k-1)/2 transpositions,
+    so every phi_K ^ phibar_K with |K| = k carries i^k k! (-1)^(k(k-1)/2)."""
+    if (n, k) not in _POWERS:
+        sub = np.array([s for s in range(1 << n) if s.bit_count() == k],
+                       dtype=np.int64)
+        c = 1j ** k * factorial(k) * (-1) ** (k * (k - 1) // 2)
+        _POWERS[(n, k)] = (sub | (sub << _BAR), np.full(sub.size, c, dtype=complex))
+    return _POWERS[(n, k)]
 
 
 def kaehler_power(n, k):
-    """omega^k for the dimension-n fundamental form, cached."""
-    key = (n, k)
-    if key not in _POWER_CACHE:
-        acc = {((), ()): 1.0 + 0.0j}
-        w = kaehler_form(n)
-        for _ in range(k):
-            acc = wedge(acc, w)
-        _POWER_CACHE[key] = acc
-    return dict(_POWER_CACHE[key])
+    """omega^k for the dimension-n fundamental form."""
+    return _to_dict(*_power(n, k), 0.0)
 
 
 def del_delbar_residual(alg, k):
@@ -285,10 +278,10 @@ def del_delbar_residual(alg, k):
         raise InvalidDegree(
             f"power k={k} outside the meaningful range 1..{alg.n - 1}"
         )
-    wk = kaehler_power(alg.n, k)
-    inner = partial_dbar(alg, wk)
-    outer = partial_d(alg, inner)
-    return max_coeff(bidegree_project(outer, k + 1, k + 1))
+    delta, delta_bar = _term_table(alg)
+    _, coeffs = _derive(*_derive(*_power(alg.n, k), delta_bar), delta)
+    worst = float(np.abs(coeffs).max(initial=0.0))
+    return worst if worst > _ZERO_CUT else 0.0
 
 
 def d_squared_residual(alg):

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from . import __version__
-from .algebra import build_general, make_algebra
+from .algebra import build_general
 from .almost_abelian import AlmostAbelianData, build_almost_abelian
 from .codim2 import Codim2Data, build_codim2, make_btpv0, make_btpv1, make_btpv2
 from .errors import ParseError

@@ -402,11 +402,11 @@ def generator_answer(kind, d):
 def generator_checks(kind, d, rep, r):
     """Named checks of one c2_generator draw against its c2_report.
 
-    Every draw is unimodular.  The v1 draws are torsion-parallel, BKL
-    and pluriclosed; the v2 draws torsion-parallel and neither balanced
-    nor pluriclosed.  Paired blocks are balanced and not pluriclosed,
-    and eq1 of the residual system equals btpv0_obstruction(S, W)
-    within 10 tol.  At rank one they are torsion-parallel; at rank
+    Every draw is unimodular.  The v1 draws are torsion-parallel, BKL,
+    pluriclosed and not balanced; the v2 draws torsion-parallel and
+    neither balanced nor pluriclosed.  Paired blocks are balanced and
+    not pluriclosed, and eq1 of the residual system equals
+    btpv0_obstruction(S, W) within 10 tol.  At rank one they are torsion-parallel; at rank
     r >= 2 they are the witness of the rank obstruction: the torsion is
     not parallel and the engine's residual is at least eq1 less 10 tol.
     """
@@ -414,7 +414,7 @@ def generator_checks(kind, d, rep, r):
     checks = {"unimodular": eng["unimodular"]}
     if kind == "v1":
         checks.update(torsion_parallel=eng["btp"], bkl=eng["bkl"],
-                      pluriclosed=eng["pluriclosed"])
+                      pluriclosed=eng["pluriclosed"], not_balanced=not eng["balanced"])
     elif kind == "v2":
         checks.update(torsion_parallel=eng["btp"], not_balanced=not eng["balanced"],
                       not_pluriclosed=not eng["pluriclosed"])
@@ -434,12 +434,11 @@ def generator_checks(kind, d, rep, r):
 def criterion_11(seed, per_family=50, classify_count=100):
     """Normal-form generators and the classifier.
 
-    Every generator draw must pass :func:`generator_checks`, and the v1
-    draws must also fail to be balanced.  Rank-one paired blocks are
-    torsion-parallel normal forms; paired blocks of rank r >= 2 must be
-    refuted as the rank obstruction predicts.  Scrambled draws must
-    classify as :func:`generator_answer` says, with the generator's
-    parameters.
+    Every generator draw must pass :func:`generator_checks`.  Rank-one
+    paired blocks are torsion-parallel normal forms; paired blocks of
+    rank r >= 2 must be refuted as the rank obstruction predicts.
+    Scrambled draws must classify as :func:`generator_answer` says, with
+    the generator's parameters.
     """
     col = _Collector()
     witnesses = refuted = 0
@@ -453,10 +452,7 @@ def criterion_11(seed, per_family=50, classify_count=100):
             rep = col.report(c2_report, d, label)
             bad = ["report"]
             if rep is not None:
-                checks = generator_checks(kind, d, rep, r)
-                if kind == "v1":
-                    checks["not_balanced"] = not rep["engine"]["properties"]["balanced"]
-                bad = sorted(k for k, v in checks.items() if not v)
+                bad = sorted(k for k, v in generator_checks(kind, d, rep, r).items() if not v)
                 col.ok(not bad, "%s: failed %s" % (label, bad))
             if (r or 0) >= 2:
                 witnesses += 1

@@ -3,15 +3,29 @@
 The wedge and differential conventions are easiest to pin on tiny
 algebras where every coefficient can be written down by hand; the
 larger identities (Leibniz, d squared, the top-form trace identity) are
-then checked on curved samples.
+then checked on curved samples.  The engine works on bitmasks, so the
+same identities are also checked in dense frames up to n = 16, where
+every generator bit and every sign parity is in use, and d is compared
+with a loop that applies its definition.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from liehermitian import build_general, exterior_d, kaehler_form, kaehler_power
 from liehermitian import forms as F
-from liehermitian.sampling import aa_random, hopf_algebra, rng_for
+from liehermitian import hermitian as H
+from liehermitian.algebra import change_frame
+from liehermitian.codim2 import build_codim2
+from liehermitian.sampling import (
+    aa_random,
+    c2_from_aa,
+    hopf_algebra,
+    random_unitary,
+    rng_for,
+)
 from liehermitian.almost_abelian import build_almost_abelian
 
 
@@ -135,3 +149,112 @@ def test_top_form_trace_identity():
         a = build_almost_abelian(aa_random(rng, int(rng.integers(2, 5))))
         lhs, rhs = F.top_form_d_check(a)
         assert F.max_coeff(F.add(lhs, F.scale(rhs, -1))) <= 10 * a.tol
+
+
+# ------------------------------------------------------ dense frames, large n
+
+
+def dense_draw(n, unimodular=True):
+    """A codimension-two algebra moved to a random unitary frame, where
+    nearly every structure constant is nonzero."""
+    rng = rng_for(4242, n)
+    a = build_codim2(c2_from_aa(rng, n, unimodular=unimodular))
+    return change_frame(a, random_unitary(rng, n))
+
+
+def random_form(rng, n, count):
+    """Mixed-degree form from unordered index draws, up to bidegree (3,3)."""
+    return F.form(
+        (rng.choice(n, p, replace=False) + 1, rng.choice(n, q, replace=False) + 1,
+         complex(*rng.normal(size=2)))
+        for p, q in rng.integers(0, 4, size=(count, 2)))
+
+
+def reference_d(a, f):
+    """d by its definition, with loops: put d x_m, read off C and D, in
+    the place of the m-th factor with sign (-1)^(m-1), then sort the
+    factors, phi before phibar, counting transpositions."""
+    n = a.n
+    d_phi = [[([("u", i), ("u", k)], -a.C[m, i, k]) for i in range(n) for k in range(i + 1, n)]
+             + [([("u", i), ("b", k)], -np.conj(a.D[i, m, k])) for i in range(n) for k in range(n)]
+             for m in range(n)]
+    entries = []
+    for (I, J), c in f.items():
+        word = [("u", i - 1) for i in I] + [("b", j - 1) for j in J]
+        for m, (kind, g) in enumerate(word):
+            terms = d_phi[g] if kind == "u" else [
+                ([("b" if s == "u" else "u", j) for s, j in pair], np.conj(t))
+                for pair, t in d_phi[g]]
+            for pair, t in terms:
+                new = [(s == "b", j) for s, j in word[:m] + pair + word[m + 1:]]
+                if len(set(new)) < len(new):
+                    continue
+                swaps = sum(x > y for p, x in enumerate(new) for y in new[p + 1:])
+                entries.append(([j + 1 for b, j in sorted(new) if not b],
+                                [j + 1 for b, j in sorted(new) if b],
+                                (-1) ** (m + swaps) * t * c))
+    return F.form(entries, cut=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9, 16])
+def test_kaehler_power_closed_coefficient(n):
+    # omega^k = i^k k! (-1)^(k(k-1)/2) sum_|K|=k phi_K ^ phibar_K, and
+    # omega^k = omega^(k-1) ^ omega through wedge, for every k up to n.
+    w = kaehler_form(n)
+    prev = {((), ()): 1.0 + 0j}
+    for k in range(1, n + 1):
+        wk = kaehler_power(n, k)
+        c = 1j ** k * math.factorial(k) * (-1) ** (k * (k - 1) // 2)
+        assert len(wk) == math.comb(n, k)
+        assert all(I == J and len(I) == k for I, J in wk)
+        assert all(v == pytest.approx(c, rel=1e-12) for v in wk.values())
+        via = F.wedge(prev, w)
+        assert set(via) == set(wk)
+        assert all(via[key] == pytest.approx(c, rel=1e-12) for key in wk)
+        prev = wk
+
+
+def test_exterior_d_matches_definition_in_dense_frame():
+    a = dense_draw(5, unimodular=False)
+    rng = rng_for(321, 5)
+    for _ in range(3):
+        f = random_form(rng, 5, 10)
+        ref = reference_d(a, f)
+        scale = 1.0 + F.max_coeff(ref)
+        assert F.max_coeff(F.add(exterior_d(a, f), F.scale(ref, -1), cut=0.0)) <= 1e-12 * scale
+        for p, q in {(len(I), len(J)) for I, J in f}:
+            part = F.bidegree_project(f, p, q)
+            ref = reference_d(a, part)
+            for got, shift in ((F.partial_d(a, part), (1, 0)), (F.partial_dbar(a, part), (0, 1))):
+                want = F.bidegree_project(ref, p + shift[0], q + shift[1])
+                assert F.max_coeff(F.add(got, F.scale(want, -1), cut=0.0)) <= 1e-12 * scale
+
+
+def test_leibniz_on_mixed_forms_in_dense_frame():
+    a = dense_draw(7, unimodular=False)
+    rng = rng_for(321, 7)
+    f, g = random_form(rng, 7, 12), random_form(rng, 7, 12)
+    even = {k: v for k, v in f.items() if (len(k[0]) + len(k[1])) % 2 == 0}
+    odd = {k: v for k, v in f.items() if (len(k[0]) + len(k[1])) % 2 == 1}
+    assert even and odd
+    dg = exterior_d(a, g)
+    lhs = exterior_d(a, F.wedge(f, g))
+    rhs = F.add(F.wedge(exterior_d(a, f), g), F.wedge(even, dg),
+                F.scale(F.wedge(odd, dg), -1.0))
+    assert F.max_coeff(lhs) > 1.0
+    assert F.max_coeff(F.add(lhs, F.scale(rhs, -1))) <= 10 * a.tol
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_skt_tensor_route_in_dense_frame(n):
+    a = dense_draw(n)
+    assert H.skt_form_tensor_residual(a) <= 10 * a.tol
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_d_squared_and_top_form_in_dense_frame(n):
+    a = dense_draw(n, unimodular=False)
+    assert F.d_squared_residual(a) <= 10 * a.tol
+    lhs, rhs = F.top_form_d_check(a)
+    assert F.max_coeff(rhs) > 1.0
+    assert F.max_coeff(F.add(lhs, F.scale(rhs, -1))) <= 10 * a.tol
