@@ -37,7 +37,7 @@ def max_abs(arr):
     a = np.asarray(arr)
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())
 
 
 def default_tolerance(*arrays):
@@ -274,16 +274,14 @@ def _complexified_bracket_tensor(a):
     Dc = np.conj(D)
     B = np.zeros((2 * n, 2 * n, 2 * n), dtype=complex)
     # [e_i, e_j] = C^k_{ij} e_k
-    B[:n, :n, :n] = C.transpose(0, 1, 2)
+    B[:n, :n, :n] = C
     # [ebar_i, ebar_j] = conj(C^k_{ij}) ebar_k
     B[n:, n:, n:] = np.conj(C)
-    # [e_i, ebar_j] = conj(D^i_{kj}) e_k - D^j_{ki} ebar_k
-    for i in range(n):
-        for j in range(n):
-            B[:n, i, n + j] = Dc[i, :, j]
-            B[n:, i, n + j] = -D[j, :, i]
-            B[:n, n + j, i] = -Dc[i, :, j]
-            B[n:, n + j, i] = D[j, :, i]
+    # [e_i, ebar_j] = conj(D^i_{kj}) e_k - D^j_{ki} ebar_k = -[ebar_j, e_i]
+    B[:n, :n, n:] = Dc.transpose(1, 0, 2)
+    B[n:, :n, n:] = -D.transpose(1, 2, 0)
+    B[:n, n:, :n] = -Dc.transpose(1, 2, 0)
+    B[n:, n:, :n] = D.transpose(1, 0, 2)
     return B
 
 

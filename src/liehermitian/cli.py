@@ -13,13 +13,16 @@ classification answering NotBTP), 2 for unreadable or malformed input,
 3 for well-formed input that fails a structural requirement (Jacobi,
 integrability, unimodularity where demanded), 4 when a closed form and
 the tensor engine disagree, and 1 for anything else the library
-refuses.
+refuses, an ArithmeticError (a complex "real" scalar) or a numpy
+LinAlgError included.  Each refusal writes a JSON error to stderr.
 """
 
 import argparse
 import json
 import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from . import forms
@@ -433,7 +436,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LieHermitianError as exc:
+    except (LieHermitianError, ArithmeticError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(serial.canonical_json(_error_payload(exc)))
         return exit_code_for(exc)
 

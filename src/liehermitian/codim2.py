@@ -21,8 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .algebra import (
     default_tolerance,
@@ -577,7 +575,7 @@ def _eig_order(vals):
     return np.lexsort((-vals.imag, -vals.real))
 
 
-def diagonalize_normal(M, tol=None):
+def diagonalize_normal(M):
     """Unitary diagonalization of a (numerically) normal matrix.
 
     Returns (vals, Q) with M = Q diag(vals) Q* up to the departure of M
@@ -588,6 +586,7 @@ def diagonalize_normal(M, tol=None):
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=complex)
+    import scipy.linalg  # deferred: loading scipy costs more than a report
     T, Q = scipy.linalg.schur(M, output="complex")
     vals = np.diag(T).copy()
     order = _eig_order(vals)
@@ -782,7 +781,7 @@ def classify_btp(d):
         z1 = np.array(cur.Z[0, 1:])
         znorm = float(np.linalg.norm(z1))
         if znorm <= tol:
-            vals, Q = diagonalize_normal(cur.X[1:, 1:], tol)
+            vals, Q = diagonalize_normal(cur.X[1:, 1:])
             U = _block_unitary(np.eye(1), Q.conj().T)
             frame = U @ frame
             family = "v1"
@@ -795,7 +794,7 @@ def classify_btp(d):
             X2 = cur.X[2:, 2:]
             _structural("the coupling cell must decouple from the diagonal tail",
                         max(max_abs(cur.X[1, 1:]), max_abs(cur.X[1:, 1])), check)
-            vals, Q = diagonalize_normal(X2, tol)
+            vals, Q = diagonalize_normal(X2)
             U = _block_unitary(np.eye(2), Q.conj().T)
             frame = U @ frame
             family = "v2"
@@ -837,7 +836,7 @@ def classify_btp(d):
                     max_abs(cur.X[: 2 * r, :]) + max_abs(cur.X[:, : 2 * r]),
                     np.sqrt(check))
         x = cur.X[2 * r :, 2 * r :]
-        vals, Q = diagonalize_normal(x, tol)
+        vals, Q = diagonalize_normal(x)
         U = _block_unitary(np.eye(2 * r), Q.conj().T)
         frame = U @ frame
         family = "v0"
@@ -867,6 +866,7 @@ def spectrum_distance(vals_a, vals_b):
         raise ValueError("spectra must have equal length")
     if a.size == 0:
         return 0.0
+    import scipy.optimize  # deferred, like scipy.linalg in diagonalize_normal
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
@@ -913,7 +913,7 @@ def chern_flat_normal_form(d):
             "data is not Chern-flat (residual %.3e)" % res
         )
     m = d.n - 1
-    vals, Q = diagonalize_normal(d.Y, d.tol)
+    vals, Q = diagonalize_normal(d.Y)
     U = Q.conj().T
     cur = rotate_codim2(d, U)
     groups = []

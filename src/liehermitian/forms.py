@@ -16,9 +16,10 @@ On generators d follows from the structure constants,
 
 and d phibar_j is the conjugate.  Each term coef * x_lo ^ x_hi (lo below
 hi) of some d x_g is a row of a term table built once per Algebra and
-split into the rows of del (raising p) and of delbar (raising q).  The
-graded Leibniz rule turns a monomial K containing g, with N = K ^ g
-disjoint from lo and hi, into N | lo | hi with the sign
+split into the rows of del (raising p) and of delbar (raising q); d
+takes both in one pass.  The graded Leibniz rule turns a monomial K
+containing g, with N = K ^ g disjoint from lo and hi, into N | lo | hi
+with the sign
 
     (-1)^|(K & below(g)) ^ (N & (below(lo) ^ below(hi)))|:
 
@@ -173,11 +174,11 @@ _TABLES = weakref.WeakKeyDictionary()
 def _term_table(alg):
     """The terms of d on the generators, cached per algebra.
 
-    Returns the pair (del, delbar) of tables (g, test, pair, span, coef),
+    Returns the tables (del, delbar, d) of (g, test, pair, span, coef),
     one entry per term coef * x_lo ^ x_hi of d x_g, with pair = lo | hi,
-    test = g | pair and span = below(lo) ^ below(hi).  A monomial K takes
-    the term when K & test == g: it contains g, and once g is gone,
-    neither lo nor hi.
+    test = g | pair and span = below(lo) ^ below(hi); d is the other two
+    concatenated.  A monomial K takes the term when K & test == g: it
+    contains g, and once g is gone, neither lo nor hi.
     """
     try:
         return _TABLES[alg]
@@ -201,6 +202,7 @@ def _term_table(alg):
         g, lo, hi, coef = g[kept], lo[kept], hi[kept], coef[kept]
         pair = lo | hi
         table.append((g, g | pair, pair, (lo - 1) ^ (hi - 1), coef))
+    table.append(tuple(map(np.concatenate, zip(*table))))
     _TABLES[alg] = tuple(table)
     return _TABLES[alg]
 
@@ -229,8 +231,7 @@ def _derive(keys, coeffs, table):
 
 def exterior_d(alg, f, cut=_ZERO_CUT):
     """Exterior differential of an invariant form."""
-    keys, coeffs = _from_dict(f)
-    return _to_dict(*_merge(*(_derive(keys, coeffs, t) for t in _term_table(alg))), cut)
+    return _to_dict(*_derive(*_from_dict(f), _term_table(alg)[2]), cut)
 
 
 def partial_d(alg, f, cut=_ZERO_CUT):
@@ -278,7 +279,7 @@ def del_delbar_residual(alg, k):
         raise InvalidDegree(
             f"power k={k} outside the meaningful range 1..{alg.n - 1}"
         )
-    delta, delta_bar = _term_table(alg)
+    delta, delta_bar, _ = _term_table(alg)
     _, coeffs = _derive(*_derive(*_power(alg.n, k), delta_bar), delta)
     worst = float(np.abs(coeffs).max(initial=0.0))
     return worst if worst > _ZERO_CUT else 0.0

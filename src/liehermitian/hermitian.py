@@ -269,11 +269,10 @@ def torsion_bianchi_residual(a):
 
 def _invariant_one_form(alpha):
     """The invariant 1-form sum_k alpha_k phi_k - conj(alpha_k) phibar_k."""
-    entries = []
-    for k, c in enumerate(alpha):
-        entries.append(((k + 1,), (), c))
-        entries.append(((), (k + 1,), -np.conj(c)))
-    return forms.form(entries)
+    alpha = [complex(c) for c in alpha]
+    f = {((k + 1,), ()): c for k, c in enumerate(alpha)}
+    f.update({((), (k + 1,)): -c.conjugate() for k, c in enumerate(alpha)})
+    return {key: c for key, c in f.items() if abs(c) > forms._ZERO_CUT}
 
 
 def chern_trace_form(a):
@@ -368,17 +367,15 @@ def skt_tensor(a):
 def skt_form_tensor_residual(a):
     """Gap between del delbar omega computed by the forms engine and the
     closed tensor expression, over canonical index positions."""
-    n = a.n
     S = skt_tensor(a)
-    ddbar = forms.partial_d(a, forms.partial_dbar(a, forms.kaehler_form(n)))
-    worst = 0.0
-    for i in range(n):
-        for k in range(i + 1, n):
-            for j in range(n):
-                for l in range(j + 1, n):
-                    c = ddbar.get(((i + 1, k + 1), (j + 1, l + 1)), 0.0)
-                    worst = max(worst, abs(c - SKT_FORM_FACTOR * S[i, k, j, l]))
-    return worst
+    ddbar = forms.partial_d(a, forms.partial_dbar(a, forms.kaehler_form(a.n)))
+    F = np.zeros_like(S)
+    for ((i, k), (j, l)), c in ddbar.items():
+        F[i - 1, k - 1, j - 1, l - 1] = c
+    upper = np.triu_indices(a.n, 1)
+    gap = (F - SKT_FORM_FACTOR * S)[upper][:, upper[0], upper[1]]
+    # hypot, not np.abs: it rounds as abs() of a complex scalar does
+    return float(np.hypot(gap.real, gap.imag).max())
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ from liehermitian import (
     make_algebra,
     unimodularity_defect,
 )
-from liehermitian.sampling import hopf_algebra, random_unitary, rng_for
+from liehermitian.algebra import _complexified_bracket_tensor
+from liehermitian.codim2 import build_codim2
+from liehermitian.sampling import c2_from_aa, hopf_algebra, random_unitary, rng_for
 
 
 def test_abelian_is_trivial():
@@ -149,3 +151,26 @@ def test_nilpotency_of_heisenberg_like_sample():
 
 def test_hopf_is_not_nilpotent():
     assert not is_nilpotent(hopf_algebra(2))
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_complexified_bracket_matches_module_formulas(n):
+    rng = rng_for(77, n)
+    a = change_frame(build_codim2(c2_from_aa(rng, n)), random_unitary(rng, n))
+    C, D = a.C, a.D
+    B = _complexified_bracket_tensor(a)
+    e = list(range(n))
+    ebar = [n + i for i in e]
+    for i in e:
+        for k in e:
+            # [e_i, e_k] = sum_j C^j_{ik} e_j, and its conjugate
+            assert not B[ebar, i, k].any() and not B[e, ebar[i], ebar[k]].any()
+            for j in e:
+                assert B[j, i, k] == C[j, i, k]
+                assert B[ebar[j], ebar[i], ebar[k]] == np.conj(C[j, i, k])
+                # [e_i, ebar_k] = sum_j conj(D^i_{jk}) e_j - D^k_{ji} ebar_j
+                assert B[j, i, ebar[k]] == np.conj(D[i, j, k])
+                assert B[ebar[j], i, ebar[k]] == -D[k, j, i]
+                # [ebar_k, e_i] = -[e_i, ebar_k]
+                assert B[j, ebar[k], i] == -np.conj(D[i, j, k])
+                assert B[ebar[j], ebar[k], i] == D[k, j, i]

@@ -8,12 +8,21 @@ verify subcommand only runs single fast criteria.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from liehermitian import cli, sampling
+from liehermitian import cli, hermitian, sampling, serial
+from liehermitian.algebra import change_frame
+from liehermitian.codim2 import build_codim2
 from liehermitian.errors import CrossCheckFailure, NotUnimodular, ParseError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write(tmp_path, name, obj):
@@ -140,6 +149,58 @@ def test_exit_code_table():
     assert cli.exit_code_for(ParseError("x")) == 2
     assert cli.exit_code_for(NotUnimodular("x")) == 3
     assert cli.exit_code_for(CrossCheckFailure("x")) == 4
+
+
+def _svd_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@pytest.mark.parametrize("target, name, stub, error", [
+    # a Chern scalar with a large imaginary part makes _realpart raise
+    (hermitian, "chern_scalar", lambda R: 1e3j, "ArithmeticError"),
+    # the lower central series of the nilpotency cross-check runs an SVD
+    (np.linalg, "svd", _svd_fails, "LinAlgError"),
+], ids=["arithmetic", "linalg"])
+def test_numeric_failures_exit_1_with_json(tmp_path, capsys, monkeypatch,
+                                           target, name, stub, error):
+    monkeypatch.setattr(target, name, stub)
+    path = write(tmp_path, "aa.json", aa_spec())
+    code = cli.main(["check", path])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_OTHER == 1
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == error
+    assert payload["message"]
+
+
+def test_check_loads_no_scipy_and_classify_still_does(tmp_path):
+    # scipy is imported inside the two codim2 functions that use it, so a
+    # fresh `check` process never loads it; `classify` loads it on use.
+    rng = sampling.rng_for(606, 0)
+    d = sampling.c2_hermitian_pair(rng, 4, unimodular=True)
+    dense = change_frame(build_codim2(d), sampling.random_unitary(rng, 4))
+    general = write(tmp_path, "general.json",
+                    serial.jsonable(serial.spec_from_data(dense)))
+    v1 = write(tmp_path, "v1.json", btpv1_spec())
+    script = textwrap.dedent("""
+        import json, sys
+        from liehermitian import cli
+        general, v1, out = sys.argv[1:]
+        assert cli.main(["check", general, "--output", out]) == 0
+        scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert cli.main(["classify", v1, "--output", out]) == 0
+        print(json.dumps(scipy))
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    out = tmp_path / "out.json"
+    proc = subprocess.run([sys.executable, "-c", script, general, v1, str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == []
+    assert json.loads(out.read_text())["classification"]["family"] == "v1"
 
 
 # ------------------------------------------------------------------ tensors

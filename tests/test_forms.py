@@ -230,6 +230,19 @@ def test_exterior_d_matches_definition_in_dense_frame():
                 assert F.max_coeff(F.add(got, F.scale(want, -1), cut=0.0)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("n", [3, 9, 16])
+def test_exterior_d_is_del_plus_delbar_in_dense_frame(n):
+    # d runs the del and delbar term tables concatenated, in one pass
+    a = dense_draw(n, unimodular=False)
+    rng = rng_for(321, 100 + n)
+    for _ in range(3):
+        f = random_form(rng, n, 10)
+        d = exterior_d(a, f)
+        split = F.add(F.partial_d(a, f), F.partial_dbar(a, f))
+        assert F.max_coeff(d) > 1.0
+        assert F.max_coeff(F.add(d, F.scale(split, -1), cut=0.0)) <= 1e-12
+
+
 def test_leibniz_on_mixed_forms_in_dense_frame():
     a = dense_draw(7, unimodular=False)
     rng = rng_for(321, 7)
