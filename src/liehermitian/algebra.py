@@ -16,6 +16,8 @@ rejects an algebra, so that deliberately invalid data can still be
 inspected.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,63 @@ def max_abs(arr):
     if a.size == 0:
         return 0.0
     return float(np.abs(a).max())
+
+
+@functools.lru_cache(maxsize=None)
+def _contraction_plan(spec):
+    """Axis permutations that turn ``spec`` into one matrix product:
+    (perm of A, free axes first; perm of B, summed axes first; number of
+    summed axes; perm from the product's axes to the output's)."""
+    inputs, arrow, out = spec.partition("->")
+    operands = inputs.split(",")
+    if not arrow or len(operands) != 2:
+        raise ValueError(f"contract takes two operands and an explicit output: {spec!r}")
+    a, b = operands
+    if len(set(a)) != len(a) or len(set(b)) != len(b) or len(set(out)) != len(out):
+        raise ValueError(f"repeated index inside one term of {spec!r}")
+    summed = [c for c in a if c in b and c not in out]
+    free_a = [c for c in a if c in out]
+    free_b = [c for c in b if c in out]
+    if (set(free_a) & set(free_b) or sorted(free_a + free_b) != sorted(out)
+            or len(free_a) + len(summed) != len(a)
+            or len(free_b) + len(summed) != len(b)):
+        raise ValueError(f"{spec!r} is not a single contraction over shared indices")
+    product = free_a + free_b
+    return (
+        tuple(a.index(c) for c in free_a + summed),
+        tuple(b.index(c) for c in summed + free_b),
+        len(summed),
+        tuple(product.index(c) for c in out),
+    )
+
+
+def contract(spec, A, B):
+    """``np.einsum(spec, A, B)`` for two operands, computed as one matrix
+    product so that BLAS does the summation.
+
+    A and B are arrays.  ``spec`` names every index explicitly, as in
+    ``"rij,lrk->ijkl"``: an index in both operands and not in the output
+    is summed, and every other index appears in exactly one operand and
+    in the output.  Outer products (nothing summed) and full contractions
+    (empty output) are allowed.  Repeated indices inside one operand
+    (traces), indices shared by both operands and the output, and more
+    than two operands raise ValueError; single-operand traces stay with
+    ``np.einsum``.  Each spec is parsed once.
+
+    The summation order differs from einsum's, so results agree to
+    roundoff, not bit for bit.  The returned array may be a transposed
+    view.
+    """
+    pa, pb, nsum, pout = _contraction_plan(spec)
+    A = A.transpose(pa)
+    B = B.transpose(pb)
+    free_a, summed = A.shape[: A.ndim - nsum], A.shape[A.ndim - nsum:]
+    free_b = B.shape[nsum:]
+    if summed != B.shape[:nsum]:
+        raise ValueError(f"summed axes of {spec!r} differ: {summed} vs {B.shape[:nsum]}")
+    k = math.prod(summed)
+    prod = A.reshape(math.prod(free_a), k) @ B.reshape(k, math.prod(free_b))
+    return prod.reshape(free_a + free_b).transpose(pout)
 
 
 def default_tolerance(*arrays):
@@ -93,21 +152,21 @@ def jacobi_tensors(n, C, D):
     """
     Dc = np.conj(D)
     jcc = (
-        np.einsum("rij,lrk->ijkl", C, C)
-        + np.einsum("rjk,lri->ijkl", C, C)
-        + np.einsum("rki,lrj->ijkl", C, C)
+        contract("rij,lrk->ijkl", C, C)
+        + contract("rjk,lri->ijkl", C, C)
+        + contract("rki,lrj->ijkl", C, C)
     )
     jcd = (
-        np.einsum("rik,ljr->ijkl", C, D)
-        + np.einsum("rji,lrk->ijkl", D, D)
-        - np.einsum("rjk,lri->ijkl", D, D)
+        contract("rik,ljr->ijkl", C, D)
+        + contract("rji,lrk->ijkl", D, D)
+        - contract("rjk,lri->ijkl", D, D)
     )
     jcdbar = (
-        np.einsum("rik,rjl->ijkl", C, Dc)
-        - np.einsum("jrk,irl->ijkl", C, Dc)
-        + np.einsum("jri,krl->ijkl", C, Dc)
-        - np.einsum("lri,kjr->ijkl", D, Dc)
-        + np.einsum("lrk,ijr->ijkl", D, Dc)
+        contract("rik,rjl->ijkl", C, Dc)
+        - contract("jrk,irl->ijkl", C, Dc)
+        + contract("jri,krl->ijkl", C, Dc)
+        - contract("lri,kjr->ijkl", D, Dc)
+        + contract("lrk,ijr->ijkl", D, Dc)
     )
     return jcc, jcd, jcdbar
 
@@ -133,7 +192,7 @@ def make_algebra(n, C, D, tol=None):
         raise DimensionMismatch(
             f"expected shape {(n, n, n)}, got C{C.shape} D{D.shape}"
         )
-    if not (np.all(np.isfinite(C.view(float))) and np.all(np.isfinite(D.view(float)))):
+    if not (np.isfinite(C).all() and np.isfinite(D).all()):
         raise ValueError("structure constants must be finite")
     scale = max(max_abs(C), max_abs(D))
     asym = max_abs(C + C.transpose(0, 2, 1))
@@ -257,10 +316,12 @@ def change_frame(a, U):
     frame.
     """
     U = check_unitary(U, n=a.n, tol=max(1e-12 * a.n, a.tol))
-    Uc = np.conj(U)
-    C = np.einsum("jm,ip,kq,mpq->jik", Uc, U, U, a.C)
-    D = np.einsum("jm,ip,kq,mpq->jik", Uc, U, U, a.D)
-    return make_algebra(a.n, C, D, tol=a.tol)
+    # one factor at a time on the stacked pair (C, D): the upper index,
+    # then each lower index
+    T = contract("jm,smpq->sjpq", np.conj(U), np.stack([a.C, a.D]))
+    T = contract("ip,sjpq->sjiq", U, T)
+    T = contract("kq,sjiq->sjik", U, T)
+    return make_algebra(a.n, T[0], T[1], tol=a.tol)
 
 
 def _complexified_bracket_tensor(a):
@@ -298,17 +359,19 @@ def lower_central_dims(a, tol=None):
     scale = 1.0 + max_abs(B)
 
     def _span(vectors):
-        # orthonormal basis of the column span, rank cut at scaled tol
+        # orthonormal basis of the column span.  tol already carries the
+        # data scale, so tol / scale is relative and the cut grows
+        # linearly with the largest singular value.
         if vectors.size == 0:
             return np.zeros((n2, 0), dtype=complex)
         u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-        r = int(np.sum(s > tol * scale * max(1.0, s[0] if s.size else 0.0)))
+        r = int(np.sum(s > tol / scale * max(1.0, s[0] if s.size else 0.0)))
         return u[:, :r]
 
     current = np.eye(n2, dtype=complex)
     dims = []
     for _ in range(n2 + 1):
-        img = np.einsum("gxy,ys->gxs", B, current).reshape(n2, -1)
+        img = contract("gxy,ys->gxs", B, current).reshape(n2, -1)
         nxt = _span(img)
         dims.append(nxt.shape[1])
         if nxt.shape[1] == 0 or nxt.shape[1] == current.shape[1]:

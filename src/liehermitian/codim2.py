@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    contract,
     default_tolerance,
     make_algebra,
     max_abs,
@@ -362,27 +363,27 @@ def c2_btp_residuals(d):
     Xs = X.conj().T
 
     eq1 = (
-        np.einsum("kj,li->ijkl", B, Z)
-        - np.einsum("ij,lk->ijkl", B, Z)
-        - np.einsum("ik,lj->ijkl", Am, B)
+        contract("kj,li->ijkl", B, Z)
+        - contract("ij,lk->ijkl", B, Z)
+        - contract("ik,lj->ijkl", Am, B)
     )
     eq2 = (
-        np.einsum("kj,li->ijkl", B, Bc)
-        - np.einsum("ij,lk->ijkl", B, Bc)
-        - np.einsum("ik,lj->ijkl", Am, Zc)
+        contract("kj,li->ijkl", B, Bc)
+        - contract("ij,lk->ijkl", B, Bc)
+        - contract("ik,lj->ijkl", Am, Zc)
     )
     v1 = (
-        np.einsum("k,li->ikl", v, Z)
-        - np.einsum("i,lk->ikl", v, Z)
-        - np.einsum("l,ik->ikl", v, Am)
+        contract("k,li->ikl", v, Z)
+        - contract("i,lk->ikl", v, Z)
+        - contract("l,ik->ikl", v, Am)
     )
     v2 = (
-        np.einsum("k,li->ikl", v, Bc)
-        - np.einsum("i,lk->ikl", v, Bc)
-        - np.einsum("l,ik->ikl", np.conj(v), Am)
+        contract("k,li->ikl", v, Bc)
+        - contract("i,lk->ikl", v, Bc)
+        - contract("l,ik->ikl", np.conj(v), Am)
     )
-    w1 = np.einsum("l,kj->jkl", v, B) - np.einsum("k,lj->jkl", v, B)
-    w2 = np.einsum("l,kj->jkl", np.conj(v), B) - np.einsum("k,lj->jkl", v, Zc)
+    w1 = contract("l,kj->jkl", v, B) - contract("k,lj->jkl", v, B)
+    w2 = contract("l,kj->jkl", np.conj(v), B) - contract("k,lj->jkl", v, Zc)
 
     return {
         "eq1": max_abs(eq1),

@@ -34,7 +34,7 @@ import contextlib
 import numpy as np
 
 from . import forms
-from .algebra import max_abs, unimodularity_defect
+from .algebra import contract, max_abs, unimodularity_defect
 from .errors import CrossCheckFailure, DimensionMismatch, InvalidAlgebra
 
 # term signs for (C, D, D-swapped) in the torsion and for the four
@@ -134,10 +134,10 @@ def chern_curvature(a):
     Dc = np.conj(D)
     s1, s2, s3, s4 = _CURVATURE_SIGNS
     return (
-        s1 * np.einsum("rki,rlj->ijkl", D, Dc)
-        + s2 * np.einsum("lri,krj->ijkl", D, Dc)
-        + s3 * np.einsum("jri,klr->ijkl", D, Dc)
-        + s4 * np.einsum("irj,lkr->ijkl", Dc, D)
+        s1 * contract("rki,rlj->ijkl", D, Dc)
+        + s2 * contract("lri,krj->ijkl", D, Dc)
+        + s3 * contract("jri,klr->ijkl", D, Dc)
+        + s4 * contract("irj,lkr->ijkl", Dc, D)
     )
 
 
@@ -216,14 +216,14 @@ def torsion_cov_deriv(T, G, barred):
     if barred:
         Gc = np.conj(G)
         return (
-            np.einsum("jrk,irl->jikl", T, Gc)
-            + np.einsum("jir,krl->jikl", T, Gc)
-            - np.einsum("rik,rjl->jikl", T, Gc)
+            contract("jrk,irl->jikl", T, Gc)
+            + contract("jir,krl->jikl", T, Gc)
+            - contract("rik,rjl->jikl", T, Gc)
         )
     return (
-        -np.einsum("jrk,ril->jikl", T, G)
-        - np.einsum("jir,rkl->jikl", T, G)
-        + np.einsum("rik,jrl->jikl", T, G)
+        -contract("jrk,ril->jikl", T, G)
+        - contract("jir,rkl->jikl", T, G)
+        + contract("rik,jrl->jikl", T, G)
     )
 
 
@@ -356,11 +356,11 @@ def skt_tensor(a):
     Cc = np.conj(a.C)
     Dc = np.conj(a.D)
     return (
-        -np.einsum("rik,rjl->ikjl", T, Cc)
-        - np.einsum("jir,krl->ikjl", T, Dc)
-        + np.einsum("jkr,irl->ikjl", T, Dc)
-        + np.einsum("lir,krj->ikjl", T, Dc)
-        - np.einsum("lkr,irj->ikjl", T, Dc)
+        -contract("rik,rjl->ikjl", T, Cc)
+        - contract("jir,krl->ikjl", T, Dc)
+        + contract("jkr,irl->ikjl", T, Dc)
+        + contract("lir,krj->ikjl", T, Dc)
+        - contract("lkr,irj->ikjl", T, Dc)
     )
 
 
@@ -396,7 +396,7 @@ def scalar_identity_residuals(a):
     zeta = chern_connection_trace(a)
     nu = chern_divergence(a)
     eta = torsion_trace(a)
-    q = complex(np.einsum("trs,tsr->", a.D, np.conj(a.D)))
+    q = complex(contract("trs,tsr->", a.D, np.conj(a.D)))
     s_pred = -complex(np.sum(nu * np.conj(zeta) + np.conj(nu) * zeta))
     s_hat_pred = -q - complex(np.sum(np.abs(nu) ** 2))
     chi = complex(np.sum(eta * np.conj(nu)))

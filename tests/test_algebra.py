@@ -128,6 +128,14 @@ def test_change_frame_demands_unitary():
         change_frame(a, np.array([[1.0, 0.0], [0.5, 1.0]]))
 
 
+def test_make_algebra_takes_any_memory_layout():
+    # change_frame and contract hand over transposed views
+    a = hopf_algebra(3)
+    b = make_algebra(3, np.asfortranarray(a.C), np.asfortranarray(a.D))
+    assert np.array_equal(b.C, a.C) and np.array_equal(b.D, a.D)
+    assert b.jacobi == a.jacobi
+
+
 def test_change_frame_roundtrip():
     rng = rng_for(2026, 2)
     a = hopf_algebra(3)

@@ -1,0 +1,155 @@
+"""The one route for two-operand tensor contractions, and the rank cut of
+the lower central series.
+
+``algebra.contract`` replaces every two-operand ``np.einsum`` under
+``src/``.  These tests hold it to ``np.einsum`` on every spec the
+package uses, guard that no multi-operand ``np.einsum`` comes back, and
+check the frame change built on it.
+"""
+
+import ast
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from liehermitian import AlmostAbelianData, build_almost_abelian, cli
+from liehermitian.algebra import change_frame, contract, lower_central_dims, max_abs
+from liehermitian.codim2 import build_codim2
+from liehermitian.sampling import c2_from_aa, random_unitary, rng_for
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liehermitian"
+
+
+def _calls(name):
+    """Every call ``<...>.name(...)`` or ``name(...)`` in the package, as
+    (file, line, ast.Call)."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                called = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if called == name:
+                    yield path.name, node.lineno, node
+
+
+CONTRACT_CALLS = list(_calls("contract"))
+SOURCE_SPECS = sorted({node.args[0].value for _, _, node in CONTRACT_CALLS
+                       if isinstance(node.args[0], ast.Constant)})
+
+
+def test_every_contraction_names_its_spec_literally():
+    # so that the comparison below covers every spec the package uses
+    assert len(CONTRACT_CALLS) >= 40
+    for name, line, node in CONTRACT_CALLS:
+        assert isinstance(node.args[0], ast.Constant), "%s:%d" % (name, line)
+
+
+def test_no_multi_operand_einsum_in_the_package():
+    offenders = [
+        "%s:%d" % (name, line)
+        for name, line, node in _calls("einsum")
+        if len(node.args) > 2
+    ]
+    assert offenders == [], "contract, not np.einsum, for two operands: %s" % offenders
+
+
+def _operand(rng, letters, n):
+    """Random complex operand for ``letters``: the conjugate of a
+    transposed view, so not C-contiguous from rank two on."""
+    shape = (n,) * len(letters)
+    return np.conj((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).T)
+
+
+def _assert_matches_einsum(spec, A, B):
+    got = contract(spec, A, B)
+    want = np.einsum(spec, A, B)
+    assert got.shape == want.shape
+    # the summation error is relative to the sum of |terms|
+    scale = max(np.max(np.einsum(spec, np.abs(A), np.abs(B))), 1e-300)
+    assert max_abs(got - want) <= 1e-13 * scale, spec
+
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+@pytest.mark.parametrize("spec", SOURCE_SPECS)
+def test_contract_matches_einsum_on_source_specs(spec, n):
+    rng = rng_for(4242, n)
+    a, b = spec.split("->")[0].split(",")
+    _assert_matches_einsum(spec, _operand(rng, a, n), _operand(rng, b, n))
+
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_contract_on_views_scalars_and_outer_products(n):
+    rng = rng_for(4243, n)
+    X = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    Y = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    view = np.conj(X.transpose(2, 0, 1))
+    assert not view.flags.c_contiguous
+    _assert_matches_einsum("rki,rlj->ijkl", view, Y)
+    # full contraction to a scalar
+    full = contract("trs,tsr->", view, Y)
+    assert full.shape == ()
+    _assert_matches_einsum("trs,tsr->", view, Y)
+    # pure outer product, nothing summed
+    _assert_matches_einsum("kj,li->ijkl", X[0].T, np.conj(Y[:, 1, :]))
+    _assert_matches_einsum("k,li->ikl", X[0, 0], Y[1].T)
+
+
+@pytest.mark.parametrize("spec", [
+    "rri,ij->j",        # trace inside the first operand
+    "ij,kkj->i",        # trace inside the second operand
+    "ij,jk,kl->il",     # three operands
+    "ij,jk",            # no output
+    "ij,ij->ij",        # index shared by both operands and the output
+    "ij,jk->ikm",       # output index in neither operand
+])
+def test_contract_refuses_what_it_does_not_compute(spec):
+    with pytest.raises(ValueError):
+        contract(spec, np.ones((2, 2)), np.ones((2, 2)))
+
+
+def test_contract_refuses_mismatched_summed_axes():
+    with pytest.raises(ValueError):
+        contract("ij,jk->ik", np.ones((2, 3)), np.ones((2, 3)))
+
+
+def test_change_frame_roundtrip_at_the_largest_dimension():
+    n = 16
+    rng = rng_for(2026, 16)
+    a = change_frame(build_codim2(c2_from_aa(rng, n)), random_unitary(rng, n))
+    U = random_unitary(rng, n)
+    b = change_frame(change_frame(a, U), U.conj().T)
+    scale = max(max_abs(a.C), max_abs(a.D))
+    assert max_abs(b.C - a.C) <= 1e-12 * scale
+    assert max_abs(b.D - a.D) <= 1e-12 * scale
+    assert b.C.flags.c_contiguous and b.D.flags.c_contiguous
+
+
+# ------------------------------------------------- lower central series
+
+LAMBDAS = [1e-6, 1.0, 1e3, 1e6]
+
+
+def _aa_spec(lam):
+    # solvable and not nilpotent at every lambda > 0: the complexified
+    # lower central series stays at dimension 3
+    return {"schema": "lie-hermitian/v1", "n": 2, "family": "almost_abelian",
+            "payload": {"lambda": lam, "v": [[0.0, 0.0]], "A": [[[-0.5, 0.0]]]}}
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_lower_central_series_is_scale_free(lam):
+    d = AlmostAbelianData(n=2, lam=lam, v=np.zeros(1, dtype=complex),
+                          A=np.array([[-0.5 + 0j]]))
+    assert lower_central_dims(build_almost_abelian(d)) == [3, 3]
+
+
+def test_check_large_scale_spec_is_not_nilpotent(tmp_path, capsys):
+    path = tmp_path / "aa.json"
+    path.write_text(json.dumps(_aa_spec(1e6)))
+    code = cli.main(["check", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["family_report"]["properties"]["nilpotent"] is False
