@@ -13,8 +13,9 @@ classification answering NotBTP), 2 for unreadable or malformed input,
 3 for well-formed input that fails a structural requirement (Jacobi,
 integrability, unimodularity where demanded), 4 when a closed form and
 the tensor engine disagree, and 1 for anything else the library
-refuses, an ArithmeticError (a complex "real" scalar) or a numpy
-LinAlgError included.  Each refusal writes a JSON error to stderr.
+refuses, an ArithmeticError (a complex "real" scalar), a numpy
+LinAlgError and an OSError while writing the output included.  Each
+refusal writes a JSON error to stderr.
 """
 
 import argparse
@@ -362,6 +363,8 @@ def cmd_sample(args):
 
 def cmd_verify(args):
     results = verify.run_battery(seed=args.seed, name_filter=args.filter)
+    if not results:
+        raise ParameterDomain("no criterion matches the filter %r" % args.filter)
     if args.format == "json":
         report = serial.report_header("verify", seed=args.seed)
         report["results"] = [r.as_dict() for r in results]
@@ -436,7 +439,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (LieHermitianError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    # reading a spec raises ParseError, so an OSError comes from writing output
+    except (LieHermitianError, ArithmeticError, np.linalg.LinAlgError, OSError) as exc:
         sys.stderr.write(serial.canonical_json(_error_payload(exc)))
         return exit_code_for(exc)
 

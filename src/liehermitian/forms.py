@@ -15,19 +15,30 @@ On generators d follows from the structure constants,
     d phi_j = -1/2 sum C^j_{ik} phi_i ^ phi_k - sum conj(D^i_{jk}) phi_i ^ phibar_k,
 
 and d phibar_j is the conjugate.  Each term coef * x_lo ^ x_hi (lo below
-hi) of some d x_g is a row of a term table built once per Algebra and
-split into the rows of del (raising p) and of delbar (raising q); d
-takes both in one pass.  The graded Leibniz rule turns a monomial K
-containing g, with N = K ^ g disjoint from lo and hi, into N | lo | hi
-with the sign
+hi) of some d x_g is a row of a term table, split into the rows of del
+(raising p) and of delbar (raising q); d takes both in one pass.  The
+rows depend on n alone and are built once per dimension; their
+coefficients are read from C and D once per Algebra.  The graded Leibniz
+rule turns a monomial K containing g, with N = K ^ g disjoint from lo
+and hi, into N | lo | hi with the sign
 
     (-1)^|(K & below(g)) ^ (N & (below(lo) ^ below(hi)))|:
 
 one count for moving g to the front, one for shuffling lo and hi into N.
 Coefficients of magnitude at most a cut (1e-14 unless given) are dropped
 once, when a result is returned.
+
+For partial(partialbar(omega^k)) which monomials meet which rows, with
+which sign and into which output, depends on (n, k) alone.  So the first
+del_delbar_residual call for an (n, k) records a plan: the delbar step
+and then the del step, each as entries (output slot, source slot)
+grouped by row, where the source slot points into [x, -x] for the
+step's input x and so carries the sign.  Every call then gathers the
+entries of the rows whose coefficient is nonzero, weighs each source
+value by that coefficient, and adds them up per output slot.
 """
 
+import functools
 import weakref
 from math import factorial
 
@@ -61,8 +72,10 @@ def _mask(I, J):
     return mask, sign
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def _indices(mask):
-    """The key (I, J) of a bitmask."""
+    """The key (I, J) of a bitmask, memoised: reports decode the same
+    monomials again and again."""
     bits = [b for b in range(2 * _BAR) if mask >> b & 1]
     return (tuple(b + 1 for b in bits if b < _BAR),
             tuple(b - _BAR + 1 for b in bits if b >= _BAR))
@@ -171,40 +184,70 @@ def max_coeff(f):
 _TABLES = weakref.WeakKeyDictionary()
 
 
+@functools.lru_cache(maxsize=None)
+def _rows(n):
+    """The terms of d on the generators in dimension n, without their
+    coefficients: the rows (del, delbar) of (g, test, pair, span, src),
+    one row per term x_lo ^ x_hi of d x_g, with pair = lo | hi,
+    test = g | pair and span = below(lo) ^ below(hi).  src indexes the
+    coefficient in the source [-C, D, -conj D, -conj C] of _term_table.
+    A monomial K takes the term when K & test == g: it contains g, and
+    once g is gone, neither lo nor hi."""
+    m, i, k = (x.ravel() for x in np.indices((n, n, n)))
+    u = np.int64(1) << np.arange(n, dtype=np.int64)
+    b = u << _BAR
+    at = np.arange(m.size)
+    upper, every = i < k, np.ones(m.size, dtype=bool)
+    # (g, lo, hi, src, kept): d phi_m and its conjugate d phibar_m
+    rows_del = ((u[m], u[i], u[k], at, upper),
+                (b[m], u[k], b[i], at + m.size, every))
+    rows_delbar = ((u[m], u[i], b[k], at + 2 * m.size, every),
+                   (b[m], b[i], b[k], at + 3 * m.size, upper))
+    out = []
+    for rows in (rows_del, rows_delbar):
+        g, lo, hi, src, kept = (np.concatenate(x) for x in zip(*rows))
+        g, lo, hi, src = g[kept], lo[kept], hi[kept], src[kept]
+        pair = lo | hi
+        out.append((g, g | pair, pair, (lo - 1) ^ (hi - 1), src))
+    return tuple(out)
+
+
 def _term_table(alg):
     """The terms of d on the generators, cached per algebra.
 
-    Returns the tables (del, delbar, d) of (g, test, pair, span, coef),
-    one entry per term coef * x_lo ^ x_hi of d x_g, with pair = lo | hi,
-    test = g | pair and span = below(lo) ^ below(hi); d is the other two
-    concatenated.  A monomial K takes the term when K & test == g: it
-    contains g, and once g is gone, neither lo nor hi.
+    Returns (del, delbar, d, full).  del and delbar are the rows of
+    _rows(n) whose coefficient is above the cut, as (g, test, pair,
+    span, coef); d is the two concatenated.  full is the pair (del,
+    delbar) of coefficient vectors over every row of _rows(n), with the
+    coefficients at or below the cut set to 0.
     """
     try:
         return _TABLES[alg]
     except KeyError:
         pass
-    n = alg.n
-    m, i, k = (x.ravel() for x in np.indices((n, n, n)))
-    u = np.int64(1) << np.arange(n, dtype=np.int64)
-    b = u << _BAR
-    C, D = alg.C[m, i, k], alg.D[i, m, k]
-    upper, every = i < k, np.ones(m.size, dtype=bool)
-    # (g, lo, hi, coef, kept): d phi_m and its conjugate d phibar_m
-    rows_del = ((u[m], u[i], u[k], -C, upper),
-                (b[m], u[k], b[i], D, every))
-    rows_delbar = ((u[m], u[i], b[k], -np.conj(D), every),
-                   (b[m], b[i], b[k], -np.conj(C), upper))
-    table = []
-    for rows in (rows_del, rows_delbar):
-        g, lo, hi, coef, kept = (np.concatenate(x) for x in zip(*rows))
-        kept &= np.abs(coef) > _ZERO_CUT
-        g, lo, hi, coef = g[kept], lo[kept], hi[kept], coef[kept]
-        pair = lo | hi
-        table.append((g, g | pair, pair, (lo - 1) ^ (hi - 1), coef))
+    C, D = alg.C.ravel(), alg.D.transpose(1, 0, 2).ravel()
+    source = np.concatenate((-C, D, -np.conj(D), -np.conj(C)))
+    table, full = [], []
+    for g, test, pair, span, src in _rows(alg.n):
+        coef = source[src]
+        kept = np.abs(coef) > _ZERO_CUT
+        table.append((g[kept], test[kept], pair[kept], span[kept], coef[kept]))
+        full.append(np.where(kept, coef, 0))
     table.append(tuple(map(np.concatenate, zip(*table))))
-    _TABLES[alg] = tuple(table)
+    _TABLES[alg] = (*table, tuple(full))
     return _TABLES[alg]
+
+
+def _match(keys, rows):
+    """The terms that the rows (g, test, pair, span, ...) of a term table
+    give on the monomials keys, as arrays (t, r, monomial, sign), one
+    entry per row t and monomial r that meet, ordered by row."""
+    g, test, pair, span = rows[:4]
+    t, r = np.nonzero((test[:, None] & keys) == g[:, None])
+    K, gt = keys[r], g[t]
+    N = K ^ gt
+    odd = _parity((K & (gt - 1)) ^ (N & span[t]))
+    return t, r, N | pair[t], 1 - 2 * odd
 
 
 def _derive(keys, coeffs, table):
@@ -213,16 +256,12 @@ def _derive(keys, coeffs, table):
     Monomials are taken a block at a time so that no more than _GRID
     (monomial, term) pairs are tested at once, and the terms found are
     merged whenever more than _GRID of them wait."""
-    g, test, pair, span, coef = table
+    coef = table[4]
     parts, waiting = [(keys[:0], coeffs[:0])], 0
-    step = max(1, _GRID // max(1, g.size))
+    step = max(1, _GRID // max(1, coef.size))
     for start in range(0, keys.size, step):
-        K, c = keys[start:start + step], coeffs[start:start + step]
-        r, t = np.nonzero((K[:, None] & test) == g)
-        K, gt = K[r], g[t]
-        N = K ^ gt
-        odd = _parity((K & (gt - 1)) ^ (N & span[t]))
-        parts.append((N | pair[t], c[r] * coef[t] * (1 - 2 * odd)))
+        t, r, out, sign = _match(keys[start:start + step], table)
+        parts.append((out, coeffs[start + r] * coef[t] * sign))
         waiting += r.size
         if waiting > _GRID:
             parts, waiting = [_merge(*parts)], 0
@@ -269,19 +308,71 @@ def kaehler_power(n, k):
     return _to_dict(*_power(n, k), 0.0)
 
 
+def _plan_step(keys, rows):
+    """Record a derivation on the monomials keys, for any coefficients.
+
+    Returns ((ptr, out, src, size), monomials).  monomials are the
+    sorted monomials the rows can make, size of them.  The entries
+    ptr[t]:ptr[t+1] belong to row t; each adds coef[t] times entry src
+    of [x, -x] to output out, for the input x, so that src carries the
+    sign.  Rows are taken a block at a time so that no more than _GRID
+    (monomial, row) pairs are tested at once."""
+    step = max(1, _GRID // max(1, keys.size))
+    counts, made, slots, src = [], [], [], []
+    for start in range(0, rows[0].size, step):
+        block = tuple(x[start:start + step] for x in rows)
+        t, r, out, sign = _match(keys, block)
+        counts.append(np.bincount(t, minlength=block[0].size))
+        out, slot = np.unique(out, return_inverse=True)
+        made.append(out)
+        slots.append(slot.astype(np.min_scalar_type(out.size)))
+        src.append((r + keys.size * (sign < 0)).astype(np.min_scalar_type(2 * keys.size)))
+    # sorted in place: plain np.unique would import numpy.ma on first use
+    monomials = np.concatenate(made)
+    monomials.sort()
+    monomials = monomials[np.concatenate(([True], monomials[1:] != monomials[:-1]))]
+    out_type = np.min_scalar_type(monomials.size)
+    out = np.concatenate([np.searchsorted(monomials, m).astype(out_type)[slot]
+                          for m, slot in zip(made, slots)])
+    ptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    return (ptr, out, np.concatenate(src), monomials.size), monomials
+
+
+@functools.lru_cache(maxsize=None)
+def _ddbar_plan(n, k):
+    """partial(partialbar(omega^k)) in dimension n as two recorded steps,
+    the delbar rows then the del rows of _rows(n).  Cached per (n, k)
+    and never per algebra; n <= MAX_DIM bounds the cache."""
+    keys, _ = _power(n, k)
+    steps = []
+    for rows in reversed(_rows(n)):
+        step, keys = _plan_step(keys, rows)
+        steps.append(step)
+    return tuple(steps)
+
+
 def del_delbar_residual(alg, k):
     """Max coefficient of  partial(partialbar(omega^k)).
 
     Zero iff omega^k is pluriclosed in the generalized sense: k = 1 is
     the usual pluriclosed condition, k = n - 2 the astheno one, and
-    k = n - 1 vanishes for every unimodular algebra."""
+    k = n - 1 vanishes for every unimodular algebra.
+
+    Runs the (n, k) plan; e indexes the entries of the live rows."""
     if not 1 <= k <= alg.n - 1:
         raise InvalidDegree(
             f"power k={k} outside the meaningful range 1..{alg.n - 1}"
         )
-    delta, delta_bar, _ = _term_table(alg)
-    _, coeffs = _derive(*_derive(*_power(alg.n, k), delta_bar), delta)
-    worst = float(np.abs(coeffs).max(initial=0.0))
+    x = _power(alg.n, k)[1]
+    full = _term_table(alg)[3]
+    for (ptr, out, src, size), coef in zip(_ddbar_plan(alg.n, k), reversed(full)):
+        live = np.flatnonzero(coef)
+        first, count = ptr[live], ptr[live + 1] - ptr[live]
+        e = np.arange(count.sum()) + np.repeat(first + count - np.cumsum(count), count)
+        w = np.concatenate((x, -x))[src[e]] * np.repeat(coef[live], count)
+        slot = out[e]
+        x = np.bincount(slot, w.real, size) + 1j * np.bincount(slot, w.imag, size)
+    worst = float(np.abs(x).max(initial=0.0))
     return worst if worst > _ZERO_CUT else 0.0
 
 

@@ -174,6 +174,20 @@ def test_numeric_failures_exit_1_with_json(tmp_path, capsys, monkeypatch,
     assert payload["message"]
 
 
+@pytest.mark.parametrize("command", ["check", "tensors", "classify"])
+def test_unwritable_output_exits_1_with_json(tmp_path, capsys, command):
+    path = write(tmp_path, "v1.json", btpv1_spec())
+    dest = tmp_path / "missing" / "x.json"
+    code = cli.main([command, path, "--output", str(dest)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_OTHER == 1
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == "FileNotFoundError"
+    assert str(dest) in payload["message"]
+    assert not dest.parent.exists()
+
+
 def test_check_loads_no_scipy_and_classify_still_does(tmp_path):
     # scipy is imported inside the two codim2 functions that use it, so a
     # fresh `check` process never loads it; `classify` loads it on use.
@@ -358,3 +372,13 @@ def test_verify_json_structure(capsys):
     assert rep["passed"] is True
     assert rep["results"][0]["slug"] == "gauduchon"
     assert rep["results"][0]["checks"] > 0
+
+
+def test_verify_filter_matching_nothing_exits_2(capsys):
+    code = cli.main(["verify", "--filter", "nomatch"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PARSE == 2
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == "ParameterDomain"
+    assert "nomatch" in payload["message"]

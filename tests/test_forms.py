@@ -20,8 +20,11 @@ from liehermitian import hermitian as H
 from liehermitian.algebra import change_frame
 from liehermitian.codim2 import build_codim2
 from liehermitian.sampling import (
+    aa_kaehler,
     aa_random,
     c2_from_aa,
+    c2_kahler,
+    c2_scramble,
     hopf_algebra,
     random_unitary,
     rng_for,
@@ -132,9 +135,21 @@ def test_bidegree_projection_partitions():
 
 
 def test_del_delbar_residual_zero_on_abelian():
-    a = build_general(4)
-    for k in range(1, 4):
-        assert F.del_delbar_residual(a, k) == 0.0
+    # every row of the plan is dead, so nothing is gathered
+    for n in (2, 4, 9, 16):
+        a = build_general(n)
+        assert not any(np.any(coef) for coef in F._term_table(a)[3])
+        for k in range(1, n) if n <= 4 else (1, n - 2, n - 1):
+            assert F.del_delbar_residual(a, k) == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_pluriclosed_residual_zero_on_kaehler(n):
+    rng = rng_for(321, 50 + n)
+    adapted = build_codim2(c2_kahler(rng, n))
+    for a in (build_almost_abelian(aa_kaehler(rng, n)), adapted,
+              change_frame(adapted, random_unitary(rng, n))):
+        assert F.del_delbar_residual(a, 1) == 0.0
 
 
 def test_invalid_degree_rejected():
@@ -271,3 +286,53 @@ def test_d_squared_and_top_form_in_dense_frame(n):
     lhs, rhs = F.top_form_d_check(a)
     assert F.max_coeff(rhs) > 1.0
     assert F.max_coeff(F.add(lhs, F.scale(rhs, -1))) <= 10 * a.tol
+
+
+# ------------------------------------------------- the del-delbar plans
+
+
+def three_frames(n):
+    """One non-unimodular codimension-two draw in its adapted frame, with
+    the ideal directions scrambled, and in a dense unitary frame."""
+    rng = rng_for(4343, n)
+    d = c2_from_aa(rng, n)
+    adapted = build_codim2(d)
+    return {"adapted": adapted,
+            "scrambled": build_codim2(c2_scramble(rng, d)),
+            "dense": change_frame(adapted, random_unitary(rng, n))}
+
+
+@pytest.mark.parametrize("frame", ["adapted", "scrambled", "dense"])
+@pytest.mark.parametrize("n", range(2, 17))
+def test_del_delbar_plan_matches_generic_route(n, frame):
+    # the plan against partial_d(partial_dbar(omega^k)) through _derive;
+    # one term of the sum is at most |omega^k| * max(|C|, |D|)^2
+    a = three_frames(n)[frame]
+    coef = max(np.abs(a.C).max(), np.abs(a.D).max())
+    for k in range(1, n) if n <= 7 else sorted({1, n - 2, n - 1}):
+        wk = kaehler_power(n, k)
+        ref = F.max_coeff(F.partial_d(a, F.partial_dbar(a, wk)))
+        scale = F.max_coeff(wk) * coef ** 2
+        assert abs(F.del_delbar_residual(a, k) - ref) <= 1e-12 * scale
+
+
+def test_del_delbar_plans_are_shared_per_dimension():
+    F._ddbar_plan.cache_clear()
+    kaehler_power(6, 2)
+    assert F._ddbar_plan.cache_info().currsize == 0  # built on first use only
+    first, second = dense_draw(6), three_frames(6)["adapted"]
+    F.del_delbar_residual(first, 2)
+    plan = F._ddbar_plan(6, 2)
+    F.del_delbar_residual(second, 2)
+    assert F._ddbar_plan(6, 2) is plan
+    assert F._ddbar_plan.cache_info().currsize == 1
+    inputs = math.comb(6, 2)
+    for ptr, out, src, size in plan:
+        assert out.dtype == np.min_scalar_type(size)
+        assert src.dtype == np.min_scalar_type(2 * inputs)
+        assert ptr[-1] == out.size == src.size
+        assert src.min() < inputs <= src.max() < 2 * inputs  # both signs occur
+        inputs = size
+    # the slots of the three report powers fit 16 bits up to n = 16
+    for k in (1, 14, 15):
+        assert all(x.itemsize <= 2 for step in F._ddbar_plan(16, k) for x in step[1:3])
