@@ -26,6 +26,7 @@ from .errors import (
     Singular,
     NotCompatible,
     NotAstheno,
+    NonFiniteValue,
     ParseError,
 )
 from .algebra import (

@@ -124,7 +124,8 @@ class Algebra:
 
     @property
     def jacobi_max(self):
-        return max(self.jacobi)
+        # a NaN residual (an overflow) counts as the largest
+        return max(self.jacobi, key=lambda r: r if r == r else math.inf)
 
     @property
     def is_valid(self):
@@ -275,8 +276,9 @@ def unimodularity_defect(a):
 
 def require_ideal_pattern(a, allowed_d, pattern):
     """Raise PatternMismatch unless e_2..e_n span an abelian ideal, which
-    allows only C^j_{1k} and C^j_{i1} with j >= 2, and D fits the mask
-    ``allowed_d(j, i, k)`` built on 0-based index grids.
+    allows only C^j_{1k} and C^j_{i1} with j >= 2, D fits the mask
+    ``allowed_d(j, i, k)`` built on 0-based index grids, and D^1_11 is
+    real; return D^1_11 as a float.
 
     The error names the first structure constant above the tolerance
     outside its mask, in (j, i, k) order with C before D at the same
@@ -292,6 +294,12 @@ def require_ideal_pattern(a, allowed_d, pattern):
             "%s entry outside the %s pattern" % ("CD"[t], pattern),
             offending=("CD"[t], j + 1, i + 1, k + 1),
         )
+    lam = a.D[0, 0, 0]
+    if abs(lam.imag) > a.tol:
+        raise PatternMismatch(
+            "D^1_11 must be real for this family", offending=("D", 1, 1, 1)
+        )
+    return float(lam.real)
 
 
 def check_unitary(U, n=None, tol=1e-9):
@@ -346,26 +354,25 @@ def _complexified_bracket_tensor(a):
     return B
 
 
-def lower_central_dims(a, tol=None):
+def lower_central_dims(a):
     """Dimensions of the lower central series of the complexified algebra.
 
     Returns the list [dim g^1, dim g^2, ...] where g^1 = [g, g] and
     g^{m+1} = [g, g^m], stopping once the dimension stabilizes or hits 0.
+    Rank cuts use the algebra's tolerance.
     """
-    if tol is None:
-        tol = a.tol
     n2 = 2 * a.n
     B = _complexified_bracket_tensor(a)
     scale = 1.0 + max_abs(B)
 
     def _span(vectors):
-        # orthonormal basis of the column span.  tol already carries the
+        # orthonormal basis of the column span.  a.tol already carries the
         # data scale, so tol / scale is relative and the cut grows
         # linearly with the largest singular value.
         if vectors.size == 0:
             return np.zeros((n2, 0), dtype=complex)
         u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-        r = int(np.sum(s > tol / scale * max(1.0, s[0] if s.size else 0.0)))
+        r = int(np.sum(s > a.tol / scale * max(1.0, s[0] if s.size else 0.0)))
         return u[:, :r]
 
     current = np.eye(n2, dtype=complex)
@@ -380,12 +387,11 @@ def lower_central_dims(a, tol=None):
     return dims
 
 
-def is_nilpotent(a, tol=None):
+def is_nilpotent(a):
     """Whether the underlying real Lie algebra is nilpotent.
 
     Decided numerically from the lower central series; rank cuts use a
     scale-aware tolerance, so inputs should be well away from the
     nilpotent/non-nilpotent boundary.
     """
-    dims = lower_central_dims(a, tol=tol)
-    return dims[-1] == 0
+    return lower_central_dims(a)[-1] == 0

@@ -4,9 +4,12 @@ In a frame whose last n-1 vectors span the ideal and whose first vector
 spans its orthogonal complement, the whole algebra is encoded by a real
 number ``lam``, a vector ``v`` of length n-1 and an (n-1) x (n-1) matrix
 ``A``.  The Jacobi identity holds for every choice of these parameters,
-so the family is a free parameter space.  Each geometric predicate of the
-resulting Hermitian algebra collapses to a small matrix equation in
-(lam, v, A); those closed forms live here.
+so the family is a free parameter space.  It is the slice Z = 0,
+X = -A*, Y = A of the codimension-two family, and its data is validated
+and assembled by the code of :mod:`liehermitian.codim2`, with any real
+lam allowed.  Each geometric predicate of the resulting Hermitian
+algebra collapses to a small matrix equation in (lam, v, A); those
+closed forms live here.
 
 Every boolean produced by :func:`aa_report` is recomputed through the
 generic tensor engine.  A disagreement raises
@@ -18,19 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    default_tolerance,
-    is_nilpotent,
-    make_algebra,
-    max_abs,
-    require_ideal_pattern,
-)
-from .errors import (
-    DimensionMismatch,
-    NotAstheno,
-    ParameterDomain,
-    PatternMismatch,
-)
+from .algebra import is_nilpotent, max_abs, require_ideal_pattern
+from .codim2 import aa_blocks, assemble, freeze_fields
+from .errors import NotAstheno, ParameterDomain, PatternMismatch
 from . import hermitian
 
 
@@ -45,6 +38,8 @@ class AlmostAbelianData:
     scale-aware default.
     """
 
+    BLOCKS = ("A",)
+
     n: int
     lam: float
     v: np.ndarray
@@ -52,54 +47,23 @@ class AlmostAbelianData:
     tol: float = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise DimensionMismatch("need n >= 2, got %d" % self.n)
-        lam = complex(self.lam)
-        if lam.imag != 0.0:
-            raise ParameterDomain("lam must be real, got %r" % self.lam)
-        object.__setattr__(self, "lam", float(lam.real))
-        v = np.asarray(self.v, dtype=complex).reshape(-1)
-        A = np.asarray(self.A, dtype=complex)
-        m = self.n - 1
-        if v.shape != (m,):
-            raise DimensionMismatch(
-                "v must have length n-1 = %d, got %s" % (m, v.shape)
-            )
-        if A.shape != (m, m):
-            raise DimensionMismatch(
-                "A must be (n-1) x (n-1) = %d x %d, got %s" % (m, m, A.shape)
-            )
-        v.setflags(write=False)
-        A.setflags(write=False)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "A", A)
-        if self.tol is None:
-            object.__setattr__(
-                self, "tol", default_tolerance([self.lam], v, A)
-            )
+        freeze_fields(self, nonnegative=False)
 
 
 def build_almost_abelian(d):
     """Assemble the full structure-constant tensors from the parameters.
 
-    The nonzero blocks, in 1-based index notation with the transverse
-    direction first, are::
+    This is the codimension-two assembly on the blocks X = -A*, Y = A,
+    Z = 0, so the nonzero blocks, in 1-based index notation with the
+    transverse direction first, are::
 
         D^1_11 = lam        D^1_i1 = v_i        D^j_i1 = A_ij
         C^j_1i = -conj(A_ji)
 
     for 2 <= i, j <= n, together with the antisymmetric mirror of C.
+    Any real lam is allowed here, negative included.
     """
-    n, lam, v, A = d.n, d.lam, d.v, d.A
-    C = np.zeros((n, n, n), dtype=complex)
-    D = np.zeros((n, n, n), dtype=complex)
-    D[0, 0, 0] = lam
-    D[0, 1:, 0] = v
-    # D[j, i, 0] = A_ij, both array indices shifted down by one.
-    D[1:, 1:, 0] = A.T
-    C[1:, 0, 1:] = -np.conj(A)
-    C[1:, 1:, 0] = np.conj(A)
-    return make_algebra(n, C, D, tol=d.tol)
+    return assemble(d.n, d.lam, d.v, *aa_blocks(d.A), d.tol)
 
 
 def extract_almost_abelian(a):
@@ -109,27 +73,20 @@ def extract_almost_abelian(a):
     1-based (tensor, j, i, k) tuple, when the structure constants do not
     fit the sparsity pattern of this family.
     """
-    n = a.n
-    tol = a.tol
     C, D = a.C, a.D
-    require_ideal_pattern(
+    lam = require_ideal_pattern(
         a, lambda j, i, k: (k == 0) & ~((j >= 1) & (i == 0)), "codimension-one"
     )
-    lam = D[0, 0, 0]
-    if abs(lam.imag) > tol:
-        raise PatternMismatch(
-            "D^1_11 must be real for this family", offending=("D", 1, 1, 1)
-        )
     v = np.array(D[0, 1:, 0])
     A = np.array(D[1:, 1:, 0]).T
     # C must be minus the conjugate transpose of the ideal action.
-    off = np.argwhere(np.abs(C[1:, 0, 1:] + np.conj(A)) > tol)
+    off = np.argwhere(np.abs(C[1:, 0, 1:] + np.conj(A)) > a.tol)
     if off.size:
         raise PatternMismatch(
             "C block inconsistent with the ideal action",
             offending=("C", int(off[0, 0]) + 2, 1, int(off[0, 1]) + 2),
         )
-    return AlmostAbelianData(n=n, lam=float(lam.real), v=v, A=A, tol=a.tol)
+    return AlmostAbelianData(n=a.n, lam=lam, v=v, A=A, tol=a.tol)
 
 
 def _hermitian_double(A):
@@ -273,10 +230,7 @@ def aa_report(d):
     tol = alg.tol
     res = aa_residuals(d)
 
-    props = {}
-    for key, value in res.items():
-        props[key] = None if value is None else bool(value <= tol)
-
+    props = hermitian.decide(res, tol)
     unimodular = props["unimodular"]
     if not unimodular:
         props["cyt"] = None

@@ -13,9 +13,10 @@ classification answering NotBTP), 2 for unreadable or malformed input,
 3 for well-formed input that fails a structural requirement (Jacobi,
 integrability, unimodularity where demanded), 4 when a closed form and
 the tensor engine disagree, and 1 for anything else the library
-refuses, an ArithmeticError (a complex "real" scalar), a numpy
-LinAlgError and an OSError while writing the output included.  Each
-refusal writes a JSON error to stderr.
+refuses, a report value that overflowed to inf or NaN
+(NonFiniteValue), an ArithmeticError (a complex "real" scalar), a
+numpy LinAlgError and an OSError while writing the output included.
+Each refusal writes a JSON error to stderr and nothing to stdout.
 """
 
 import argparse
@@ -45,6 +46,7 @@ from .errors import (
     InvalidDegree,
     LieHermitianError,
     NegativeLambda,
+    NonFiniteValue,
     NotUnimodular,
     NotUnitary,
     ParameterDomain,
@@ -90,16 +92,21 @@ def _error_payload(exc):
 
     Structured attachments ride along when the exception carries them,
     in particular the integrability residual matrices, so a failing
-    spec can be debugged from the error output alone.
+    spec can be debugged from the error output alone.  An attachment
+    holding inf or NaN, which JSON cannot carry, is written as null.
     """
     out = {"error": type(exc).__name__, "message": str(exc)}
-    res = getattr(exc, "residuals", None)
-    if res is not None:
-        out["residuals"] = serial.jsonable(res)
+    attached = {}
+    if getattr(exc, "residuals", None) is not None:
+        attached["residuals"] = exc.residuals
     if isinstance(exc, CrossCheckFailure):
         out["quantity"] = exc.name
-        out["closed_form"] = serial.jsonable(exc.closed)
-        out["engine"] = serial.jsonable(exc.engine)
+        attached.update(closed_form=exc.closed, engine=exc.engine)
+    for key, value in attached.items():
+        try:
+            out[key] = serial.jsonable(value)
+        except NonFiniteValue:
+            out[key] = None
     return out
 
 
@@ -247,7 +254,7 @@ def cmd_classify(args):
 _SAMPLE_FAMILIES = ("general", "almost_abelian", "codim2", "btpv1", "btpv2", "btpv0")
 
 
-def _sample_general(rng, tol):
+def _sample_general(rng):
     a = sm.random_general(rng, int(rng.integers(2, 5)))
     bound = 10.0 * a.tol
     dd = forms.d_squared_residual(a)
@@ -255,7 +262,7 @@ def _sample_general(rng, tol):
     return a, checks
 
 
-def _sample_aa(rng, tol):
+def _sample_aa(rng):
     unimod = bool(rng.integers(0, 2))
     d = sm.aa_random(rng, int(rng.integers(2, 6)), unimodular=unimod)
     a = build_almost_abelian(d)
@@ -273,7 +280,7 @@ def _sample_aa(rng, tol):
     return d, checks
 
 
-def _sample_c2(rng, tol):
+def _sample_c2(rng):
     unimod = bool(rng.integers(0, 2))
     d = sm.c2_random(rng, int(rng.integers(3, 6)), unimodular=unimod)
     a = build_codim2(d)
@@ -290,7 +297,7 @@ def _sample_c2(rng, tol):
 
 
 def _sample_generator(kind):
-    def draw(rng, tol):
+    def draw(rng):
         d = sm.c2_generator(rng, int(rng.integers(3, 7)), kind=kind)
         r, expected = verify.generator_answer(kind, d)
         checks = verify.generator_checks(kind, d, c2_report(d), r)
@@ -331,7 +338,7 @@ def cmd_sample(args):
     for i in range(args.count):
         rng = sm.rng_for(args.seed, i)
         try:
-            data, checks = draw(rng, args.tol)
+            data, checks = draw(rng)
         except LieHermitianError as exc:
             data, checks = None, {"construction": False}
             failed = ["construction (%s)" % type(exc).__name__]
@@ -350,7 +357,7 @@ def cmd_sample(args):
                                   os.path.join(outdir, fname))
                 emitted.append(fname)
             failures.append(entry)
-    report = serial.report_header("sample", tol=args.tol, seed=args.seed)
+    report = serial.report_header("sample", seed=args.seed)
     report["generator"] = sm.GENERATOR_LABEL
     report["family"] = args.family
     report["count"] = args.count
@@ -390,8 +397,6 @@ def cmd_verify(args):
 
 
 def _common_flags(p, seed_default=None):
-    p.add_argument("--tol", type=float, default=None,
-                   help="tolerance override")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--output", default=None, metavar="PATH",
                    help="write the report here instead of stdout")
@@ -406,20 +411,15 @@ def build_parser():
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="metric predicates for one spec file")
-    p.add_argument("path")
-    _common_flags(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("tensors", help="torsion, curvature and trace dumps")
-    p.add_argument("path")
-    _common_flags(p)
-    p.set_defaults(func=cmd_tensors)
-
-    p = sub.add_parser("classify", help="normal-form search for one spec file")
-    p.add_argument("path")
-    _common_flags(p)
-    p.set_defaults(func=cmd_classify)
+    for name, func, what in (
+            ("check", cmd_check, "metric predicates for one spec file"),
+            ("tensors", cmd_tensors, "torsion, curvature and trace dumps"),
+            ("classify", cmd_classify, "normal-form search for one spec file")):
+        p = sub.add_parser(name, help=what)
+        p.add_argument("path")
+        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        _common_flags(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("sample", help="seeded random invariant suites")
     p.add_argument("family", choices=_SAMPLE_FAMILIES)

@@ -8,6 +8,11 @@ codimension-one family these are not free: the Jacobi identity is the
 pair of quadratic matrix equations checked by
 :func:`integrability_residuals`.
 
+The codimension-one family of :mod:`liehermitian.almost_abelian` is
+the slice Z = 0, X = -A*, Y = A (:func:`aa_blocks`), so both families
+share one parameter model kept here: the field validation of
+:func:`freeze_fields` and the (C, D) assembly of :func:`assemble`.
+
 Besides the closed-form predicates and curvature blocks, this module
 carries the torsion-parallel machinery: the residual system of
 :func:`c2_btp_residuals`, the three normal-form generators
@@ -37,10 +42,49 @@ from .errors import (
     NotCompatible,
     NotUnimodular,
     ParameterDomain,
-    PatternMismatch,
     Singular,
 )
 from . import hermitian
+
+
+def freeze_fields(data, *, nonnegative):
+    """Validate and freeze the fields shared by both abelian-ideal families.
+
+    ``data`` is a frozen dataclass with fields n, lam, v, tol and one
+    (n-1) x (n-1) matrix per name in its ``BLOCKS``.  Checks n >= 2, a real
+    ``lam`` (and, when ``nonnegative``, its sign, before any shape), the
+    length of ``v`` and the shape of each block; stores ``lam`` as a
+    float and the arrays as read-only complex arrays, and fills in the
+    scale-aware default ``tol``.
+    """
+    if data.n < 2:
+        raise DimensionMismatch("need n >= 2, got %d" % data.n)
+    lam = complex(data.lam)
+    if lam.imag != 0.0:
+        raise ParameterDomain("lam must be real, got %r" % data.lam)
+    if nonnegative and lam.real < 0.0:
+        raise NegativeLambda(
+            "lam must be nonnegative in this frame convention; "
+            "rotate the transverse direction first (lam = %r)" % data.lam
+        )
+    object.__setattr__(data, "lam", float(lam.real))
+    m = data.n - 1
+    v = np.asarray(data.v, dtype=complex).reshape(-1)
+    if v.shape != (m,):
+        raise DimensionMismatch("v must have length n-1 = %d, got %s" % (m, v.shape))
+    fields = {"v": v}
+    for name in data.BLOCKS:
+        M = np.asarray(getattr(data, name), dtype=complex)
+        if M.shape != (m, m):
+            raise DimensionMismatch(
+                "%s must be (n-1) x (n-1) = %d x %d, got %s" % (name, m, m, M.shape)
+            )
+        fields[name] = M
+    for name, arr in fields.items():
+        arr.setflags(write=False)
+        object.__setattr__(data, name, arr)
+    if data.tol is None:
+        object.__setattr__(data, "tol", default_tolerance([data.lam], *fields.values()))
 
 
 @dataclass(frozen=True)
@@ -52,6 +96,8 @@ class Codim2Data:
     so that deliberately broken data can still be inspected.
     """
 
+    BLOCKS = ("X", "Y", "Z")
+
     n: int
     lam: float
     v: np.ndarray
@@ -61,40 +107,7 @@ class Codim2Data:
     tol: float = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise DimensionMismatch("need n >= 2, got %d" % self.n)
-        lam = complex(self.lam)
-        if lam.imag != 0.0:
-            raise ParameterDomain("lam must be real, got %r" % self.lam)
-        if lam.real < 0.0:
-            raise NegativeLambda(
-                "lam must be nonnegative in this frame convention; "
-                "rotate the transverse direction first (lam = %r)" % self.lam
-            )
-        object.__setattr__(self, "lam", float(lam.real))
-        m = self.n - 1
-        v = np.asarray(self.v, dtype=complex).reshape(-1)
-        if v.shape != (m,):
-            raise DimensionMismatch("v must have length %d, got %s" % (m, v.shape))
-        mats = {}
-        for name in ("X", "Y", "Z"):
-            M = np.asarray(getattr(self, name), dtype=complex)
-            if M.shape != (m, m):
-                raise DimensionMismatch(
-                    "%s must be %d x %d, got %s" % (name, m, m, M.shape)
-                )
-            M.setflags(write=False)
-            mats[name] = M
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
-        for name, M in mats.items():
-            object.__setattr__(self, name, M)
-        if self.tol is None:
-            object.__setattr__(
-                self,
-                "tol",
-                default_tolerance([self.lam], v, mats["X"], mats["Y"], mats["Z"]),
-            )
+        freeze_fields(self, nonnegative=True)
 
 
 def integrability_residuals(d):
@@ -114,8 +127,25 @@ def integrability_residuals(d):
     return M1, M2
 
 
-def build_codim2(d):
-    """Assemble the algebra, refusing non-integrable parameters.
+def require_integrable(d, refusal):
+    """Raise IntegrabilityViolation, with ``refusal`` as its message and
+    the two residual matrices attached, unless both integrability
+    residuals stay within the tolerance (NaN counts as a violation)."""
+    M1, M2 = integrability_residuals(d)
+    worst = max_abs((M1, M2))  # a NaN entry makes worst NaN
+    if not worst <= d.tol:
+        raise IntegrabilityViolation(
+            "%s (residual %.3e)" % (refusal, worst), residuals=(M1, M2)
+        )
+
+
+def c2_unimodularity_defect(d):
+    """|lam - tr X + tr Y|, which vanishes exactly on unimodular data."""
+    return abs(d.lam - np.trace(d.X) + np.trace(d.Y))
+
+
+def assemble(n, lam, v, X, Y, Z, tol):
+    """The algebra with the given family parameters, integrable or not.
 
     Nonzero blocks in 1-based notation, transverse direction first:
 
@@ -124,24 +154,21 @@ def build_codim2(d):
 
     for 2 <= i, j <= n, plus the antisymmetric mirror of C.
     """
-    M1, M2 = integrability_residuals(d)
-    worst = max(max_abs(M1), max_abs(M2))
-    if worst > d.tol:
-        raise IntegrabilityViolation(
-            "parameters violate the compatibility equations (residual %.3e)"
-            % worst,
-            residuals=(M1, M2),
-        )
-    n = d.n
     C = np.zeros((n, n, n), dtype=complex)
     D = np.zeros((n, n, n), dtype=complex)
-    C[1:, 0, 1:] = d.X.T
-    C[1:, 1:, 0] = -d.X.T
-    D[0, 0, 0] = d.lam
-    D[0, 1:, 0] = d.v
-    D[1:, 1:, 0] = d.Y.T
-    D[0, 1:, 1:] = d.Z
-    return make_algebra(n, C, D, tol=d.tol)
+    C[1:, 0, 1:] = X.T
+    C[1:, 1:, 0] = -X.T
+    D[0, 0, 0] = lam
+    D[0, 1:, 0] = v
+    D[1:, 1:, 0] = Y.T
+    D[0, 1:, 1:] = Z
+    return make_algebra(n, C, D, tol=tol)
+
+
+def build_codim2(d):
+    """Assemble the algebra, refusing non-integrable parameters."""
+    require_integrable(d, "parameters violate the compatibility equations")
+    return assemble(d.n, d.lam, d.v, d.X, d.Y, d.Z, d.tol)
 
 
 def extract_codim2(a):
@@ -152,50 +179,39 @@ def extract_codim2(a):
     pattern.  A negative transverse parameter raises NegativeLambda
     rather than silently rotating the frame.
     """
-    n, tol = a.n, a.tol
     C, D = a.C, a.D
-    require_ideal_pattern(
+    lam = require_ideal_pattern(
         a,
         lambda j, i, k: np.where(j == 0, (i >= 1) | (k == 0), (i >= 1) & (k == 0)),
         "codimension-two",
     )
-    lam = D[0, 0, 0]
-    if abs(lam.imag) > tol:
-        raise PatternMismatch(
-            "D^1_11 must be real for this family", offending=("D", 1, 1, 1)
-        )
-    lam = lam.real
-    if -tol <= lam < 0.0:
+    if -a.tol <= lam < 0.0:
         lam = 0.0
     return Codim2Data(
-        n=n,
+        n=a.n,
         lam=lam,
         v=np.array(D[0, 1:, 0]),
         X=np.array(C[1:, 0, 1:]).T,
         Y=np.array(D[1:, 1:, 0]).T,
         Z=np.array(D[0, 1:, 1:]),
-        tol=tol,
+        tol=a.tol,
     )
 
 
+def aa_blocks(A):
+    """The codimension-one family inside this one: X = -A*, Y = A, Z = 0."""
+    return -A.conj().T, A, np.zeros(A.shape, dtype=complex)
+
+
 def from_almost_abelian(d):
-    """Embed codimension-one data into this family: X = -A*, Y = A, Z = 0.
+    """Embed codimension-one data into this family through :func:`aa_blocks`.
 
     The embedding is always integrable.  It requires lam >= 0, matching
     the frame convention here; data with negative lam raises
     NegativeLambda.
     """
-    A = d.A
-    m = d.n - 1
-    return Codim2Data(
-        n=d.n,
-        lam=d.lam,
-        v=np.array(d.v),
-        X=-A.conj().T,
-        Y=np.array(A),
-        Z=np.zeros((m, m), dtype=complex),
-        tol=d.tol,
-    )
+    X, Y, Z = aa_blocks(d.A)
+    return Codim2Data(n=d.n, lam=d.lam, v=d.v, X=X, Y=Y, Z=Z, tol=d.tol)
 
 
 def c2_scalars(d):
@@ -276,7 +292,7 @@ def c2_residuals(d):
     )
     scal = c2_scalars(d)
     return {
-        "unimodular": abs(lam - np.trace(X) + np.trace(Y)),
+        "unimodular": c2_unimodularity_defect(d),
         "balanced": max(abs(np.trace(X) - np.trace(Y)), vmax),
         "kaehler": max(vmax, max_abs(Z.T - Z), max_abs(X - Y)),
         "pluriclosed": max_abs(skt),
@@ -306,7 +322,7 @@ def c2_report(d):
     engine = hermitian.property_report(alg)
     tol = alg.tol
     res = c2_residuals(d)
-    props = {k: bool(val <= tol) for k, val in res.items()}
+    props = hermitian.decide(res, tol)
     hermitian.cross_check(props, engine["properties"], tol, res, engine["residuals"])
     scal = c2_scalars(d)
     hermitian.cross_check(scal, engine["scalars"], tol)
@@ -737,14 +753,8 @@ def classify_btp(d):
     """
     tol = d.tol
     n, m = d.n, d.n - 1
-    M1, M2 = integrability_residuals(d)
-    worst_int = max(max_abs(M1), max_abs(M2))
-    if worst_int > tol:
-        raise IntegrabilityViolation(
-            "classification needs integrable data (residual %.3e)" % worst_int,
-            residuals=(M1, M2),
-        )
-    defect = abs(d.lam - np.trace(d.X) + np.trace(d.Y))
+    require_integrable(d, "classification needs integrable data")
+    defect = c2_unimodularity_defect(d)
     if defect > tol:
         raise NotUnimodular(
             "classification covers unimodular algebras only (defect %.3e)" % defect

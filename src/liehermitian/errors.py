@@ -95,5 +95,9 @@ class NotAstheno(LieHermitianError):
         self.clause = clause
 
 
+class NonFiniteValue(LieHermitianError, ValueError):
+    """A value overflowed to inf or NaN, which a JSON report cannot carry."""
+
+
 class ParseError(LieHermitianError):
     """Input file could not be parsed or fails schema validation."""

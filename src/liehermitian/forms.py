@@ -25,8 +25,8 @@ and hi, into N | lo | hi with the sign
     (-1)^|(K & below(g)) ^ (N & (below(lo) ^ below(hi)))|:
 
 one count for moving g to the front, one for shuffling lo and hi into N.
-Coefficients of magnitude at most a cut (1e-14 unless given) are dropped
-once, when a result is returned.
+Coefficients of magnitude at most 1e-14 (a cut that form and add also
+take as an argument) are dropped once, when a result is returned.
 
 For partial(partialbar(omega^k)) which monomials meet which rows, with
 which sign and into which output, depends on (n, k) alone.  So the first
@@ -141,7 +141,7 @@ def scale(f, c):
     return {k: c * v for k, v in f.items()}
 
 
-def wedge(f, g, cut=_ZERO_CUT):
+def wedge(f, g):
     """Wedge product of two forms.
 
     Monomials a, b that share a factor give nothing.  Otherwise a ^ b is
@@ -156,7 +156,7 @@ def wedge(f, g, cut=_ZERO_CUT):
         odd ^= (b >> p) & _parity(a >> (p + 1))
     ok = (a & b) == 0
     coeffs = ca[:, None] * cb[None, :] * (1 - 2 * odd)
-    return _to_dict(*_merge(((a | b)[ok], coeffs[ok])), cut)
+    return _to_dict(*_merge(((a | b)[ok], coeffs[ok])), _ZERO_CUT)
 
 
 def conjugate(f):
@@ -268,19 +268,19 @@ def _derive(keys, coeffs, table):
     return _merge(*parts)
 
 
-def exterior_d(alg, f, cut=_ZERO_CUT):
+def exterior_d(alg, f):
     """Exterior differential of an invariant form."""
-    return _to_dict(*_derive(*_from_dict(f), _term_table(alg)[2]), cut)
+    return _to_dict(*_derive(*_from_dict(f), _term_table(alg)[2]), _ZERO_CUT)
 
 
-def partial_d(alg, f, cut=_ZERO_CUT):
+def partial_d(alg, f):
     """The (1,0) part of d, taken bidegree by bidegree."""
-    return _to_dict(*_derive(*_from_dict(f), _term_table(alg)[0]), cut)
+    return _to_dict(*_derive(*_from_dict(f), _term_table(alg)[0]), _ZERO_CUT)
 
 
-def partial_dbar(alg, f, cut=_ZERO_CUT):
+def partial_dbar(alg, f):
     """The (0,1) part of d, taken bidegree by bidegree."""
-    return _to_dict(*_derive(*_from_dict(f), _term_table(alg)[1]), cut)
+    return _to_dict(*_derive(*_from_dict(f), _term_table(alg)[1]), _ZERO_CUT)
 
 
 def kaehler_form(n):
@@ -358,7 +358,9 @@ def del_delbar_residual(alg, k):
     the usual pluriclosed condition, k = n - 2 the astheno one, and
     k = n - 1 vanishes for every unimodular algebra.
 
-    Runs the (n, k) plan; e indexes the entries of the live rows."""
+    Runs the (n, k) plan.  The live rows of a step, a to b, are gathered
+    a block at a time, at most _GRID entries in all (a longer row goes
+    alone), and e indexes the entries of a block."""
     if not 1 <= k <= alg.n - 1:
         raise InvalidDegree(
             f"power k={k} outside the meaningful range 1..{alg.n - 1}"
@@ -367,11 +369,21 @@ def del_delbar_residual(alg, k):
     full = _term_table(alg)[3]
     for (ptr, out, src, size), coef in zip(_ddbar_plan(alg.n, k), reversed(full)):
         live = np.flatnonzero(coef)
-        first, count = ptr[live], ptr[live + 1] - ptr[live]
-        e = np.arange(count.sum()) + np.repeat(first + count - np.cumsum(count), count)
-        w = np.concatenate((x, -x))[src[e]] * np.repeat(coef[live], count)
-        slot = out[e]
-        x = np.bincount(slot, w.real, size) + 1j * np.bincount(slot, w.imag, size)
+        count = ptr[live + 1] - ptr[live]
+        end = np.cumsum(count)
+        shift = ptr[live] + count - end  # plan entry minus position, per live row
+        signed = np.concatenate((x, -x))
+        x = np.zeros(size, dtype=complex)
+        fits = not live.size or end[-1] <= _GRID
+        a = 0
+        while a < live.size:
+            b = live.size if fits else max(
+                a + 1, int(np.searchsorted(end, end[a] - count[a] + _GRID, "right")))
+            e = np.arange(end[a] - count[a], end[b - 1]) + np.repeat(shift[a:b], count[a:b])
+            w = signed[src[e]] * np.repeat(coef[live[a:b]], count[a:b])
+            slot = out[e]
+            x += np.bincount(slot, w.real, size) + 1j * np.bincount(slot, w.imag, size)
+            a = b
     worst = float(np.abs(x).max(initial=0.0))
     return worst if worst > _ZERO_CUT else 0.0
 

@@ -421,13 +421,21 @@ def _realpart(z, tol):
 
 
 def require_lie_algebra(a):
-    """Raise InvalidAlgebra when the Jacobi residual exceeds the
-    tolerance; no predicate or curvature scalar means anything then."""
-    if a.jacobi_max > a.tol:
+    """Raise InvalidAlgebra unless the Jacobi residual is within the
+    tolerance (a NaN residual is not); no predicate or curvature scalar
+    means anything then."""
+    if not a.is_valid:
         raise InvalidAlgebra(
             "Jacobi residual %.3e exceeds tolerance %.3e; "
             "not a Lie algebra" % (a.jacobi_max, a.tol)
         )
+
+
+def decide(residuals, tol):
+    """The boolean of each residual: whether it is at most ``tol``, with
+    None (a condition without content) passed through.  This is the one
+    place where a residual becomes a boolean."""
+    return {k: None if v is None else bool(v <= tol) for k, v in residuals.items()}
 
 
 def report_scalars(a, R, bismut_one_one):
@@ -484,15 +492,11 @@ def property_report(a):
     res["chern_ricci_flat"] = forms.max_coeff(chern_ricci_form(a))
     res["unimodular"] = max_abs(w)
 
-    props = {
-        k: (None if v is None else bool(v <= tol)) for k, v in res.items()
-    }
-
     return {
         "n": n,
         "tol": tol,
         "jacobi_residual": list(a.jacobi),
-        "properties": props,
+        "properties": decide(res, tol),
         "residuals": res,
         "scalars": report_scalars(a, R, one_one_matrix(rho_b, n)),
     }

@@ -42,16 +42,16 @@ def random_unitary(rng, m):
     return Q * (np.conj(d) / np.abs(d))[None, :]
 
 
-def random_general(rng, n, scale=1.0):
+def random_general(rng, n):
     """Raw structure constants with no Jacobi control.
 
     Useful as a negative control: a generic draw violates the Jacobi
     identity, and the residual must then be visible both in the tensor
     test and in d(d phi).
     """
-    C = scale * cgauss(rng, (n, n, n))
+    C = cgauss(rng, (n, n, n))
     C = C - C.transpose(0, 2, 1)
-    D = scale * cgauss(rng, (n, n, n))
+    D = cgauss(rng, (n, n, n))
     return make_algebra(n, C, D)
 
 
@@ -87,13 +87,11 @@ def aa_random(rng, n, unimodular=False):
     return AlmostAbelianData(n=n, lam=lam, v=v, A=A)
 
 
-def aa_normal_matrix(rng, n, eig_real=None, unimodular=False):
-    """Data with a normal action matrix, eigenvalue real parts optional."""
+def aa_normal_matrix(rng, n, unimodular=False):
+    """Data with a normal action matrix."""
     m = n - 1
     Q = random_unitary(rng, m)
     mu = cgauss(rng, m)
-    if eig_real is not None:
-        mu = np.asarray(eig_real, dtype=float) + 1j * mu.imag
     A = Q @ np.diag(mu) @ Q.conj().T
     v = cgauss(rng, m)
     lam = -trace_sum(A) if unimodular else float(rng.standard_normal())
@@ -257,18 +255,17 @@ def c2_commuting_diag(rng, n, unimodular=False):
     )
 
 
-def c2_hermitian_pair(rng, n, lam=None, unimodular=False):
-    """Y = -X* with X normal, any nonnegative lam, Z = 0."""
+def c2_hermitian_pair(rng, n, unimodular=False):
+    """Y = -X* with X normal, a random lam in [0, 1), Z = 0."""
     m = n - 1
     Q = random_unitary(rng, m)
     x = cgauss(rng, m)
-    if lam is None:
-        lam = float(rng.random())
+    lam = float(rng.random())
     if unimodular:
         x = x + (lam / 2.0 - x.real.sum()) / m
     X = Q @ np.diag(x) @ Q.conj().T
     return Codim2Data(
-        n=n, lam=float(lam), v=cgauss(rng, m),
+        n=n, lam=lam, v=cgauss(rng, m),
         X=X, Y=-X.conj().T, Z=np.zeros((m, m), dtype=complex),
     )
 

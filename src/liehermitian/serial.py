@@ -33,13 +33,15 @@ from . import __version__
 from .algebra import build_general
 from .almost_abelian import AlmostAbelianData, build_almost_abelian
 from .codim2 import Codim2Data, build_codim2, make_btpv0, make_btpv1, make_btpv2
-from .errors import ParseError
+from .errors import NonFiniteValue, ParseError
 
 SCHEMA = "lie-hermitian/v1"
 REPORT_SCHEMA = "lie-hermitian/v1-report"
 FAMILIES = ("general", "almost_abelian", "codim2", "btpv1", "btpv2", "btpv0")
 
 _TOP_KEYS = {"schema", "n", "family", "tolerance", "payload"}
+# the two parameter families: lambda, v and the (n-1) x (n-1) blocks
+_FAMILY_DATA = {"almost_abelian": AlmostAbelianData, "codim2": Codim2Data}
 _PAYLOAD_KEYS = {
     "general": {"C", "D"},
     "almost_abelian": {"lambda", "v", "A"},
@@ -189,23 +191,14 @@ def materialize(spec):
         C = _sparse_entries(p["C"], "payload.C", n)
         D = _sparse_entries(p["D"], "payload.D", n)
         return family, build_general(n, C, D, tol=tol)
-    if family == "almost_abelian":
-        return family, AlmostAbelianData(
+    if family in _FAMILY_DATA:
+        make = _FAMILY_DATA[family]
+        return family, make(
             n=n,
             lam=_real(p["lambda"], "payload.lambda"),
             v=_cvector(p["v"], "payload.v", n - 1),
-            A=_cmatrix(p["A"], "payload.A", n - 1, n - 1),
             tol=tol,
-        )
-    if family == "codim2":
-        return family, Codim2Data(
-            n=n,
-            lam=_real(p["lambda"], "payload.lambda"),
-            v=_cvector(p["v"], "payload.v", n - 1),
-            X=_cmatrix(p["X"], "payload.X", n - 1, n - 1),
-            Y=_cmatrix(p["Y"], "payload.Y", n - 1, n - 1),
-            Z=_cmatrix(p["Z"], "payload.Z", n - 1, n - 1),
-            tol=tol,
+            **{b: _cmatrix(p[b], "payload." + b, n - 1, n - 1) for b in make.BLOCKS},
         )
     if family == "btpv1":
         return family, make_btpv1(
@@ -295,34 +288,18 @@ def sparse_tensor4(R, tol=0.0):
     return out
 
 
-def spec_from_data(data, family=None):
+def spec_from_data(data):
     """Spec dict reproducing ``data`` (the inverse of materialize).
 
-    Accepts AlmostAbelianData, Codim2Data, or an Algebra.  ``family``
-    may force "codim2" emission for generator-produced data, which is
-    also the default: generators are gauge choices, the stored matrices
-    are the ground truth.
+    Accepts AlmostAbelianData, Codim2Data, or an Algebra.  Generator
+    data goes out as "codim2": generators are gauge choices, the stored
+    matrices are the ground truth.
     """
-    if isinstance(data, AlmostAbelianData):
-        out = {
-            "schema": SCHEMA,
-            "n": data.n,
-            "family": "almost_abelian",
-            "payload": {"lambda": data.lam, "v": cvec(data.v), "A": cmat(data.A)},
-        }
-    elif isinstance(data, Codim2Data):
-        out = {
-            "schema": SCHEMA,
-            "n": data.n,
-            "family": family or "codim2",
-            "payload": {
-                "lambda": data.lam,
-                "v": cvec(data.v),
-                "X": cmat(data.X),
-                "Y": cmat(data.Y),
-                "Z": cmat(data.Z),
-            },
-        }
+    family = {make: f for f, make in _FAMILY_DATA.items()}.get(type(data))
+    if family is not None:
+        payload = {"lambda": data.lam, "v": cvec(data.v)}
+        payload.update((b, cmat(getattr(data, b))) for b in data.BLOCKS)
+        out = {"schema": SCHEMA, "n": data.n, "family": family, "payload": payload}
     else:
         # Algebra: dense C and D go out sparsely.
         out = {
@@ -344,7 +321,7 @@ def jsonable(x):
 
     Complex numbers (and complex arrays) become [re, im] pairs; numpy
     scalars and arrays become Python scalars and nested lists; dict
-    keys must already be strings.
+    keys must already be strings.  An inf or NaN raises NonFiniteValue.
     """
     if x is None or isinstance(x, (bool, str)):
         return x
@@ -355,10 +332,10 @@ def jsonable(x):
     if isinstance(x, (float, np.floating)):
         val = float(x)
         if not math.isfinite(val):
-            raise ValueError("non-finite value in report")
+            raise NonFiniteValue("non-finite value in report")
         return val
     if isinstance(x, (complex, np.complexfloating)):
-        return cnum(x)
+        return jsonable(cnum(x))
     if isinstance(x, np.ndarray):
         if x.ndim == 0:
             return jsonable(x[()])

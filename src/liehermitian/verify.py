@@ -200,13 +200,13 @@ def criterion_4(seed, count=100):
     return _result(4, "aa-scalars", "codim-1 scalar curvature closed forms", col)
 
 
-def criterion_5(seed, per_n=500):
+def criterion_5(seed):
     """Closed-form predicate booleans against the engine, through the
     cross-check of aa_report, plus the two pluriclosed formulations
     against each other."""
     col = _Collector()
     for n in (2, 3, 4, 5):
-        for i in range(per_n):
+        for i in range(500):
             rng = rng_for(seed * 1000 + 5, n * 10000 + i)
             kind = i % 5
             if kind == 0:
@@ -431,7 +431,7 @@ def generator_checks(kind, d, rep, r):
     return checks
 
 
-def criterion_11(seed, per_family=50, classify_count=100):
+def criterion_11(seed):
     """Normal-form generators and the classifier.
 
     Every generator draw must pass :func:`generator_checks`.  Rank-one
@@ -443,7 +443,7 @@ def criterion_11(seed, per_family=50, classify_count=100):
     col = _Collector()
     witnesses = refuted = 0
     for kind_pos, kind in enumerate(("v1", "v2", "v0")):
-        for i in range(per_family):
+        for i in range(50):
             rng = rng_for(seed * 1000 + 11, kind_pos * 1000 + i)
             n = int(rng.integers(3, 7))
             d = sm.c2_generator(rng, n, kind=kind)
@@ -457,7 +457,7 @@ def criterion_11(seed, per_family=50, classify_count=100):
             if (r or 0) >= 2:
                 witnesses += 1
                 refuted += not bad
-    for i in range(classify_count):
+    for i in range(100):
         rng = rng_for(seed * 1000 + 11, 50000 + i)
         n = int(rng.integers(3, 7))
         kind = ("v1", "v2", "v0")[i % 3]

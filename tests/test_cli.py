@@ -174,6 +174,39 @@ def test_numeric_failures_exit_1_with_json(tmp_path, capsys, monkeypatch,
     assert payload["message"]
 
 
+def overflow_specs():
+    # lambda, v and A of order 1e200: every Jacobi residual is NaN
+    aa = {"schema": "lie-hermitian/v1", "n": 2, "family": "almost_abelian",
+          "payload": {"lambda": 1e200, "v": [[1e200, 0.0]], "A": [[[-5e199, 0.0]]]}}
+    # a finite Jacobi residual, but curvature and residuals overflow
+    general = {"schema": "lie-hermitian/v1", "n": 3, "family": "general",
+               "payload": {"C": [{"j": 1, "i": 2, "k": 3, "v": [1e200, 0.0]}],
+                           "D": [{"j": 2, "i": 1, "k": 3, "v": [1e200, 0.0]}]}}
+    return {"almost_abelian": aa, "general": general}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("family, command, code, error", [
+    ("almost_abelian", "check", 3, "InvalidAlgebra"),
+    ("almost_abelian", "tensors", 3, "InvalidAlgebra"),
+    ("almost_abelian", "classify", 3, "IntegrabilityViolation"),
+    ("general", "check", 1, "NonFiniteValue"),
+    ("general", "tensors", 1, "NonFiniteValue"),
+    ("general", "classify", 2, "ParameterDomain"),
+])
+def test_overflowing_specs_exit_with_json_error(tmp_path, capsys, family, command,
+                                                code, error):
+    path = write(tmp_path, "big.json", overflow_specs()[family])
+    assert cli.main([command, path]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == error
+    if error == "IntegrabilityViolation":
+        # the NaN residual matrices cannot ride along in JSON
+        assert payload["residuals"] is None
+
+
 @pytest.mark.parametrize("command", ["check", "tensors", "classify"])
 def test_unwritable_output_exits_1_with_json(tmp_path, capsys, command):
     path = write(tmp_path, "v1.json", btpv1_spec())
@@ -345,6 +378,14 @@ def test_sample_btpv0_counts_rank_two_as_refuted_witness(tmp_path, capsys, monke
     assert rep["tallies"]["rank_obstruction"] == {"pass": 1, "fail": 0}
     assert rep["tallies"]["torsion_parallel"] == {"pass": 4, "fail": 0}
     assert rep["tallies"]["classify_roundtrip"] == {"pass": 5, "fail": 0}
+
+
+@pytest.mark.parametrize("argv", [["sample", "general"], ["verify"]])
+def test_tol_is_not_a_flag_of_sample_or_verify(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--tol", "1e-3"])
+    assert info.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_sample_count_must_be_positive(capsys):

@@ -18,6 +18,7 @@ import pytest
 from liehermitian import (
     Codim2Data,
     CrossCheckFailure,
+    DimensionMismatch,
     IntegrabilityViolation,
     NegativeLambda,
     NotCompatible,
@@ -136,6 +137,60 @@ def test_embedding_from_almost_abelian():
     pa = property_report(a)["properties"]
     pb = property_report(b)["properties"]
     assert pa == pb
+
+
+def _same_algebra(a, b):
+    # bit for bit, signed zeros included
+    for x, y in ((a.C, b.C), (a.D, b.D), (a.tol, b.tol), (a.jacobi, b.jacobi)):
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.tobytes() == y.tobytes()
+
+
+def test_almost_abelian_is_the_codim2_assembly():
+    from liehermitian import AlmostAbelianData, build_almost_abelian
+    for i in range(40):
+        rng = rng_for(71, i)
+        n = 2 + i % 5
+        d = aa_random(rng, n, unimodular=bool(i % 3 == 0))
+        if i % 2:
+            d = AlmostAbelianData(n=n, lam=-abs(d.lam), v=d.v, A=d.A)
+        a = build_almost_abelian(d)
+        if d.lam >= 0.0:
+            _same_algebra(a, build_codim2(from_almost_abelian(d)))
+        else:
+            C = np.zeros((n, n, n), dtype=complex)
+            D = np.zeros((n, n, n), dtype=complex)
+            D[0, 0, 0] = d.lam
+            D[0, 1:, 0] = d.v
+            D[1:, 1:, 0] = d.A.T
+            C[1:, 0, 1:] = -np.conj(d.A)
+            C[1:, 1:, 0] = np.conj(d.A)
+            _same_algebra(a, make_algebra(n, C, D, tol=d.tol))
+
+
+@pytest.mark.parametrize("family, fields, error", [
+    ("aa", dict(n=1), DimensionMismatch),
+    ("aa", dict(lam=1.0j), ParameterDomain),
+    ("aa", dict(v=zeros(1)[0]), DimensionMismatch),
+    ("aa", dict(A=zeros(3)), DimensionMismatch),
+    ("c2", dict(n=1, lam=-1.0), DimensionMismatch),
+    ("c2", dict(lam=-1.0 + 1.0j), ParameterDomain),
+    ("c2", dict(lam=-1.0, v=zeros(1)[0]), NegativeLambda),
+    ("c2", dict(lam=-1.0, X=zeros(3)), NegativeLambda),
+    ("c2", dict(v=zeros(3)[0]), DimensionMismatch),
+    ("c2", dict(Y=zeros(1)), DimensionMismatch),
+    ("c2", dict(Z=np.zeros(4, dtype=complex)), DimensionMismatch),
+])
+def test_malformed_family_data_error_classes(family, fields, error):
+    from liehermitian import AlmostAbelianData
+    base = dict(n=3, lam=1.0, v=np.zeros(2, dtype=complex))
+    if family == "aa":
+        make, base["A"] = AlmostAbelianData, zeros(2)
+    else:
+        make = Codim2Data
+        base.update(X=zeros(2), Y=zeros(2), Z=zeros(2))
+    with pytest.raises(error):
+        make(**dict(base, **fields))
 
 
 def test_rotation_matches_frame_change():

@@ -1,0 +1,62 @@
+"""Static hygiene of the package source, read with the ast module.
+
+Every module of ``src/liehermitian`` except ``__init__.py`` (whose
+imports are the public re-exports) must use each of its module-level
+imports, and each of its module-level functions and classes must be
+referenced somewhere in ``src/``, ``tests/``, ``demos/`` or ``bench/``
+outside its own definition.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "liehermitian"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _names(node):
+    """Identifiers a subtree refers to, one per occurrence: names,
+    attribute names and imported names."""
+    found = Counter()
+    for item in ast.walk(node):
+        if isinstance(item, ast.Name):
+            found[item.id] += 1
+        elif isinstance(item, ast.Attribute):
+            found[item.attr] += 1
+        elif isinstance(item, ast.alias):
+            found[item.name.split(".")[-1]] += 1
+    return found
+
+
+def _sources():
+    for folder in ("src", "tests", "demos", "bench"):
+        yield from sorted((ROOT / folder).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_level_imports_are_used(path):
+    tree = _tree(path)
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = sorted(bound - loaded)
+    assert not unused, "%s imports %s without using them" % (path.name, unused)
+
+
+def test_module_level_definitions_are_referenced():
+    everywhere = sum((_names(_tree(path)) for path in _sources()), Counter())
+    unreferenced = ["%s.%s" % (path.stem, node.name)
+                    for path in MODULES for node in _tree(path).body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and everywhere[node.name] <= _names(node)[node.name]]
+    assert not unreferenced, "never referenced: %s" % unreferenced
