@@ -374,11 +374,9 @@ def del_delbar_residual(alg, k):
         shift = ptr[live] + count - end  # plan entry minus position, per live row
         signed = np.concatenate((x, -x))
         x = np.zeros(size, dtype=complex)
-        fits = not live.size or end[-1] <= _GRID
         a = 0
         while a < live.size:
-            b = live.size if fits else max(
-                a + 1, int(np.searchsorted(end, end[a] - count[a] + _GRID, "right")))
+            b = max(a + 1, int(np.searchsorted(end, end[a] - count[a] + _GRID, "right")))
             e = np.arange(end[a] - count[a], end[b - 1]) + np.repeat(shift[a:b], count[a:b])
             w = signed[src[e]] * np.repeat(coef[live[a:b]], count[a:b])
             slot = out[e]

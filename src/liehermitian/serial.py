@@ -295,11 +295,12 @@ def spec_from_data(data):
     data goes out as "codim2": generators are gauge choices, the stored
     matrices are the ground truth.
     """
-    family = {make: f for f, make in _FAMILY_DATA.items()}.get(type(data))
-    if family is not None:
-        payload = {"lambda": data.lam, "v": cvec(data.v)}
-        payload.update((b, cmat(getattr(data, b))) for b in data.BLOCKS)
-        out = {"schema": SCHEMA, "n": data.n, "family": family, "payload": payload}
+    for family, make in _FAMILY_DATA.items():
+        if isinstance(data, make):
+            payload = {"lambda": data.lam, "v": cvec(data.v)}
+            payload.update((b, cmat(getattr(data, b))) for b in data.BLOCKS)
+            out = {"schema": SCHEMA, "n": data.n, "family": family, "payload": payload}
+            break
     else:
         # Algebra: dense C and D go out sparsely.
         out = {
