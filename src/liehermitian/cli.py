@@ -20,6 +20,7 @@ Each refusal writes a JSON error to stderr and nothing to stdout.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -236,15 +237,23 @@ def cmd_classify(args):
         raise ParameterDomain(
             "classification expects a codimension-two family; "
             "rebuild the spec with an explicit family")
+    flip = family == "almost_abelian" and data.lam < 0.0
+    if flip:
+        # the unitary frame change diag(-1, 1, ..., 1) maps (lam, v, A)
+        # to (-lam, v, -A), which meets the codimension-two lam >= 0
+        data = dataclasses.replace(data, lam=-data.lam, A=-data.A)
     if family == "almost_abelian":
         data = from_almost_abelian(data)
     out = classify_btp(data)
+    if flip:
+        # compose the frame with diag(-1, 1, ..., 1); 0.0 - x keeps zeros unsigned
+        out["frame"][:, 0] = 0.0 - out["frame"][:, 0]
     report = serial.report_header("classify", tol=data.tol)
     report["input"] = spec
     report["classification"] = {
         "family": out["family"],
         "params": out["params"],
-        "frame": serial.cmat(out["frame"]) if out["frame"] is not None else None,
+        "frame": serial.cmat(out["frame"]),
         "residuals": out["residuals"],
     }
     _emit(serial.jsonable(report), args)

@@ -599,13 +599,20 @@ def diagonalize_normal(M):
     from normality.  Eigenvalues come sorted by descending real part,
     ties broken by descending imaginary part; eigenvector phases are
     normalized so the first significant component is positive real.
+
+    The Schur vectors are recovered from LAPACK's general eigensolver:
+    zgeev reduces M to Schur form T = Q* M Q first and returns the
+    eigenvectors Q Y, with Y upper triangular, so the QR factor of the
+    eigenvector matrix is Q up to column phases.  For normal M the Schur
+    form is diagonal, which makes Q unitary and Q* M Q diagonal even
+    when eigenvalues repeat, and the eigenvalues zgeev returns are the
+    diagonal of T.
     """
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return np.zeros(0, dtype=complex), np.zeros((0, 0), dtype=complex)
-    import scipy.linalg  # deferred: loading scipy costs more than a report
-    T, Q = scipy.linalg.schur(M, output="complex")
-    vals = np.diag(T).copy()
+    vals, V = np.linalg.eig(M)
+    Q = np.linalg.qr(V)[0]
     order = _eig_order(vals)
     return vals[order], _fix_column_phases(Q[:, order])
 
@@ -868,8 +875,9 @@ def spectrum_distance(vals_a, vals_b):
 
     Sorting complex eigenvalues is unstable when real parts tie (an
     all-imaginary spectrum plus rounding noise permutes freely), so the
-    comparison pairs the two lists by a minimal-cost assignment and
-    returns the largest matched gap.
+    comparison pairs the two lists by a minimal-sum assignment of the
+    gaps |a_i - b_j| (:func:`_assignment`) and returns the largest
+    matched gap.
     """
     a = np.asarray(vals_a, dtype=complex).reshape(-1)
     b = np.asarray(vals_b, dtype=complex).reshape(-1)
@@ -877,10 +885,62 @@ def spectrum_distance(vals_a, vals_b):
         raise ValueError("spectra must have equal length")
     if a.size == 0:
         return 0.0
-    import scipy.optimize  # deferred, like scipy.linalg in diagonalize_normal
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    if not np.isfinite(cost).all():
+        raise ValueError("spectra must be finite")
+    cost = cost.tolist()
+    return max(row[j] for row, j in zip(cost, _assignment(cost)))
+
+
+def _assignment(cost):
+    """Column assigned to each row by a minimal-sum assignment of the
+    square matrix ``cost`` (a list of lists of floats).
+
+    The Hungarian method with shortest augmenting paths: rows enter one
+    at a time, and each is matched by a Dijkstra search over reduced
+    costs ``cost[i][j] - u[i] - v[j]``, which the potentials u, v keep
+    nonnegative.  O(m^3) steps on Python floats, which beat numpy calls
+    at the spectrum sizes met here (m <= 15).  Column 0 is a virtual
+    column that holds the row being inserted.
+    """
+    m = len(cost)
+    inf = float("inf")
+    u = [0.0] * (m + 1)
+    v = [0.0] * (m + 1)
+    col_row = [0] * (m + 1)  # 1-based row matched to each column, 0 if free
+    for i in range(1, m + 1):
+        col_row[0] = i
+        j0 = 0
+        dist = [inf] * (m + 1)
+        prev = [0] * (m + 1)
+        done = [False] * (m + 1)
+        while col_row[j0]:
+            done[j0] = True
+            i0 = col_row[j0]
+            row, ui = cost[i0 - 1], u[i0]
+            delta, j1 = inf, 0
+            for j in range(1, m + 1):
+                if not done[j]:
+                    r = row[j - 1] - ui - v[j]
+                    if r < dist[j]:
+                        dist[j], prev[j] = r, j0
+                    if dist[j] < delta:
+                        delta, j1 = dist[j], j
+            for j in range(m + 1):
+                if done[j]:
+                    u[col_row[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = prev[j0]
+            col_row[j0] = col_row[j1]
+            j0 = j1
+    cols = [0] * m
+    for j in range(1, m + 1):
+        cols[col_row[j] - 1] = j - 1
+    return cols
 
 
 def _invariants(d):

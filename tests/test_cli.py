@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 
 from liehermitian import cli, hermitian, sampling, serial
-from liehermitian.algebra import change_frame
-from liehermitian.codim2 import build_codim2
+from liehermitian.algebra import change_frame, max_abs
+from liehermitian.almost_abelian import build_almost_abelian
+from liehermitian.codim2 import build_codim2, classify_btp, from_almost_abelian
 from liehermitian.errors import CrossCheckFailure, NotUnimodular, ParseError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -225,9 +226,9 @@ def test_unwritable_output_exits_1_with_json(tmp_path, capsys, command):
     assert not dest.parent.exists()
 
 
-def test_check_loads_no_scipy_and_classify_still_does(tmp_path):
-    # scipy is imported inside the two codim2 functions that use it, so a
-    # fresh `check` process never loads it; `classify` loads it on use.
+def test_check_and_classify_load_no_scipy(tmp_path):
+    # the package has no scipy dependency: neither a fresh `check` nor a
+    # fresh `classify` process loads it
     rng = sampling.rng_for(606, 0)
     d = sampling.c2_hermitian_pair(rng, 4, unimodular=True)
     dense = change_frame(build_codim2(d), sampling.random_unitary(rng, 4))
@@ -239,9 +240,8 @@ def test_check_loads_no_scipy_and_classify_still_does(tmp_path):
         from liehermitian import cli
         general, v1, out = sys.argv[1:]
         assert cli.main(["check", general, "--output", out]) == 0
-        scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
         assert cli.main(["classify", v1, "--output", out]) == 0
-        print(json.dumps(scipy))
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -298,6 +298,26 @@ def test_classify_almost_abelian_embeds(tmp_path, capsys):
     code, rep = run_json(capsys, ["classify", path])
     assert code == 0
     assert rep["classification"]["family"] == "Kahler"
+
+
+def test_classify_almost_abelian_negative_lambda(tmp_path, capsys):
+    # the unitary frame change diag(-1, 1, ..., 1) maps (lam, v, A) to
+    # (-lam, v, -A); classify answers for lam < 0, and its frame carries
+    # the input algebra to the normal form of the flipped data
+    d = sampling.aa_random(sampling.rng_for(101, 1), 5, unimodular=True)
+    assert d.lam < 0.0
+    path = write(tmp_path, "aa.json", serial.jsonable(serial.spec_from_data(d)))
+    code, rep = run_json(capsys, ["classify", path])
+    assert code == 0
+    flipped = from_almost_abelian(dataclasses.replace(d, lam=-d.lam, A=-d.A))
+    out = classify_btp(flipped)
+    got = rep["classification"]
+    assert got["family"] == out["family"]
+    frame = np.array(got["frame"])
+    moved = change_frame(build_almost_abelian(d), frame[..., 0] + 1j * frame[..., 1])
+    normal = change_frame(build_codim2(flipped), out["frame"])
+    assert max_abs(moved.C - normal.C) <= 1e-12
+    assert max_abs(moved.D - normal.D) <= 1e-12
 
 
 def test_classify_general_rejected(tmp_path, capsys):

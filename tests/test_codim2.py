@@ -535,3 +535,66 @@ def test_spectrum_distance_handles_permutation():
 def test_spectrum_distance_shape_check():
     with pytest.raises(ValueError):
         spectrum_distance(np.array([1.0]), np.array([1.0, 2.0]))
+
+
+def test_spectrum_distance_refuses_non_finite():
+    with pytest.raises(ValueError):
+        spectrum_distance(np.array([np.nan, 1.0]), np.array([1.0, 2.0]))
+
+
+# --------------------------------------------- numpy routines, scipy oracle
+
+
+def _normal_draws():
+    """Normal matrices at m = 1..15: random spectra, clusters of repeated
+    zero eigenvalues, and Chern-flat Y (aa_chern_flat's shape) whose
+    eigenvalues repeat in groups."""
+    rng = rng_for(880, 0)
+    for m in range(1, 16):
+        for _ in range(4):
+            Q = random_unitary(rng, m)
+            random = cgauss(rng, m)
+            zeros = cgauss(rng, m)
+            zeros[: int(rng.integers(1, m + 1))] = 0.0
+            sizes = rng.multinomial(m, [1.0 / 3] * 3)
+            grouped = np.repeat(cgauss(rng, 3), sizes)
+            grouped = grouped - grouped.real.mean()
+            for mu in (random, zeros, grouped):
+                yield Q @ np.diag(mu) @ Q.conj().T
+
+
+def test_diagonalize_normal_matches_schur():
+    linalg = pytest.importorskip("scipy.linalg")
+    for M in _normal_draws():
+        vals, Q = C2.diagonalize_normal(M)
+        diag = np.diag(linalg.schur(M, output="complex")[0])
+        assert np.array_equal(vals, diag[C2._eig_order(diag)])
+        assert max_abs(Q.conj().T @ Q - np.eye(len(M))) <= 1e-13
+        assert max_abs(Q.conj().T @ M @ Q - np.diag(vals)) <= 1e-13 * max(1.0, max_abs(M))
+
+
+def test_spectrum_distance_matches_linear_sum_assignment():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = rng_for(881, 0)
+    for m in range(1, 16):
+        for _ in range(4):
+            a = cgauss(rng, m)
+            pool = cgauss(rng, 3)
+            tied = rng.choice(pool, m)
+            lattice = np.round(2.0 * cgauss(rng, (2, m)))
+            for x, y, unique in ((a, cgauss(rng, m), True),
+                                 (a, rng.permutation(a), True),
+                                 (a, rng.permutation(a) + 1e-9 * cgauss(rng, m), True),
+                                 (tied, rng.choice(pool, m), True),
+                                 (lattice[0], lattice[1], False)):
+                cost = np.abs(x[:, None] - y[None, :])
+                rows, cols = optimize.linear_sum_assignment(cost)
+                mine = C2._assignment(cost.tolist())
+                assert sorted(mine) == list(range(m))
+                assert cost[range(m), mine].sum() == pytest.approx(
+                    cost[rows, cols].sum(), rel=1e-13, abs=1e-13)
+                # on the Gaussian integers distinct assignments can tie in
+                # sum, so the largest gap of "the" optimum is not defined
+                if unique:
+                    assert spectrum_distance(x, y) == cost[rows, cols].max()
+            assert spectrum_distance(a, rng.permutation(a)) == 0.0

@@ -4,7 +4,8 @@ Every module of ``src/liehermitian`` except ``__init__.py`` (whose
 imports are the public re-exports) must use each of its module-level
 imports, and each of its module-level functions and classes must be
 referenced somewhere in ``src/``, ``tests/``, ``demos/`` or ``bench/``
-outside its own definition.
+outside its own definition.  No module of the package imports scipy,
+which is a test-only dependency.
 """
 
 import ast
@@ -60,3 +61,13 @@ def test_module_level_definitions_are_referenced():
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and everywhere[node.name] <= _names(node)[node.name]]
     assert not unreferenced, "never referenced: %s" % unreferenced
+
+
+def test_package_does_not_import_scipy():
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path in sorted(PACKAGE.rglob("*.py")) for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Import)
+             and any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] == "scipy"]
+    assert not found, "scipy imported at %s" % found
