@@ -80,7 +80,6 @@ from .almost_abelian import (
     AlmostAbelianData,
     aa_report,
     aa_residuals,
-    aa_scalars,
     aa_astheno_profile,
     build_almost_abelian,
     extract_almost_abelian,

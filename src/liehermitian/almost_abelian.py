@@ -5,11 +5,12 @@ spans its orthogonal complement, the whole algebra is encoded by a real
 number ``lam``, a vector ``v`` of length n-1 and an (n-1) x (n-1) matrix
 ``A``.  The Jacobi identity holds for every choice of these parameters,
 so the family is a free parameter space.  It is the slice Z = 0,
-X = -A*, Y = A of the codimension-two family, and its data is validated
-and assembled by the code of :mod:`liehermitian.codim2`, with any real
-lam allowed.  Each geometric predicate of the resulting Hermitian
-algebra collapses to a small matrix equation in (lam, v, A); those
-closed forms live here.
+X = -A*, Y = A of the codimension-two family, whose code validates,
+assembles and evaluates it, with any real lam allowed: the shared
+predicates and the Chern scalars come from the closed forms of
+:mod:`liehermitian.codim2` read on those blocks.  What codimension one
+adds lives here: nilpotency, the Chern-Kaehler-like, BTP and BKL
+conditions and the eigenvalue profile of the astheno-Kaehler condition.
 
 Every boolean produced by :func:`aa_report` is recomputed through the
 generic tensor engine.  A disagreement raises
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import is_nilpotent, max_abs, require_ideal_pattern
-from .codim2 import aa_blocks, assemble, freeze_fields
+from .codim2 import assemble, c2_residuals, c2_scalars, freeze_fields
 from .errors import NotAstheno, ParameterDomain, PatternMismatch
 from . import hermitian
 
@@ -35,7 +36,8 @@ class AlmostAbelianData:
     (through the conjugate), ``v`` couples the transverse direction to
     the ideal and ``A`` is the action on the ideal.  ``tol`` is the
     comparison tolerance used by every predicate; ``None`` selects a
-    scale-aware default.
+    scale-aware default.  The read-only ``X``, ``Y`` and ``Z`` are the
+    codimension-two blocks (-A*, A, 0) of the same algebra.
     """
 
     BLOCKS = ("A",)
@@ -48,6 +50,10 @@ class AlmostAbelianData:
 
     def __post_init__(self):
         freeze_fields(self, nonnegative=False)
+
+    X = property(lambda self: -self.A.conj().T)
+    Y = property(lambda self: self.A)
+    Z = property(lambda self: np.zeros(self.A.shape, dtype=complex))
 
 
 def build_almost_abelian(d):
@@ -63,7 +69,7 @@ def build_almost_abelian(d):
     for 2 <= i, j <= n, together with the antisymmetric mirror of C.
     Any real lam is allowed here, negative included.
     """
-    return assemble(d.n, d.lam, d.v, *aa_blocks(d.A), d.tol)
+    return assemble(d.n, d.lam, d.v, d.X, d.Y, d.Z, d.tol)
 
 
 def extract_almost_abelian(a):
@@ -89,10 +95,6 @@ def extract_almost_abelian(a):
     return AlmostAbelianData(n=a.n, lam=lam, v=v, A=A, tol=a.tol)
 
 
-def _hermitian_double(A):
-    return A + A.conj().T
-
-
 def trace_sum(A):
     """tr A + conj(tr A), the doubled real part of the trace."""
     return float(2.0 * np.trace(A).real)
@@ -104,31 +106,24 @@ def aa_residuals(d):
     Each entry is a nonnegative number; the predicate holds exactly when
     the residual vanishes, and numerically when it stays below the data
     tolerance.  ``None`` marks a predicate with no content at this n.
+    The predicates of :func:`~liehermitian.codim2.c2_residuals` come
+    from it.
     """
     n, lam, v, A = d.n, d.lam, d.v, d.A
     m = n - 1
-    H = _hermitian_double(A)
-    h = trace_sum(A)
-    vmax = max_abs(v)
+    H = A + A.conj().T
     comm = A @ A.conj().T - A.conj().T @ A
 
     nilp_scale = (1.0 + max_abs(A)) ** m
-    nilpotent = max(abs(lam), max_abs(np.linalg.matrix_power(A, m)) / nilp_scale)
-
-    res = {
-        "nilpotent": nilpotent,
-        "unimodular": abs(lam + h),
-        "kaehler": max(vmax, max_abs(H)),
-        "balanced": max(vmax, abs(h)),
-        "pluriclosed": max_abs(H @ A + A.conj().T @ H + lam * H),
-        "chern_flat": max(abs(lam), vmax, max_abs(comm)),
-        "chern_kaehler_like": max(
+    res = c2_residuals(d)
+    res.update(
+        nilpotent=max(abs(lam), max_abs(np.linalg.matrix_power(A, m)) / nilp_scale),
+        chern_kaehler_like=max(
             max_abs(A.conj().T @ v),
             max_abs(np.outer(v, np.conj(v)) + comm - lam * H),
         ),
-        "btp": max(max_abs(H), max_abs(A @ v)),
-        "cyt": max(max_abs(A.conj().T @ v), abs(2.0 * np.dot(v, np.conj(v)).real + lam * (2.0 * lam - h))),
-    }
+        btp=max(max_abs(H), max_abs(A @ v)),
+    )
     res["bkl"] = max(res["btp"], res["pluriclosed"])
     if n >= 4:
         prof = _astheno_profile(d)
@@ -208,15 +203,6 @@ def aa_astheno_profile(d):
     return k, h, comm_res
 
 
-def aa_scalars(d):
-    """Chern scalar curvatures of the family, valid for any parameters."""
-    lam, v = d.lam, d.v
-    h = trace_sum(d.A)
-    s = -lam * (2.0 * lam + h)
-    s_hat = -2.0 * lam * lam - float(np.vdot(v, v).real)
-    return s, s_hat
-
-
 def aa_report(d):
     """Predicates, scalars and eigenvalue data for one parameter triple.
 
@@ -243,8 +229,8 @@ def aa_report(d):
         res,
         dict(engine["residuals"], nilpotent=float(not nilp_engine)),
     )
-    s, s_hat = aa_scalars(d) if unimodular else (None, None)
-    scalars = {"s": s, "s_hat": s_hat}
+    scal = c2_scalars(d)
+    scalars = {key: scal[key] if unimodular else None for key in ("s", "s_hat")}
     hermitian.cross_check(scalars, engine["scalars"], tol)
 
     eigs = np.sort_complex(np.linalg.eigvals(d.A))

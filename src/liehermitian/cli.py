@@ -260,9 +260,6 @@ def cmd_classify(args):
     return EXIT_OK
 
 
-_SAMPLE_FAMILIES = ("general", "almost_abelian", "codim2", "btpv1", "btpv2", "btpv0")
-
-
 def _sample_general(rng):
     a = sm.random_general(rng, int(rng.integers(2, 5)))
     bound = 10.0 * a.tol
@@ -431,7 +428,7 @@ def build_parser():
         p.set_defaults(func=func)
 
     p = sub.add_parser("sample", help="seeded random invariant suites")
-    p.add_argument("family", choices=_SAMPLE_FAMILIES)
+    p.add_argument("family", choices=tuple(_SAMPLERS))
     p.add_argument("--count", type=int, default=20)
     _common_flags(p, seed_default=0)
     p.set_defaults(func=cmd_sample)

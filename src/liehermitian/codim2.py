@@ -9,9 +9,12 @@ pair of quadratic matrix equations checked by
 :func:`integrability_residuals`.
 
 The codimension-one family of :mod:`liehermitian.almost_abelian` is
-the slice Z = 0, X = -A*, Y = A (:func:`aa_blocks`), so both families
-share one parameter model kept here: the field validation of
-:func:`freeze_fields` and the (C, D) assembly of :func:`assemble`.
+the slice Z = 0, X = -A*, Y = A, and its data exposes those blocks, so
+both families share one parameter model kept here: the field validation
+of :func:`freeze_fields`, the (C, D) assembly of :func:`assemble`, and
+the one closed form of each shared predicate and scalar in
+:func:`c2_residuals` and :func:`c2_scalars`, valid for either sign of
+lam.
 
 Besides the closed-form predicates and curvature blocks, this module
 carries the torsion-parallel machinery: the residual system of
@@ -198,20 +201,14 @@ def extract_codim2(a):
     )
 
 
-def aa_blocks(A):
-    """The codimension-one family inside this one: X = -A*, Y = A, Z = 0."""
-    return -A.conj().T, A, np.zeros(A.shape, dtype=complex)
-
-
 def from_almost_abelian(d):
-    """Embed codimension-one data into this family through :func:`aa_blocks`.
+    """Embed codimension-one data into this family as its slice blocks.
 
     The embedding is always integrable.  It requires lam >= 0, matching
     the frame convention here; data with negative lam raises
     NegativeLambda.
     """
-    X, Y, Z = aa_blocks(d.A)
-    return Codim2Data(n=d.n, lam=d.lam, v=d.v, X=X, Y=Y, Z=Z, tol=d.tol)
+    return Codim2Data(n=d.n, lam=d.lam, v=d.v, X=d.X, Y=d.Y, Z=d.Z, tol=d.tol)
 
 
 def c2_scalars(d):
@@ -276,7 +273,7 @@ def c2_bismut_blocks(d):
 
 
 def c2_residuals(d):
-    """Closed-form residuals of the standard predicates."""
+    """Closed-form residuals of the standard predicates, for any real lam."""
     lam, v, X, Y, Z = d.lam, d.v, d.X, d.Y, d.Z
     Xs = X.conj().T
     Ys = Y.conj().T
@@ -297,7 +294,7 @@ def c2_residuals(d):
         "kaehler": max(vmax, max_abs(Z.T - Z), max_abs(X - Y)),
         "pluriclosed": max_abs(skt),
         "chern_flat": max(
-            lam,
+            abs(lam),
             vmax,
             max_abs(Z),
             max_abs(Y @ Ys - Ys @ Y),
@@ -422,7 +419,7 @@ def c2_btp_residuals(d):
             max_abs(X @ Am + Am @ X.T - lam * Am),
             max_abs(Xs @ Am + Am @ np.conj(X) - lam * Am),
         ),
-        "unimodular": abs(lam + tB),
+        "unimodular": c2_unimodularity_defect(d),
     }
 
 
@@ -846,7 +843,7 @@ def classify_btp(d):
                     max_abs((cur.Y - cur.X)[:r, 2 * r :]), check)
         z = np.array(cur.Z[:r, r : 2 * r])
         b = np.array((cur.Y - cur.X)[:r, r : 2 * r])
-        Uf, S, Vf, Wf = paired_takagi_factor(b, z, tol=max(10.0 * tol, check / 10.0))
+        Uf, S, Vf, Wf = paired_takagi_factor(b, z, tol=10.0 * tol)
         U = _block_unitary(Uf.conj().T, Vf.conj().T, np.eye(m - 2 * r))
         cur = rotate_codim2(cur, U)
         frame = U @ frame

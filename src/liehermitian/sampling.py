@@ -185,12 +185,12 @@ def aa_nilpotent(rng, n):
                              A=Q @ N @ Q.conj().T)
 
 
-def aa_chern_flat(rng, n, unimodular=True):
+def aa_chern_flat(rng, n):
+    """Unimodular Chern-flat sample: lam = 0, v = 0, A normal, tr A imaginary."""
     m = n - 1
     Q = random_unitary(rng, m)
     mu = cgauss(rng, m)
-    if unimodular:
-        mu = mu - mu.real.mean()
+    mu = mu - mu.real.mean()
     A = Q @ np.diag(mu) @ Q.conj().T
     return AlmostAbelianData(n=n, lam=0.0, v=np.zeros(m, dtype=complex), A=A)
 

@@ -28,7 +28,6 @@ from .algebra import max_abs
 from .almost_abelian import (
     aa_report,
     aa_residuals,
-    aa_scalars,
     aa_astheno_profile,
     build_almost_abelian,
     spectral_pluriclosed_residual,
@@ -38,6 +37,7 @@ from .codim2 import (
     build_codim2,
     c2_btp_residuals,
     c2_report,
+    c2_scalars,
     chern_flat_normal_form,
     classify_btp,
     paired_takagi_factor,
@@ -101,10 +101,10 @@ class _Collector:
         return rep
 
 
-def _result(number, slug, title, col, detail=""):
+def _result(number, title, col, detail=""):
     return CriterionResult(
         number=number,
-        slug=slug,
+        slug=SLUGS[number],
         title=title,
         passed=not col.failures,
         checks=col.checks,
@@ -139,33 +139,33 @@ def _unimodular_algebra(rng, index):
     return build_codim2(sm.c2_random(rng, n + 1, unimodular=True))
 
 
-def criterion_1(seed, count=200):
+def criterion_1(seed):
     """Jacobi residual and d-squared on generators vanish together."""
     col = _Collector()
-    for i in range(count):
+    for i in range(200):
         rng = rng_for(seed * 1000 + 1, i)
         a, _ = _mixed_algebra(rng, i)
         bound = 10.0 * a.tol
         dd = forms.d_squared_residual(a)
         agree = (a.jacobi_max <= bound) == (dd <= bound)
         col.ok(agree, "draw %d: jacobi %.3e vs d^2 %.3e disagree" % (i, a.jacobi_max, dd))
-    return _result(1, "duality", "bracket Jacobi residual matches d^2 on generators", col)
+    return _result(1, "bracket Jacobi residual matches d^2 on generators", col)
 
 
-def criterion_2(seed, count=200):
+def criterion_2(seed):
     """Unimodular draws satisfy the top-degree del-delbar identity."""
     col = _Collector()
-    for i in range(count):
+    for i in range(200):
         a = _unimodular_algebra(rng_for(seed * 1000 + 2, i), i)
         col.near(forms.del_delbar_residual(a, a.n - 1),
                  "draw %d" % i, 10.0 * a.tol)
-    return _result(2, "gauduchon", "del delbar of omega^(n-1) vanishes when unimodular", col)
+    return _result(2, "del delbar of omega^(n-1) vanishes when unimodular", col)
 
 
-def criterion_3(seed, count=200):
+def criterion_3(seed):
     """Pluriclosed tensor and the forms engine agree exactly."""
     col = _Collector()
-    for i in range(count):
+    for i in range(200):
         rng = rng_for(seed * 1000 + 3, i)
         a, valid = _mixed_algebra(rng, i)
         if valid is None and a.jacobi_max > a.tol:
@@ -176,28 +176,28 @@ def criterion_3(seed, count=200):
         dd = forms.del_delbar_residual(a, 1)
         col.ok((tens <= bound) == (dd <= bound),
                "boolean draw %d: tensor %.3e vs form %.3e" % (i, tens, dd))
-    return _result(3, "skt-agreement", "pluriclosed tensor equals the del-delbar coefficients", col)
+    return _result(3, "pluriclosed tensor equals the del-delbar coefficients", col)
 
 
-def criterion_4(seed, count=100):
+def criterion_4(seed):
     """Scalar curvature values on unimodular codim-1 data."""
     col = _Collector()
-    for i in range(count):
+    for i in range(100):
         rng = rng_for(seed * 1000 + 4, i)
         n = int(rng.integers(2, 6))
         d = sm.aa_random(rng, n, unimodular=True)
-        s_closed, s_hat_closed = aa_scalars(d)
+        scal = c2_scalars(d)
         a = build_almost_abelian(d)
         bound = 10.0 * a.tol
-        col.near(abs(s_closed + d.lam ** 2), "s draw %d" % i, bound)
-        col.near(abs(s_hat_closed + 2.0 * d.lam ** 2 + float(np.vdot(d.v, d.v).real)),
+        col.near(abs(scal["s"] + d.lam ** 2), "s draw %d" % i, bound)
+        col.near(abs(scal["s_hat"] + 2.0 * d.lam ** 2 + float(np.vdot(d.v, d.v).real)),
                  "s_hat draw %d" % i, bound)
         s_eng = hermitian.scalar_s(a)
-        col.near(max(abs(s_eng[0] - s_closed), abs(s_eng[1] - s_closed)),
+        col.near(max(abs(s_eng[0] - scal["s"]), abs(s_eng[1] - scal["s"])),
                  "engine s draw %d" % i, bound)
-        col.near(abs(hermitian.scalar_s_hat(a) - s_hat_closed),
+        col.near(abs(hermitian.scalar_s_hat(a) - scal["s_hat"]),
                  "engine s_hat draw %d" % i, bound)
-    return _result(4, "aa-scalars", "codim-1 scalar curvature closed forms", col)
+    return _result(4, "codim-1 scalar curvature closed forms", col)
 
 
 def criterion_5(seed):
@@ -228,18 +228,18 @@ def criterion_5(seed):
             d = sm.aa_normal_matrix(rng, n, unimodular=bool(i % 2))
         else:
             d = sm.aa_random(rng, n, unimodular=bool(i % 2))
-        tol10 = 10.0 * build_almost_abelian(d).tol
+        tol10 = 10.0 * d.tol
         mat = aa_residuals(d)["pluriclosed"]
         spec = spectral_pluriclosed_residual(d)
         col.ok((mat <= tol10) == (spec <= tol10),
                "formulations draw %d: matrix %.3e spectral %.3e" % (i, mat, spec))
-    return _result(5, "aa-booleans", "codim-1 closed-form predicates match the engine", col)
+    return _result(5, "codim-1 closed-form predicates match the engine", col)
 
 
-def criterion_6(seed, count=100):
+def criterion_6(seed):
     """Torsion-parallel condition on codim-1 data: projection and refutation."""
     col = _Collector()
-    for i in range(count):
+    for i in range(100):
         rng = rng_for(seed * 1000 + 6, i)
         n = int(rng.integers(2, 6))
         d = sm.aa_btp(rng, n)
@@ -248,10 +248,9 @@ def criterion_6(seed, count=100):
             eng = rep["engine"]["properties"]
             col.ok(eng["btp"] and eng["bkl"], "projected draw %d not parallel (btp=%s bkl=%s)"
                    % (i, eng["btp"], eng["bkl"]))
-        H2 = d.A + d.A.conj().T
-        col.ok(max(max_abs(H2), max_abs(d.A @ d.v)) <= 10.0 * build_almost_abelian(d).tol,
+        col.ok(aa_residuals(d)["btp"] <= 10.0 * d.tol,
                "projected draw %d: constraint drifted" % i)
-    for i in range(count):
+    for i in range(100):
         rng = rng_for(seed * 1000 + 6, 10000 + i)
         n = int(rng.integers(2, 6))
         d = sm.aa_btp_perturbed(rng, n)
@@ -261,10 +260,10 @@ def criterion_6(seed, count=100):
                    "perturbed draw %d still parallel" % i)
         col.ok(aa_residuals(d)["btp"] >= 0.1,
                "perturbed draw %d residual too small" % i)
-    return _result(6, "aa-btp", "skew-torsion parallelism constraint surface", col)
+    return _result(6, "skew-torsion parallelism constraint surface", col)
 
 
-def criterion_7(seed, count=200):
+def criterion_7(seed):
     """Astheno condition coincides with pluriclosed in low dimension.
 
     The equality holds for unimodular data only, so it is asserted on
@@ -275,7 +274,7 @@ def criterion_7(seed, count=200):
     """
     col = _Collector()
     astheno_seen = 0
-    for i in range(count):
+    for i in range(200):
         rng = rng_for(seed * 1000 + 7, i)
         n = 4 + (i % 2)
         if i % 3 == 0:
@@ -300,7 +299,7 @@ def criterion_7(seed, count=200):
         except NotAstheno as exc:
             col.ok(False, "draw %d: profile refused an astheno sample (%s)" % (i, exc))
             continue
-        tol10 = 10.0 * build_almost_abelian(d).tol
+        tol10 = 10.0 * d.tol
         col.near(comm, "draw %d commutator" % i, tol10)
         col.near(abs(h * (n - 2) + (n - 1 - k) * d.lam), "draw %d trace relation" % i,
                  100.0 * tol10)
@@ -308,8 +307,8 @@ def criterion_7(seed, count=200):
         lo = np.sum(np.abs(re_eigs[:k] - h / 2.0)) if k else 0.0
         hi = np.sum(np.abs(re_eigs[k:] - (d.lam + h) / 2.0))
         col.near(lo + hi, "draw %d eigenvalue split" % i, 100.0 * tol10)
-    detail = "%d astheno positives among %d draws" % (astheno_seen, count)
-    return _result(7, "astheno", "astheno equals pluriclosed at k = n-2 (n = 4, 5)", col, detail)
+    detail = "%d astheno positives among 200 draws" % astheno_seen
+    return _result(7, "astheno equals pluriclosed at k = n-2 (n = 4, 5)", col, detail)
 
 
 def criterion_8(seed, count=200):
@@ -336,19 +335,19 @@ def criterion_8(seed, count=200):
             ckl_flat_agree = False
             col.ok(False, "draw %d: curvature-symmetric without being flat" % i)
     detail = "symmetry class collapses to flat: %s" % ckl_flat_agree
-    return _result(8, "flat-classes", "flatness and curvature-symmetry closed forms", col, detail)
+    return _result(8, "flatness and curvature-symmetry closed forms", col, detail)
 
 
-def criterion_9(seed, count=200):
+def criterion_9(seed):
     """Codim-2 closed-form predicate booleans against the engine, through
     the cross-check of c2_report."""
     col = _Collector()
-    for i in range(count):
+    for i in range(200):
         rng = rng_for(seed * 1000 + 9, i)
         n = int(rng.integers(3, 6))
         d = sm.c2_random(rng, n, unimodular=bool(i % 2), scramble=bool(i % 3))
         col.report(c2_report, d, "draw %d" % i)
-    return _result(9, "c2-booleans", "codim-2 closed-form predicates match the engine", col)
+    return _result(9, "codim-2 closed-form predicates match the engine", col)
 
 
 def criterion_10(seed, count=200):
@@ -380,7 +379,7 @@ def criterion_10(seed, count=200):
         if abs(s) > bound:
             col.ok(np.sign(lead.real) == np.sign(s),
                    "draw %d: trace sign %.3e vs scalar %.3e" % (i, lead.real, s))
-    return _result(10, "c2-curvature", "codim-2 curvature identities and trace blocks", col)
+    return _result(10, "codim-2 curvature identities and trace blocks", col)
 
 
 def _paired_blocks(d, r):
@@ -472,7 +471,7 @@ def criterion_11(seed):
             col.ok(False, "%s: raised %s" % (label, exc))
             continue
         good = out["family"] == expected
-        bound = 10.0 * build_codim2(d).tol
+        bound = 10.0 * d.tol
         if good and expected in ("v1", "v2"):
             good = abs(out["params"]["v2"] - np.linalg.norm(d.v)) <= bound
         if good and expected == "v2":
@@ -488,13 +487,13 @@ def criterion_11(seed):
             refuted += good
     detail = ("%d rank>=2 paired-block draws, %d refuted as the obstruction "
               "predicts, %d unexplained") % (witnesses, refuted, len(col.failures))
-    return _result(11, "btp-families", "torsion-parallel generators and classifier", col, detail)
+    return _result(11, "torsion-parallel generators and classifier", col, detail)
 
 
-def criterion_12(seed, count=200):
+def criterion_12(seed):
     """Paired factorization: invariants on compatible pairs, refusal otherwise."""
     col = _Collector()
-    for i in range(count):
+    for i in range(200):
         rng = rng_for(seed * 1000 + 12, i)
         r = int(rng.integers(1, 5))
         b, z = sm.takagi_compatible_pair(rng, r)
@@ -511,7 +510,7 @@ def criterion_12(seed, count=200):
         col.near(max_abs(W @ Sd - Sd @ W), "draw %d WS commutation" % i, bound)
         col.ok(np.all(np.diff(S) <= 1e-12) and np.all(S > 0),
                "draw %d: S not positive descending" % i)
-    for i in range(count):
+    for i in range(200):
         rng = rng_for(seed * 1000 + 12, 10000 + i)
         r = int(rng.integers(1, 5))
         b, z = sm.takagi_incompatible_pair(rng, r)
@@ -520,7 +519,7 @@ def criterion_12(seed, count=200):
             col.ok(False, "incompatible draw %d accepted" % i)
         except NotCompatible:
             col.ok(True, "")
-    return _result(12, "takagi", "paired symmetric factorization invariants", col)
+    return _result(12, "paired symmetric factorization invariants", col)
 
 
 def _mutation_probe(seed):
@@ -575,7 +574,7 @@ def criterion_13(seed):
         col.ok(bool(broken), "mutation %r went undetected" % name)
         after = _mutation_probe(seed)
         col.ok(not after, "mutation %r leaked out of its scope" % name)
-    return _result(13, "mutation", "sign-flip sensitivity of the conventions", col)
+    return _result(13, "sign-flip sensitivity of the conventions", col)
 
 
 _CRITERIA = {

@@ -8,17 +8,20 @@ from liehermitian import (
     ParameterDomain,
     PatternMismatch,
     aa_report,
-    aa_scalars,
     aa_astheno_profile,
     build_almost_abelian,
+    c2_residuals,
+    c2_scalars,
     extract_almost_abelian,
+    integrability_residuals,
     make_algebra,
     property_report,
     scalar_s,
     scalar_s_hat,
 )
 from liehermitian.almost_abelian import aa_residuals
-from liehermitian.hermitian import sign_mutation
+from liehermitian.codim2 import c2_unimodularity_defect
+from liehermitian.hermitian import decide, sign_mutation
 from liehermitian.algebra import max_abs, unimodularity_defect
 from liehermitian.sampling import (
     aa_balanced,
@@ -27,6 +30,7 @@ from liehermitian.sampling import (
     aa_chern_flat,
     aa_cyt,
     aa_kaehler,
+    aa_normal_matrix,
     aa_nilpotent,
     aa_pluriclosed,
     aa_random,
@@ -79,7 +83,8 @@ def test_scalars_match_engine_when_unimodular(i):
     rng = rng_for(60, 10 + i)
     d = aa_random(rng, int(rng.integers(2, 6)), unimodular=True)
     a = build_almost_abelian(d)
-    s_closed, s_hat_closed = aa_scalars(d)
+    scal = c2_scalars(d)
+    s_closed, s_hat_closed = scal["s"], scal["s_hat"]
     s_engine, s_engine2 = scalar_s(a)
     assert s_closed == pytest.approx(s_engine, abs=100 * a.tol)
     assert s_closed == pytest.approx(s_engine2, abs=100 * a.tol)
@@ -90,9 +95,60 @@ def test_scalar_closed_forms_on_fixed_data():
     # lam = 2, v = (3i,), A = (-1,): unimodular since 2 + 2(-1) = 0.
     d = AlmostAbelianData(n=2, lam=2.0, v=np.array([3.0j]),
                           A=np.array([[-1.0 + 0j]]))
-    s, s_hat = aa_scalars(d)
-    assert s == pytest.approx(-4.0)          # -lam^2
-    assert s_hat == pytest.approx(-17.0)     # -2 lam^2 - |v|^2
+    scal = c2_scalars(d)
+    assert scal["s"] == pytest.approx(-4.0)          # -lam^2
+    assert scal["s_hat"] == pytest.approx(-17.0)     # -2 lam^2 - |v|^2
+
+
+# ------------------------------------------ codimension-two closed forms
+
+AA_SAMPLERS = (aa_random, aa_normal_matrix, aa_btp, aa_btp_perturbed, aa_kaehler,
+               aa_balanced, aa_pluriclosed, aa_nilpotent, aa_chern_flat, aa_cyt)
+
+
+def _flipped(d):
+    """(lam, v, A) -> (-lam, v, -A), the frame change diag(-1, 1, ..., 1)."""
+    return AlmostAbelianData(n=d.n, lam=-d.lam, v=d.v, A=-d.A)
+
+
+def _hold_codim2_forms_against_engine(d):
+    """The codimension-two closed forms, read on the slice blocks of d,
+    against property_report of the built algebra."""
+    eng = property_report(build_almost_abelian(d))
+    bound = 10 * d.tol
+    assert max_abs(integrability_residuals(d)) == 0.0  # the slice is integrable
+    assert c2_unimodularity_defect(d) == pytest.approx(
+        eng["residuals"]["unimodular"], abs=bound)
+    res = c2_residuals(d)
+    assert decide(res, d.tol) == {key: eng["properties"][key] for key in res}
+    for key, value in c2_scalars(d).items():
+        assert value == pytest.approx(eng["scalars"][key], abs=bound), key
+    return res, eng
+
+
+@pytest.mark.parametrize("sampler", AA_SAMPLERS, ids=lambda f: f.__name__)
+def test_codim2_closed_forms_answer_for_both_signs_of_lambda(sampler):
+    lams = []
+    for i in range(4):
+        rng = rng_for(62, i)
+        d = sampler(rng, int(rng.integers(2, 6)))
+        for data in (d, _flipped(d)):
+            _hold_codim2_forms_against_engine(data)
+            lams.append(data.lam)
+    # both signs are met, unless the sampler only draws lam = 0
+    assert min(lams) < 0.0 < max(lams) or not any(lams)
+
+
+def test_negative_lambda_normal_action_is_curved():
+    # v = 0 and a normal A leave lam as the only source of Chern curvature,
+    # so the flatness residual must read |lam| and not lam.
+    rng = rng_for(62, 100)
+    A = aa_normal_matrix(rng, 4).A
+    d = AlmostAbelianData(n=4, lam=-0.75, v=np.zeros(3, dtype=complex), A=A)
+    res, eng = _hold_codim2_forms_against_engine(d)
+    assert res["chern_flat"] == pytest.approx(0.75, abs=10 * d.tol)
+    assert eng["properties"]["chern_flat"] is False
+    assert aa_report(d)["properties"]["chern_flat"] is False
 
 
 def test_report_fields_and_crosscheck():
