@@ -6,14 +6,14 @@ number ``lam``, a vector ``v`` of length n-1 and an (n-1) x (n-1) matrix
 ``A``.  The Jacobi identity holds for every choice of these parameters,
 so the family is a free parameter space.  It is the slice Z = 0,
 X = -A*, Y = A of the codimension-two family, whose code validates,
-assembles and evaluates it, with any real lam allowed: the shared
-predicates and the Chern scalars come from the closed forms of
-:mod:`liehermitian.codim2` read on those blocks.  What codimension one
-adds lives here: nilpotency, the Chern-Kaehler-like, BTP and BKL
-conditions and the eigenvalue profile of the astheno-Kaehler condition.
-
-Every boolean produced by :func:`aa_report` is recomputed through the
-generic tensor engine.  A disagreement raises
+assembles, evaluates and reports it, with any real lam allowed: the
+shared predicates and the scalars come from the closed forms of
+:mod:`liehermitian.codim2` read on those blocks, and :func:`aa_report`
+is :func:`~liehermitian.codim2.c2_report` on the slice.  What
+codimension one adds lives here: nilpotency, the Chern-Kaehler-like,
+BTP and BKL conditions and the eigenvalue profile of the
+astheno-Kaehler condition, which :func:`aa_report` holds against the
+engine run of c2_report.  A disagreement raises
 :class:`~liehermitian.errors.CrossCheckFailure` instead of trusting
 either side.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import is_nilpotent, max_abs, require_ideal_pattern
-from .codim2 import assemble, c2_residuals, c2_scalars, freeze_fields
+from .codim2 import assemble, c2_report, c2_residuals, freeze_fields
 from .errors import NotAstheno, ParameterDomain, PatternMismatch
 from . import hermitian
 
@@ -55,21 +55,25 @@ class AlmostAbelianData:
     Y = property(lambda self: self.A)
     Z = property(lambda self: np.zeros(self.A.shape, dtype=complex))
 
+    def build(self):
+        """Assemble the full structure-constant tensors from the parameters.
 
-def build_almost_abelian(d):
-    """Assemble the full structure-constant tensors from the parameters.
+        This is the codimension-two assembly on the blocks X = -A*, Y = A,
+        Z = 0, so the nonzero blocks, in 1-based index notation with the
+        transverse direction first, are::
 
-    This is the codimension-two assembly on the blocks X = -A*, Y = A,
-    Z = 0, so the nonzero blocks, in 1-based index notation with the
-    transverse direction first, are::
+            D^1_11 = lam        D^1_i1 = v_i        D^j_i1 = A_ij
+            C^j_1i = -conj(A_ji)
 
-        D^1_11 = lam        D^1_i1 = v_i        D^j_i1 = A_ij
-        C^j_1i = -conj(A_ji)
+        for 2 <= i, j <= n, together with the antisymmetric mirror of C.
+        Any real lam is allowed here, negative included, and no
+        integrability check runs: the slice is integrable for every
+        parameter.
+        """
+        return assemble(self.n, self.lam, self.v, self.X, self.Y, self.Z, self.tol)
 
-    for 2 <= i, j <= n, together with the antisymmetric mirror of C.
-    Any real lam is allowed here, negative included.
-    """
-    return assemble(d.n, d.lam, d.v, d.X, d.Y, d.Z, d.tol)
+
+build_almost_abelian = AlmostAbelianData.build
 
 
 def extract_almost_abelian(a):
@@ -109,29 +113,32 @@ def aa_residuals(d):
     The predicates of :func:`~liehermitian.codim2.c2_residuals` come
     from it.
     """
+    res = c2_residuals(d)
+    prof = _astheno_profile(d, np.linalg.eigvals(d.A))
+    res.update(_added_residuals(d, res["pluriclosed"], prof))
+    return res
+
+
+def _added_residuals(d, pluriclosed, prof):
+    """The residuals codimension one adds to the shared ones: nilpotent,
+    chern_kaehler_like, btp, bkl and astheno_kaehler, given the shared
+    ``pluriclosed`` residual and the astheno profile ``prof``."""
     n, lam, v, A = d.n, d.lam, d.v, d.A
     m = n - 1
     H = A + A.conj().T
     comm = A @ A.conj().T - A.conj().T @ A
 
     nilp_scale = (1.0 + max_abs(A)) ** m
-    res = c2_residuals(d)
-    res.update(
-        nilpotent=max(abs(lam), max_abs(np.linalg.matrix_power(A, m)) / nilp_scale),
-        chern_kaehler_like=max(
+    res = {
+        "nilpotent": max(abs(lam), max_abs(np.linalg.matrix_power(A, m)) / nilp_scale),
+        "chern_kaehler_like": max(
             max_abs(A.conj().T @ v),
             max_abs(np.outer(v, np.conj(v)) + comm - lam * H),
         ),
-        btp=max(max_abs(H), max_abs(A @ v)),
-    )
-    res["bkl"] = max(res["btp"], res["pluriclosed"])
-    if n >= 4:
-        prof = _astheno_profile(d)
-        res["astheno_kaehler"] = prof[3]
-    elif n == 3:
-        res["astheno_kaehler"] = res["pluriclosed"]
-    else:
-        res["astheno_kaehler"] = None
+        "btp": max(max_abs(H), max_abs(A @ v)),
+    }
+    res["bkl"] = max(res["btp"], pluriclosed)
+    res["astheno_kaehler"] = prof[3] if prof else (pluriclosed if n == 3 else None)
     return res
 
 
@@ -151,14 +158,16 @@ def spectral_pluriclosed_residual(d):
     return max(max_abs(comm), float(np.max(dist)))
 
 
-def _astheno_profile(d):
-    """Internal worker: (k, h, commutator residual, total residual, clauses)."""
+def _astheno_profile(d, eigs):
+    """Internal worker on the eigenvalues ``eigs`` of A: (k, h,
+    commutator residual, total residual, clauses), None below n = 4."""
     n, lam, A = d.n, d.lam, d.A
+    if n < 4:
+        return None
     m = n - 1
     h = trace_sum(A)
     comm_res = max_abs(A.conj().T @ A - A @ A.conj().T)
     scale = 1e-7 * (1.0 + max_abs(A) + abs(lam))
-    eigs = np.linalg.eigvals(A)
     doubled = 2.0 * eigs.real
     if abs(lam) <= scale:
         # The two admissible values coincide; every eigenvalue must sit
@@ -192,7 +201,7 @@ def aa_astheno_profile(d):
     """
     if d.n < 4:
         raise ParameterDomain("the eigenvalue certificate needs n >= 4")
-    k, h, comm_res, total, clauses = _astheno_profile(d)
+    k, h, comm_res, total, clauses = _astheno_profile(d, np.linalg.eigvals(d.A))
     if total > d.tol:
         worst = max(clauses, key=lambda key: clauses[key])
         raise NotAstheno(
@@ -204,55 +213,33 @@ def aa_astheno_profile(d):
 
 
 def aa_report(d):
-    """Predicates, scalars and eigenvalue data for one parameter triple.
-
-    Every closed-form boolean is recomputed through the tensor engine on
-    the assembled algebra; any disagreement raises CrossCheckFailure.
-    The cyt flag and the scalar pair are reported only on unimodular
-    data and are None otherwise.
+    """:func:`~liehermitian.codim2.c2_report` on the slice, plus what
+    codimension one adds: its five predicates, held against the engine
+    run of c2_report (nilpotency against the lower central series of the
+    algebra it built; a disagreement raises CrossCheckFailure), and the
+    eigenvalue data of A.
     """
-    alg = build_almost_abelian(d)
-    engine = hermitian.property_report(alg)
-    tol = alg.tol
-    res = aa_residuals(d)
-
+    rep = c2_report(d)
+    engine, tol = rep["engine"], rep["tol"]
+    eigs = np.linalg.eigvals(d.A)
+    prof = _astheno_profile(d, eigs)
+    res = _added_residuals(d, rep["residuals"]["pluriclosed"], prof)
     props = hermitian.decide(res, tol)
-    unimodular = props["unimodular"]
-    if not unimodular:
-        props["cyt"] = None
+    nilp = is_nilpotent(rep["algebra"])
+    hermitian.cross_check(props, dict(engine["properties"], nilpotent=nilp), tol, res,
+                          dict(engine["residuals"], nilpotent=float(not nilp)))
+    rep["properties"].update(props)
+    rep["residuals"].update(res)
 
-    nilp_engine = is_nilpotent(alg)
-    hermitian.cross_check(
-        props,
-        dict(engine["properties"], nilpotent=nilp_engine),
-        tol,
-        res,
-        dict(engine["residuals"], nilpotent=float(not nilp_engine)),
-    )
-    scal = c2_scalars(d)
-    scalars = {key: scal[key] if unimodular else None for key in ("s", "s_hat")}
-    hermitian.cross_check(scalars, engine["scalars"], tol)
-
-    eigs = np.sort_complex(np.linalg.eigvals(d.A))
+    eigs = np.sort_complex(eigs)
     eigen_data = {
         "eigenvalues": eigs,
         "doubled_real_parts": 2.0 * eigs.real,
         "h": trace_sum(d.A),
     }
-    if d.n >= 4:
-        try:
-            k, h, comm = aa_astheno_profile(d)
-            eigen_data["profile"] = {"k": k, "h": h, "commutator_residual": comm}
-        except NotAstheno:
-            eigen_data["profile"] = None
-
-    return {
-        "family": "almost_abelian",
-        "n": d.n,
-        "tol": tol,
-        "properties": props,
-        "residuals": res,
-        "scalars": scalars,
-        "eigen_data": eigen_data,
-        "engine": engine,
-    }
+    if prof is not None:
+        k, h, comm, total, _clauses = prof
+        eigen_data["profile"] = (
+            None if total > d.tol else {"k": k, "h": h, "commutator_residual": comm})
+    rep.update(family="almost_abelian", eigen_data=eigen_data)
+    return rep

@@ -14,7 +14,9 @@ both families share one parameter model kept here: the field validation
 of :func:`freeze_fields`, the (C, D) assembly of :func:`assemble`, and
 the one closed form of each shared predicate and scalar in
 :func:`c2_residuals` and :func:`c2_scalars`, valid for either sign of
-lam.
+lam, and the one report :func:`c2_report` that holds them against the
+engine.  Each data class builds its own algebra: only codimension-two
+data is checked for integrability.
 
 Besides the closed-form predicates and curvature blocks, this module
 carries the torsion-parallel machinery: the residual system of
@@ -95,8 +97,9 @@ class Codim2Data:
     """Raw parameters (lam, v, X, Y, Z) of the codimension-two family.
 
     Construction validates shapes and the sign of ``lam`` but not the
-    integrability equations; those are enforced by :func:`build_codim2`
-    so that deliberately broken data can still be inspected.
+    integrability equations; those are enforced by :meth:`build` (alias
+    :func:`build_codim2`) so that deliberately broken data can still be
+    inspected.
     """
 
     BLOCKS = ("X", "Y", "Z")
@@ -111,6 +114,14 @@ class Codim2Data:
 
     def __post_init__(self):
         freeze_fields(self, nonnegative=True)
+
+    def build(self):
+        """Assemble the algebra, refusing non-integrable parameters."""
+        require_integrable(self, "parameters violate the compatibility equations")
+        return assemble(self.n, self.lam, self.v, self.X, self.Y, self.Z, self.tol)
+
+
+build_codim2 = Codim2Data.build
 
 
 def integrability_residuals(d):
@@ -166,12 +177,6 @@ def assemble(n, lam, v, X, Y, Z, tol):
     D[1:, 1:, 0] = Y.T
     D[0, 1:, 1:] = Z
     return make_algebra(n, C, D, tol=tol)
-
-
-def build_codim2(d):
-    """Assemble the algebra, refusing non-integrable parameters."""
-    require_integrable(d, "parameters violate the compatibility equations")
-    return assemble(d.n, d.lam, d.v, d.X, d.Y, d.Z, d.tol)
 
 
 def extract_codim2(a):
@@ -309,13 +314,15 @@ def c2_residuals(d):
 
 
 def c2_report(d):
-    """Predicates, scalars and curvature blocks with full engine cross-check.
+    """Predicates and scalars of either family, cross-checked against the
+    tensor engine.
 
-    Booleans are compared exactly against the tensor engine; scalar and
-    matrix closed forms must match the engine entrywise within ten times
-    the tolerance.  Any disagreement raises CrossCheckFailure.
+    Builds the algebra once with ``d.build()`` and runs the engine once.
+    Booleans must match exactly, ``s``, ``s_hat`` and ``s_b`` within ten
+    times the tolerance; any disagreement raises CrossCheckFailure.  The
+    algebra is returned under ``"algebra"``.
     """
-    alg = build_codim2(d)
+    alg = d.build()
     engine = hermitian.property_report(alg)
     tol = alg.tol
     res = c2_residuals(d)
@@ -323,22 +330,6 @@ def c2_report(d):
     hermitian.cross_check(props, engine["properties"], tol, res, engine["residuals"])
     scal = c2_scalars(d)
     hermitian.cross_check(scal, engine["scalars"], tol)
-
-    R = hermitian.chern_curvature(alg)
-    ric1, ric2, ric3 = c2_ricci_closed(d)
-    M, P = c2_bismut_blocks(d)
-    Me, Pe = hermitian.bismut_ricci_blocks(alg)
-    gaps = hermitian.cross_check(
-        {"ric1": ric1, "ric2": ric2, "ric3": ric3,
-         "bismut_one_one": M, "bismut_two_zero": P},
-        {"ric1": hermitian.ricci_first(R), "ric2": hermitian.ricci_second(R),
-         "ric3": hermitian.ricci_third(R), "bismut_one_one": Me, "bismut_two_zero": Pe},
-        tol,
-    )
-
-    sv = np.linalg.svd(hermitian.ricci_first(R), compute_uv=False)
-    rank = int(np.count_nonzero(sv > 10.0 * tol))
-
     return {
         "family": "codim2",
         "n": d.n,
@@ -346,9 +337,8 @@ def c2_report(d):
         "properties": props,
         "residuals": res,
         "scalars": scal,
-        "gaps": gaps,
-        "ric1_rank": rank,
         "engine": engine,
+        "algebra": alg,
     }
 
 

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import __version__
 from .algebra import build_general
-from .almost_abelian import AlmostAbelianData, build_almost_abelian
-from .codim2 import Codim2Data, build_codim2, make_btpv0, make_btpv1, make_btpv2
+from .almost_abelian import AlmostAbelianData
+from .codim2 import Codim2Data, make_btpv0, make_btpv1, make_btpv2
 from .errors import NonFiniteValue, ParseError
 
 SCHEMA = "lie-hermitian/v1"
@@ -224,11 +224,7 @@ def materialize(spec):
 
 def algebra_of(family, data):
     """Build the Algebra behind materialized family data."""
-    if family == "general":
-        return data
-    if family == "almost_abelian":
-        return build_almost_abelian(data)
-    return build_codim2(data)
+    return data if family == "general" else data.build()
 
 
 # ---------------------------------------------------------------------------

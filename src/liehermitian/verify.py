@@ -10,7 +10,10 @@ its sample i from ``rng_for(seed * 1000 + c, i)``.
 The family reports compare their closed forms with the engine
 themselves (:func:`~liehermitian.hermitian.cross_check`), so the
 criteria do not repeat those comparisons: each report call counts as
-one check, and an error it raises is recorded as a failed draw.
+one check, and an error it raises is recorded as a failed draw.  The
+closed Ricci contractions and Bismut Ricci blocks, which no report
+carries, are held against the engine in criterion 10 by
+:func:`hold_curvature_blocks`, one check per draw.
 
 Criterion 11 samples the paired-block generator over its whole block
 rank range.  Rank-one draws must be torsion-parallel normal forms; draws
@@ -29,14 +32,14 @@ from .almost_abelian import (
     aa_report,
     aa_residuals,
     aa_astheno_profile,
-    build_almost_abelian,
     spectral_pluriclosed_residual,
 )
 from .codim2 import (
     btpv0_obstruction,
-    build_codim2,
+    c2_bismut_blocks,
     c2_btp_residuals,
     c2_report,
+    c2_ricci_closed,
     c2_scalars,
     chern_flat_normal_form,
     classify_btp,
@@ -88,10 +91,10 @@ class _Collector:
         self.ok(value <= bound, "%s (%.3e > %.3e)" % (label, value, bound))
 
     def report(self, family_report, d, label):
-        """Run a family report as one check: the report compares every
-        closed form it has against the engine and raises on a
-        disagreement.  A raised error is recorded as a failure naming
-        the draw, and None is returned."""
+        """Run a family report, or another comparison that raises on a
+        disagreement, as one check: the report compares every closed
+        form it has against the engine.  A raised error is recorded as
+        a failure naming the draw, and None is returned."""
         try:
             rep = family_report(d)
         except LieHermitianError as exc:
@@ -124,19 +127,19 @@ def _mixed_algebra(rng, index):
     if mode == 0:
         return sm.random_general(rng, n), None
     if mode == 1:
-        return build_almost_abelian(sm.aa_random(rng, n, unimodular=bool(index % 2))), True
+        return sm.aa_random(rng, n, unimodular=bool(index % 2)).build(), True
     if mode == 2:
-        return build_codim2(sm.c2_random(rng, n + 1, unimodular=bool(index % 2))), True
+        return sm.c2_random(rng, n + 1, unimodular=bool(index % 2)).build(), True
     if mode == 3:
         return sm.hopf_algebra(n), True
-    return build_almost_abelian(sm.aa_nilpotent(rng, n)), True
+    return sm.aa_nilpotent(rng, n).build(), True
 
 
 def _unimodular_algebra(rng, index):
     n = int(rng.integers(2, 5))
     if index % 2:
-        return build_almost_abelian(sm.aa_random(rng, n, unimodular=True))
-    return build_codim2(sm.c2_random(rng, n + 1, unimodular=True))
+        return sm.aa_random(rng, n, unimodular=True).build()
+    return sm.c2_random(rng, n + 1, unimodular=True).build()
 
 
 def criterion_1(seed):
@@ -187,7 +190,7 @@ def criterion_4(seed):
         n = int(rng.integers(2, 6))
         d = sm.aa_random(rng, n, unimodular=True)
         scal = c2_scalars(d)
-        a = build_almost_abelian(d)
+        a = d.build()
         bound = 10.0 * a.tol
         col.near(abs(scal["s"] + d.lam ** 2), "s draw %d" % i, bound)
         col.near(abs(scal["s_hat"] + 2.0 * d.lam ** 2 + float(np.vdot(d.v, d.v).real)),
@@ -350,30 +353,47 @@ def criterion_9(seed):
     return _result(9, "codim-2 closed-form predicates match the engine", col)
 
 
+def hold_curvature_blocks(d, a):
+    """Hold c2_ricci_closed and c2_bismut_blocks of family data ``d``
+    against the Ricci contractions and Bismut Ricci blocks of its algebra
+    ``a`` through :func:`~liehermitian.hermitian.cross_check`, which names
+    the first that disagrees.  Returns the engine's first contraction."""
+    R = hermitian.chern_curvature(a)
+    names = ("ric1", "ric2", "ric3", "bismut_one_one", "bismut_two_zero")
+    engine = (hermitian.ricci_first(R), hermitian.ricci_second(R),
+              hermitian.ricci_third(R), *hermitian.bismut_ricci_blocks(a))
+    hermitian.cross_check(dict(zip(names, c2_ricci_closed(d) + c2_bismut_blocks(d))),
+                          dict(zip(names, engine)), a.tol)
+    return engine[0]
+
+
 def criterion_10(seed, count=200):
-    """Codim-2 curvature data: flat normal form and trace rank.  The Ricci
-    and skew-torsion blocks and s_b are held against their closed forms
-    by the cross-check of c2_report."""
+    """Codim-2 curvature data: the Ricci contractions and skew-torsion
+    Ricci blocks against their closed forms (one check per draw), the
+    flat normal form, and the rank and sign of the first trace.  The
+    predicates and scalars are held by the cross-check of c2_report."""
     col = _Collector()
     for i in range(count):
         rng = rng_for(seed * 1000 + 10, i)
         n = int(rng.integers(3, 6))
         d = sm.c2_random(rng, n, unimodular=bool(i % 2), scramble=True)
-        a = build_codim2(d)
-        bound = 10.0 * a.tol
         rep = col.report(c2_report, d, "draw %d" % i)
         if rep is None:
+            continue
+        a = rep["algebra"]
+        bound = 10.0 * a.tol
+        ric1 = col.report(lambda data: hold_curvature_blocks(data, a), d, "draw %d blocks" % i)
+        if ric1 is None:
             continue
         # (i) flat samples reconstruct to zero curvature through the normal form
         if rep["engine"]["properties"]["chern_flat"]:
             nf, _frame = chern_flat_normal_form(d)
-            col.near(max_abs(hermitian.chern_curvature(build_codim2(nf))),
+            col.near(max_abs(hermitian.chern_curvature(nf.build())),
                      "draw %d flat reconstruction" % i, bound)
         # (ii) first trace has rank <= 1 and its sign follows the scalar
-        R = hermitian.chern_curvature(a)
-        ric1 = hermitian.ricci_first(R)
-        col.ok(rep["ric1_rank"] <= 1, "draw %d: rank %d" % (i, rep["ric1_rank"]))
-        s = hermitian.scalar_s(a)[0]
+        rank = int(np.count_nonzero(np.linalg.svd(ric1, compute_uv=False) > bound))
+        col.ok(rank <= 1, "draw %d: rank %d" % (i, rank))
+        s = rep["engine"]["scalars"]["s"]
         eig = np.linalg.eigvalsh((ric1 + ric1.conj().T) / 2.0)
         lead = eig[np.argmax(np.abs(eig))]
         if abs(s) > bound:
@@ -533,9 +553,9 @@ def _mutation_probe(seed):
         rng = rng_for(seed * 1000 + 13, i)
         n = int(rng.integers(2, 5))
         if i % 2:
-            a = build_almost_abelian(sm.aa_random(rng, n, unimodular=True))
+            a = sm.aa_random(rng, n, unimodular=True).build()
         else:
-            a = build_codim2(sm.c2_random(rng, n + 1, unimodular=True))
+            a = sm.c2_random(rng, n + 1, unimodular=True).build()
         bound = 10.0 * a.tol
         if hermitian.ricci_form_trace_residual(a) > bound:
             bad.append("ricci-trace draw %d" % i)

@@ -173,13 +173,29 @@ def test_report_crosscheck_catches_a_sign_flip():
     assert abs(err.closed - err.engine) > 10 * build_almost_abelian(d).tol
 
 
-def test_report_scalars_none_outside_unimodular():
+def test_report_scalars_and_cyt_outside_unimodular():
+    # The shared closed forms hold off the unimodular locus, for either
+    # sign of lam, so the report carries cyt and every scalar there.
     d = AlmostAbelianData(n=2, lam=1.0, v=np.zeros(1, dtype=complex),
                           A=np.array([[1.0 + 0j]]))
     rep = aa_report(d)
     assert rep["properties"]["unimodular"] is False
-    assert rep["scalars"]["s"] is None
-    assert rep["properties"]["cyt"] is None
+    assert rep["scalars"] == pytest.approx({"s": -4.0, "s_hat": -2.0, "s_b": 0.0})
+    assert rep["properties"]["cyt"] is True
+    lams = []
+    for i in range(6):
+        rng = rng_for(63, i)
+        drawn = aa_random(rng, int(rng.integers(2, 6)))
+        for data in (drawn, _flipped(drawn)):
+            rep = aa_report(data)
+            eng = rep["engine"]
+            assert rep["properties"]["unimodular"] is False
+            assert rep["properties"]["cyt"] == eng["properties"]["cyt"]
+            assert set(rep["scalars"]) == {"s", "s_hat", "s_b"}
+            for key, value in rep["scalars"].items():
+                assert value == pytest.approx(eng["scalars"][key], abs=10 * data.tol), key
+            lams.append(data.lam)
+    assert min(lams) < 0.0 < max(lams)
 
 
 def test_eigen_data_reported():

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liehermitian import cli, hermitian, sampling, serial
+from liehermitian import algebra, cli, hermitian, sampling, serial, verify
 from liehermitian.algebra import change_frame, max_abs
 from liehermitian.almost_abelian import build_almost_abelian
 from liehermitian.codim2 import build_codim2, classify_btp, from_almost_abelian
@@ -99,6 +99,54 @@ def test_check_reports_are_byte_identical(tmp_path, capsys):
     cli.main(["check", path])
     second = capsys.readouterr().out
     assert first == second
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` under every liehermitian module
+    attribute that refers to it; returns the list that grows per call."""
+    real, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("liehermitian")
+                and getattr(mod, name, None) is real):
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def keys_of(obj):
+    if isinstance(obj, dict):
+        return set(obj).union(*(keys_of(v) for v in obj.values()))
+    if isinstance(obj, list):
+        return set().union(*(keys_of(v) for v in obj))
+    return set()
+
+
+def codim2_spec():
+    d = sampling.c2_random(sampling.rng_for(607, 0), 4, unimodular=True)
+    return serial.spec_from_data(d)
+
+
+@pytest.mark.parametrize("spec", [aa_spec, codim2_spec, btpv1_spec, abelian_spec])
+def test_check_builds_once_and_emits_no_algebra(tmp_path, capsys, monkeypatch, spec):
+    path = write(tmp_path, "spec.json", spec())
+    builds = count_calls(monkeypatch, algebra, "make_algebra")
+    reports = count_calls(monkeypatch, hermitian, "property_report")
+    code, rep = run_json(capsys, ["check", path])
+    assert code == 0
+    assert (len(builds), len(reports)) == (1, 1)
+    assert "algebra" not in keys_of(rep)
+
+
+def test_criterion_10_builds_each_draw_once(monkeypatch):
+    # one build per draw plus one per flat normal form reconstructed
+    builds = count_calls(monkeypatch, algebra, "make_algebra")
+    res = verify.criterion_10(verify.DEFAULT_SEED, count=20)
+    assert res.passed
+    assert len(builds) == 22
 
 
 def test_check_malformed_spec_exits_2(tmp_path, capsys):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from liehermitian import (
+    AlmostAbelianData,
     Codim2Data,
     CrossCheckFailure,
     DimensionMismatch,
@@ -60,6 +61,7 @@ from liehermitian.sampling import (
     takagi_compatible_pair,
     takagi_incompatible_pair,
 )
+from liehermitian.verify import hold_curvature_blocks
 
 
 def zeros(m):
@@ -214,7 +216,45 @@ def test_report_crosscheck_clean(i):
     rep = c2_report(d)  # CrossCheckFailure would propagate
     assert rep["family"] == "codim2"
     assert set(rep["properties"]) == set(C2.c2_residuals(d))
-    assert rep["ric1_rank"] >= 0
+
+
+def _curvature_draws(kind):
+    """Four draws of one kind for the closed curvature blocks: mixed
+    c2_random data, unscrambled generator shapes (btpv0 at block rank
+    one) and almost-abelian slice data with lam < 0."""
+    out = []
+    for i in range(4):
+        rng = rng_for(74, 100 * len(kind) + i)
+        n = int(rng.integers(3, 7))
+        if kind == "c2_random":
+            out.append(c2_random(rng, n, unimodular=bool(i % 2)))
+        elif kind in ("v1", "v2"):
+            out.append(c2_generator(rng, n, kind=kind))
+        elif kind == "v0":
+            n = 4 + i
+            S, W = grouped_singular_data(rng, 1)
+            out.append(make_btpv0(n, 1, S, W, cgauss(rng, n - 3)))
+        else:
+            d = aa_random(rng, n, unimodular=bool(i % 2))
+            out.append(AlmostAbelianData(n=n, lam=-abs(d.lam), v=d.v, A=d.A))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["c2_random", "v1", "v2", "v0", "aa_negative_lambda"])
+def test_closed_curvature_blocks_match_the_engine(kind):
+    for d in _curvature_draws(kind):
+        if kind == "aa_negative_lambda":
+            assert d.lam < 0.0
+        hold_curvature_blocks(d, d.build())  # CrossCheckFailure would propagate
+
+
+def test_closed_curvature_blocks_catch_a_sign_flip():
+    d = _curvature_draws("c2_random")[1]
+    a = d.build()
+    with sign_mutation(curvature_index=1):
+        with pytest.raises(CrossCheckFailure) as info:
+            hold_curvature_blocks(d, a)
+    assert info.value.name in ("ric1", "ric2", "ric3")
 
 
 def test_report_crosscheck_catches_a_sign_flip():
