@@ -229,10 +229,11 @@ def c2_scalars(d):
     return {"s": s, "s_hat": s_hat, "s_b": s_b}
 
 
-def c2_ricci_closed(d):
-    """The three Ricci contractions of the Chern curvature, in closed form."""
+def c2_ricci_closed(d, scal=None):
+    """The three Ricci contractions of the Chern curvature, in closed form;
+    ``scal`` is ``c2_scalars(d)`` when the caller has it already."""
     n, lam, v, X, Y, Z = d.n, d.lam, d.v, d.X, d.Y, d.Z
-    scal = c2_scalars(d)
+    scal = scal or c2_scalars(d)
     vsq = float(np.vdot(v, v).real)
 
     ric1 = np.zeros((n, n), dtype=complex)
@@ -256,15 +257,15 @@ def c2_ricci_closed(d):
     return ric1, ric2, ric3
 
 
-def c2_bismut_blocks(d):
+def c2_bismut_blocks(d, scal=None):
     """(1,1) and (2,0) coefficient matrices of the Bismut Ricci form.
 
     The (1,1) block is Hermitian with support on the first row and
     column only; its corner is the Bismut scalar.  The (2,0) block is
-    antisymmetric with first row -(X v).
+    antisymmetric with first row -(X v).  ``scal`` as in c2_ricci_closed.
     """
     n, v, X, Y, Z = d.n, d.v, d.X, d.Y, d.Z
-    scal = c2_scalars(d)
+    scal = scal or c2_scalars(d)
     M = np.zeros((n, n), dtype=complex)
     M[0, 0] = scal["s_b"]
     row = -(np.conj(v) @ Y + v @ np.conj(Z))
@@ -277,7 +278,7 @@ def c2_bismut_blocks(d):
     return M, P
 
 
-def c2_residuals(d):
+def c2_residuals(d, scal=None):
     """Closed-form residuals of the standard predicates, for any real lam."""
     lam, v, X, Y, Z = d.lam, d.v, d.X, d.Y, d.Z
     Xs = X.conj().T
@@ -292,7 +293,7 @@ def c2_residuals(d):
         - Ys @ X
         + lam * (Y - X)
     )
-    scal = c2_scalars(d)
+    scal = scal or c2_scalars(d)
     return {
         "unimodular": c2_unimodularity_defect(d),
         "balanced": max(abs(np.trace(X) - np.trace(Y)), vmax),
@@ -325,10 +326,10 @@ def c2_report(d):
     alg = d.build()
     engine = hermitian.property_report(alg)
     tol = alg.tol
-    res = c2_residuals(d)
+    scal = c2_scalars(d)
+    res = c2_residuals(d, scal)
     props = hermitian.decide(res, tol)
     hermitian.cross_check(props, engine["properties"], tol, res, engine["residuals"])
-    scal = c2_scalars(d)
     hermitian.cross_check(scal, engine["scalars"], tol)
     return {
         "family": "codim2",

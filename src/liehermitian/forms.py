@@ -16,11 +16,11 @@ On generators d follows from the structure constants,
 
 and d phibar_j is the conjugate.  Each term coef * x_lo ^ x_hi (lo below
 hi) of some d x_g is a row of a term table, split into the rows of del
-(raising p) and of delbar (raising q); d takes both in one pass.  The
-rows depend on n alone and are built once per dimension; their
-coefficients are read from C and D once per Algebra.  The graded Leibniz
-rule turns a monomial K containing g, with N = K ^ g disjoint from lo
-and hi, into N | lo | hi with the sign
+(raising p) and of delbar (raising q); the rows of d are the two
+together.  The rows depend on n alone and are built once per dimension;
+their coefficients are read from C and D once per Algebra.  The graded
+Leibniz rule turns a monomial K containing g, with N = K ^ g disjoint
+from lo and hi, into N | lo | hi with the sign
 
     (-1)^|(K & below(g)) ^ (N & (below(lo) ^ below(hi)))|:
 
@@ -28,14 +28,18 @@ one count for moving g to the front, one for shuffling lo and hi into N.
 Coefficients of magnitude at most 1e-14 (a cut that form and add also
 take as an argument) are dropped once, when a result is returned.
 
-For partial(partialbar(omega^k)) which monomials meet which rows, with
-which sign and into which output, depends on (n, k) alone.  So the first
-del_delbar_residual call for an (n, k) records a plan: the delbar step
-and then the del step, each as entries (output slot, source slot)
-grouped by row, where the source slot points into [x, -x] for the
-step's input x and so carries the sign.  Every call then gathers the
-entries of the rows whose coefficient is nonzero, weighs each source
-value by that coefficient, and adds them up per output slot.
+Which monomials meet which rows, with which sign and into which output,
+depends on n and the input monomials alone, not on the coefficients.
+So every derivation runs as a recorded plan: entries (output slot,
+source slot) grouped by row, where the source slot points into [x, -x]
+for the step's input x and so carries the sign.  d, del and delbar
+record one plan per (n, part, input monomials) and keep the last
+_PLANS of them; partial(partialbar(omega^k)) records two steps, delbar
+then del, per (n, k).  One kernel replays a plan on the coefficients of
+an algebra: it weighs each source value by its row's coefficient and
+adds them up per output slot, sweeping the whole plan when the rows
+with a nonzero coefficient hold most of its entries, and gathering the
+entries of those rows otherwise.
 """
 
 import functools
@@ -49,7 +53,8 @@ from .errors import InvalidDegree
 
 _ZERO_CUT = 1e-14
 _BAR = MAX_DIM  # bit of phibar_1
-_GRID = 1 << 18  # bound on (monomial, term) pairs tested, and on terms left unmerged
+_GRID = 1 << 18  # bound on (monomial, row) pairs tested, and on plan entries replayed at once
+_PLANS = 64  # bound on the recorded plans of d, del and delbar kept
 
 
 def _parity(x):
@@ -213,28 +218,18 @@ def _rows(n):
 
 
 def _term_table(alg):
-    """The terms of d on the generators, cached per algebra.
-
-    Returns (del, delbar, d, full).  del and delbar are the rows of
-    _rows(n) whose coefficient is above the cut, as (g, test, pair,
-    span, coef); d is the two concatenated.  full is the pair (del,
-    delbar) of coefficient vectors over every row of _rows(n), with the
-    coefficients at or below the cut set to 0.
-    """
+    """The coefficients of the rows of del, of delbar and of d (those of
+    del, then those of delbar) of _rows(n), cached per algebra, with the
+    coefficients at or below the cut set to 0."""
     try:
         return _TABLES[alg]
     except KeyError:
         pass
     C, D = alg.C.ravel(), alg.D.transpose(1, 0, 2).ravel()
     source = np.concatenate((-C, D, -np.conj(D), -np.conj(C)))
-    table, full = [], []
-    for g, test, pair, span, src in _rows(alg.n):
-        coef = source[src]
-        kept = np.abs(coef) > _ZERO_CUT
-        table.append((g[kept], test[kept], pair[kept], span[kept], coef[kept]))
-        full.append(np.where(kept, coef, 0))
-    table.append(tuple(map(np.concatenate, zip(*table))))
-    _TABLES[alg] = (*table, tuple(full))
+    coefs = [source[rows[4]] for rows in _rows(alg.n)]
+    coefs = [np.where(np.abs(c) > _ZERO_CUT, c, 0) for c in coefs]
+    _TABLES[alg] = (*coefs, np.concatenate(coefs))
     return _TABLES[alg]
 
 
@@ -248,39 +243,6 @@ def _match(keys, rows):
     N = K ^ gt
     odd = _parity((K & (gt - 1)) ^ (N & span[t]))
     return t, r, N | pair[t], 1 - 2 * odd
-
-
-def _derive(keys, coeffs, table):
-    """Apply the derivation with the given term table to an array form.
-
-    Monomials are taken a block at a time so that no more than _GRID
-    (monomial, term) pairs are tested at once, and the terms found are
-    merged whenever more than _GRID of them wait."""
-    coef = table[4]
-    parts, waiting = [(keys[:0], coeffs[:0])], 0
-    step = max(1, _GRID // max(1, coef.size))
-    for start in range(0, keys.size, step):
-        t, r, out, sign = _match(keys[start:start + step], table)
-        parts.append((out, coeffs[start + r] * coef[t] * sign))
-        waiting += r.size
-        if waiting > _GRID:
-            parts, waiting = [_merge(*parts)], 0
-    return _merge(*parts)
-
-
-def exterior_d(alg, f):
-    """Exterior differential of an invariant form."""
-    return _to_dict(*_derive(*_from_dict(f), _term_table(alg)[2]), _ZERO_CUT)
-
-
-def partial_d(alg, f):
-    """The (1,0) part of d, taken bidegree by bidegree."""
-    return _to_dict(*_derive(*_from_dict(f), _term_table(alg)[0]), _ZERO_CUT)
-
-
-def partial_dbar(alg, f):
-    """The (0,1) part of d, taken bidegree by bidegree."""
-    return _to_dict(*_derive(*_from_dict(f), _term_table(alg)[1]), _ZERO_CUT)
 
 
 def kaehler_form(n):
@@ -330,12 +292,77 @@ def _plan_step(keys, rows):
     # sorted in place: plain np.unique would import numpy.ma on first use
     monomials = np.concatenate(made)
     monomials.sort()
-    monomials = monomials[np.concatenate(([True], monomials[1:] != monomials[:-1]))]
+    monomials = monomials[np.diff(monomials, prepend=-1) != 0]
     out_type = np.min_scalar_type(monomials.size)
     out = np.concatenate([np.searchsorted(monomials, m).astype(out_type)[slot]
                           for m, slot in zip(made, slots)])
     ptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     return (ptr, out, np.concatenate(src), monomials.size), monomials
+
+
+def _replay(step, x, coef):
+    """The output coefficients of a recorded step on the input
+    coefficients x, with row coefficients coef.
+
+    When the live rows (coef nonzero) hold most of the entries, the plan
+    is swept in order, _GRID entries at a time, dead rows weighing 0.
+    Otherwise the live rows, a to b, are gathered a block at a time, at
+    most _GRID entries in all (a longer row goes alone), and e indexes
+    the entries of a block."""
+    ptr, out, src, size = step
+    live = np.flatnonzero(coef)
+    count = ptr[live + 1] - ptr[live]
+    sweep = 2 * count.sum() > ptr[-1]
+    if sweep:
+        live, count = np.arange(coef.size), np.diff(ptr)
+    end = np.cumsum(count)
+    signed = np.concatenate((x, -x))
+    y = np.zeros(size, dtype=complex)
+    a = 0
+    while a < live.size:
+        b = max(a + 1, int(np.searchsorted(end, end[a] - count[a] + _GRID, "right")))
+        e = slice(end[a] - count[a], end[b - 1])
+        if not sweep:
+            shift = ptr[live[a:b]] + count[a:b] - end[a:b]  # plan entry minus position
+            e = np.arange(e.start, e.stop) + np.repeat(shift, count[a:b])
+        w = signed.take(src[e])
+        w *= np.repeat(coef[live[a:b]], count[a:b])
+        slot = out[e].astype(np.intp)
+        y += np.bincount(slot, w.real, size) + 1j * np.bincount(slot, w.imag, size)
+        a = b
+    return y
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _d_plan(n, part, keys):
+    """The rows of del, delbar or d (part 0, 1 or 2) recorded on the
+    monomials with int64 key bytes keys, as _plan_step returns it.
+    Cached per (n, part, keys) and never per algebra, at most _PLANS."""
+    rows = _rows(n)
+    rows = rows[part] if part < 2 else tuple(map(np.concatenate, zip(*rows)))
+    return _plan_step(np.frombuffer(keys, dtype=np.int64), rows)
+
+
+def _derivation(alg, f, part):
+    """Replay the plan of part 0, 1 or 2 (del, delbar, d) on the form f."""
+    keys, coeffs = _from_dict(f)
+    step, monomials = _d_plan(alg.n, part, keys.tobytes())
+    return _to_dict(monomials, _replay(step, coeffs, _term_table(alg)[part]), _ZERO_CUT)
+
+
+def exterior_d(alg, f):
+    """Exterior differential of an invariant form."""
+    return _derivation(alg, f, 2)
+
+
+def partial_d(alg, f):
+    """The (1,0) part of d, taken bidegree by bidegree."""
+    return _derivation(alg, f, 0)
+
+
+def partial_dbar(alg, f):
+    """The (0,1) part of d, taken bidegree by bidegree."""
+    return _derivation(alg, f, 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -345,8 +372,8 @@ def _ddbar_plan(n, k):
     and never per algebra; n <= MAX_DIM bounds the cache."""
     keys, _ = _power(n, k)
     steps = []
-    for rows in reversed(_rows(n)):
-        step, keys = _plan_step(keys, rows)
+    for part in (1, 0):
+        step, keys = _plan_step(keys, _rows(n)[part])
         steps.append(step)
     return tuple(steps)
 
@@ -356,32 +383,16 @@ def del_delbar_residual(alg, k):
 
     Zero iff omega^k is pluriclosed in the generalized sense: k = 1 is
     the usual pluriclosed condition, k = n - 2 the astheno one, and
-    k = n - 1 vanishes for every unimodular algebra.
-
-    Runs the (n, k) plan.  The live rows of a step, a to b, are gathered
-    a block at a time, at most _GRID entries in all (a longer row goes
-    alone), and e indexes the entries of a block."""
+    k = n - 1 vanishes for every unimodular algebra.  Replays the (n, k)
+    plan."""
     if not 1 <= k <= alg.n - 1:
         raise InvalidDegree(
             f"power k={k} outside the meaningful range 1..{alg.n - 1}"
         )
     x = _power(alg.n, k)[1]
-    full = _term_table(alg)[3]
-    for (ptr, out, src, size), coef in zip(_ddbar_plan(alg.n, k), reversed(full)):
-        live = np.flatnonzero(coef)
-        count = ptr[live + 1] - ptr[live]
-        end = np.cumsum(count)
-        shift = ptr[live] + count - end  # plan entry minus position, per live row
-        signed = np.concatenate((x, -x))
-        x = np.zeros(size, dtype=complex)
-        a = 0
-        while a < live.size:
-            b = max(a + 1, int(np.searchsorted(end, end[a] - count[a] + _GRID, "right")))
-            e = np.arange(end[a] - count[a], end[b - 1]) + np.repeat(shift[a:b], count[a:b])
-            w = signed[src[e]] * np.repeat(coef[live[a:b]], count[a:b])
-            slot = out[e]
-            x += np.bincount(slot, w.real, size) + 1j * np.bincount(slot, w.imag, size)
-            a = b
+    table = _term_table(alg)
+    for step, part in zip(_ddbar_plan(alg.n, k), (1, 0)):
+        x = _replay(step, x, table[part])
     worst = float(np.abs(x).max(initial=0.0))
     return worst if worst > _ZERO_CUT else 0.0
 

@@ -362,7 +362,8 @@ def hold_curvature_blocks(d, a):
     names = ("ric1", "ric2", "ric3", "bismut_one_one", "bismut_two_zero")
     engine = (hermitian.ricci_first(R), hermitian.ricci_second(R),
               hermitian.ricci_third(R), *hermitian.bismut_ricci_blocks(a))
-    hermitian.cross_check(dict(zip(names, c2_ricci_closed(d) + c2_bismut_blocks(d))),
+    scal = c2_scalars(d)
+    hermitian.cross_check(dict(zip(names, c2_ricci_closed(d, scal) + c2_bismut_blocks(d, scal))),
                           dict(zip(names, engine)), a.tol)
     return engine[0]
 

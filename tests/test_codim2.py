@@ -45,6 +45,7 @@ from liehermitian import (
     spectrum_distance,
 )
 from liehermitian import codim2 as C2
+from liehermitian import verify
 from liehermitian.algebra import change_frame, max_abs
 from liehermitian.hermitian import bismut_torsion_derivative_residuals, sign_mutation
 from liehermitian.sampling import (
@@ -255,6 +256,24 @@ def test_closed_curvature_blocks_catch_a_sign_flip():
         with pytest.raises(CrossCheckFailure) as info:
             hold_curvature_blocks(d, a)
     assert info.value.name in ("ric1", "ric2", "ric3")
+
+
+def test_closed_scalars_evaluated_once_per_call(monkeypatch):
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+
+    real = C2.c2_scalars
+    for module in (C2, verify):
+        monkeypatch.setattr(module, "c2_scalars", counted)
+    d = _curvature_draws("c2_random")[0]
+    rep = c2_report(d)
+    assert len(calls) == 1
+    hold_curvature_blocks(d, rep["algebra"])
+    assert len(calls) == 2
+    assert C2.c2_residuals(d) == rep["residuals"]  # the public call still works alone
 
 
 def test_report_crosscheck_catches_a_sign_flip():

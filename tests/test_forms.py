@@ -138,7 +138,7 @@ def test_del_delbar_residual_zero_on_abelian():
     # every row of the plan is dead, so nothing is gathered
     for n in (2, 4, 9, 16):
         a = build_general(n)
-        assert not any(np.any(coef) for coef in F._term_table(a)[3])
+        assert not any(np.any(coef) for coef in F._term_table(a))
         for k in range(1, n) if n <= 4 else (1, n - 2, n - 1):
             assert F.del_delbar_residual(a, k) == 0.0
 
@@ -229,20 +229,25 @@ def test_kaehler_power_closed_coefficient(n):
         prev = wk
 
 
+def hold_against_reference(a, f):
+    """d, del and delbar of f against reference_d, del and delbar one
+    bidegree of f at a time."""
+    ref = reference_d(a, f)
+    scale = 1.0 + F.max_coeff(ref)
+    assert F.max_coeff(F.add(exterior_d(a, f), F.scale(ref, -1), cut=0.0)) <= 1e-12 * scale
+    for p, q in {(len(I), len(J)) for I, J in f}:
+        part = F.bidegree_project(f, p, q)
+        ref = reference_d(a, part)
+        for got, shift in ((F.partial_d(a, part), (1, 0)), (F.partial_dbar(a, part), (0, 1))):
+            want = F.bidegree_project(ref, p + shift[0], q + shift[1])
+            assert F.max_coeff(F.add(got, F.scale(want, -1), cut=0.0)) <= 1e-12 * scale
+
+
 def test_exterior_d_matches_definition_in_dense_frame():
     a = dense_draw(5, unimodular=False)
     rng = rng_for(321, 5)
     for _ in range(3):
-        f = random_form(rng, 5, 10)
-        ref = reference_d(a, f)
-        scale = 1.0 + F.max_coeff(ref)
-        assert F.max_coeff(F.add(exterior_d(a, f), F.scale(ref, -1), cut=0.0)) <= 1e-12 * scale
-        for p, q in {(len(I), len(J)) for I, J in f}:
-            part = F.bidegree_project(f, p, q)
-            ref = reference_d(a, part)
-            for got, shift in ((F.partial_d(a, part), (1, 0)), (F.partial_dbar(a, part), (0, 1))):
-                want = F.bidegree_project(ref, p + shift[0], q + shift[1])
-                assert F.max_coeff(F.add(got, F.scale(want, -1), cut=0.0)) <= 1e-12 * scale
+        hold_against_reference(a, random_form(rng, 5, 10))
 
 
 @pytest.mark.parametrize("n", [3, 9, 16])
@@ -305,7 +310,8 @@ def three_frames(n):
 @pytest.mark.parametrize("frame", ["adapted", "scrambled", "dense"])
 @pytest.mark.parametrize("n", range(2, 17))
 def test_del_delbar_plan_matches_generic_route(n, frame):
-    # the plan against partial_d(partial_dbar(omega^k)) through _derive;
+    # the (n, k) plan against partial_d(partial_dbar(omega^k)), two
+    # recorded d plans with the output cut between them;
     # one term of the sum is at most |omega^k| * max(|C|, |D|)^2
     a = three_frames(n)[frame]
     coef = max(np.abs(a.C).max(), np.abs(a.D).max())
@@ -336,3 +342,68 @@ def test_del_delbar_plans_are_shared_per_dimension():
     # the slots of the three report powers fit 16 bits up to n = 16
     for k in (1, 14, 15):
         assert all(x.itemsize <= 2 for step in F._ddbar_plan(16, k) for x in step[1:3])
+
+
+def random_two_form(rng, n, count):
+    """A 2-form of bidegrees (2,0), (1,1) and (0,2) from unordered draws."""
+    return F.form(
+        (rng.choice(n, p, replace=False) + 1, rng.choice(n, 2 - p, replace=False) + 1,
+         complex(*rng.normal(size=2)))
+        for p in rng.integers(0, 3, size=count))
+
+
+@pytest.mark.parametrize("frame", ["adapted", "scrambled", "dense"])
+@pytest.mark.parametrize("n", [2, 9, 16])
+def test_replayed_d_matches_definition(n, frame):
+    # the recorded d, del and delbar plans against the loops of
+    # reference_d, on the two trace 1-forms (zero coefficients kept) and
+    # on random 2-forms
+    a = three_frames(n)[frame]
+    rng = rng_for(321, 200 + n)
+    for f in [H.chern_trace_form(a), H.bismut_trace_form(a)] + [
+            random_two_form(rng, n, 8) for _ in range(2)]:
+        hold_against_reference(a, f)
+
+
+def live_share(a, plan):
+    """Share of the entries of each del-delbar step that belong to rows
+    with a nonzero coefficient; the replay sweeps a step above one half."""
+    table = F._term_table(a)
+    return [float(np.diff(step[0])[table[part] != 0].sum() / step[0][-1])
+            for step, part in zip(plan, (1, 0))]
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_del_delbar_residual_agrees_across_replay_branches(n):
+    # the coefficient of the (n, n)-form partial(partialbar(omega^(n-1)))
+    # does not change under a unitary change of frame; the sparse frames
+    # gather their live rows and the dense frame sweeps the plan
+    frames = three_frames(n)
+    a = frames["adapted"]
+    scale = F.max_coeff(kaehler_power(n, n - 1)) * max(np.abs(a.C).max(), np.abs(a.D).max()) ** 2
+    plan = F._ddbar_plan(n, n - 1)
+    got = {}
+    for name, b in frames.items():
+        share = live_share(b, plan)
+        assert all(s > 0.5 for s in share) if name == "dense" else all(s <= 0.5 for s in share)
+        got[name] = F.del_delbar_residual(b, n - 1)
+    assert got["adapted"] > 0.0
+    assert max(got.values()) - min(got.values()) <= 1e-12 * scale
+
+
+def test_d_plans_are_shared_and_bounded():
+    F._d_plan.cache_clear()
+    for a in (three_frames(6)["adapted"], dense_draw(6)):
+        H.chern_ricci_form(a)
+        H.bismut_ricci_form(a)
+    info = F._d_plan.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
+    # d of a closed form and of the top form records an empty plan
+    a = dense_draw(9)
+    top = {(tuple(range(1, 10)), tuple(range(1, 10))): 1.0 + 0j}
+    assert exterior_d(a, {}) == exterior_d(a, top) == F.partial_d(a, top) == {}
+    for i in range(1, 10):
+        for j in range(1, 10):
+            exterior_d(a, F.wedge(F.phi(i), F.phibar(j)))
+    assert F._d_plan.cache_info().misses > F._PLANS
+    assert F._d_plan.cache_info().currsize <= F._PLANS
