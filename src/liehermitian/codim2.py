@@ -229,11 +229,9 @@ def c2_scalars(d):
     return {"s": s, "s_hat": s_hat, "s_b": s_b}
 
 
-def c2_ricci_closed(d, scal=None):
-    """The three Ricci contractions of the Chern curvature, in closed form;
-    ``scal`` is ``c2_scalars(d)`` when the caller has it already."""
+def c2_ricci_closed(d, scal):
+    """The three Chern Ricci contractions in closed form; scal is c2_scalars(d)."""
     n, lam, v, X, Y, Z = d.n, d.lam, d.v, d.X, d.Y, d.Z
-    scal = scal or c2_scalars(d)
     vsq = float(np.vdot(v, v).real)
 
     ric1 = np.zeros((n, n), dtype=complex)
@@ -257,15 +255,14 @@ def c2_ricci_closed(d, scal=None):
     return ric1, ric2, ric3
 
 
-def c2_bismut_blocks(d, scal=None):
+def c2_bismut_blocks(d, scal):
     """(1,1) and (2,0) coefficient matrices of the Bismut Ricci form.
 
     The (1,1) block is Hermitian with support on the first row and
     column only; its corner is the Bismut scalar.  The (2,0) block is
-    antisymmetric with first row -(X v).  ``scal`` as in c2_ricci_closed.
+    antisymmetric with first row -(X v).  scal as in c2_ricci_closed.
     """
     n, v, X, Y, Z = d.n, d.v, d.X, d.Y, d.Z
-    scal = scal or c2_scalars(d)
     M = np.zeros((n, n), dtype=complex)
     M[0, 0] = scal["s_b"]
     row = -(np.conj(v) @ Y + v @ np.conj(Z))
@@ -293,7 +290,8 @@ def c2_residuals(d, scal=None):
         - Ys @ X
         + lam * (Y - X)
     )
-    scal = scal or c2_scalars(d)
+    if scal is None:
+        scal = c2_scalars(d)
     return {
         "unimodular": c2_unimodularity_defect(d),
         "balanced": max(abs(np.trace(X) - np.trace(Y)), vmax),

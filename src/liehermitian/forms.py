@@ -33,13 +33,11 @@ depends on n and the input monomials alone, not on the coefficients.
 So every derivation runs as a recorded plan: entries (output slot,
 source slot) grouped by row, where the source slot points into [x, -x]
 for the step's input x and so carries the sign.  d, del and delbar
-record one plan per (n, part, input monomials) and keep the last
-_PLANS of them; partial(partialbar(omega^k)) records two steps, delbar
-then del, per (n, k).  One kernel replays a plan on the coefficients of
-an algebra: it weighs each source value by its row's coefficient and
-adds them up per output slot, sweeping the whole plan when the rows
-with a nonzero coefficient hold most of its entries, and gathering the
-entries of those rows otherwise.
+record one plan per (n, part, input monomials), a 1-form taken on all
+2n generators so that its zero coefficients do not split its plans, and
+keep the last _PLANS; partial(partialbar(omega^k)) records two steps,
+delbar then del, per (n, k).  One kernel replays a plan on the
+coefficients of an algebra (see _replay).
 """
 
 import functools
@@ -346,6 +344,12 @@ def _d_plan(n, part, keys):
 def _derivation(alg, f, part):
     """Replay the plan of part 0, 1 or 2 (del, delbar, d) on the form f."""
     keys, coeffs = _from_dict(f)
+    basis = np.int64(1) << np.r_[:alg.n, _BAR:_BAR + alg.n]
+    at = np.searchsorted(basis, keys)
+    if np.array_equal(basis.take(at, mode="clip"), keys):  # a 1-form: on all 2n generators
+        x = np.zeros(basis.size, dtype=complex)
+        x[at] = coeffs
+        keys, coeffs = basis, x
     step, monomials = _d_plan(alg.n, part, keys.tobytes())
     return _to_dict(monomials, _replay(step, coeffs, _term_table(alg)[part]), _ZERO_CUT)
 

@@ -268,12 +268,11 @@ def torsion_bianchi_residual(a):
 
 
 def _invariant_one_form(alpha):
-    """The invariant 1-form sum_k alpha_k phi_k - conj(alpha_k) phibar_k, with
-    its zero coefficients, so that d of it replays one plan per dimension."""
+    """The invariant 1-form sum_k alpha_k phi_k - conj(alpha_k) phibar_k."""
     alpha = [complex(c) for c in alpha]
     f = {((k + 1,), ()): c for k, c in enumerate(alpha)}
     f.update({((), (k + 1,)): -c.conjugate() for k, c in enumerate(alpha)})
-    return f
+    return {key: c for key, c in f.items() if abs(c) > forms._ZERO_CUT}
 
 
 def chern_trace_form(a):

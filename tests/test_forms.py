@@ -356,13 +356,32 @@ def random_two_form(rng, n, count):
 @pytest.mark.parametrize("n", [2, 9, 16])
 def test_replayed_d_matches_definition(n, frame):
     # the recorded d, del and delbar plans against the loops of
-    # reference_d, on the two trace 1-forms (zero coefficients kept) and
-    # on random 2-forms
+    # reference_d, on the two trace 1-forms (laid out on all 2n
+    # generators) and on random 2-forms
     a = three_frames(n)[frame]
     rng = rng_for(321, 200 + n)
     for f in [H.chern_trace_form(a), H.bismut_trace_form(a)] + [
             random_two_form(rng, n, 8) for _ in range(2)]:
         hold_against_reference(a, f)
+
+
+@pytest.mark.parametrize("frame", ["adapted", "scrambled", "dense"])
+@pytest.mark.parametrize("n", range(3, 7))
+def test_replayed_del_delbar_matches_definition(n, frame):
+    # omega^k through the recorded d, del and delbar plans, and
+    # partial(partialbar(omega^k)) through two of them and through the
+    # (n, k) plan, against reference_d alone
+    a = three_frames(n)[frame]
+    coef = max(np.abs(a.C).max(), np.abs(a.D).max())
+    for k in range(1, n):
+        wk = kaehler_power(n, k)
+        hold_against_reference(a, wk)
+        ref = F.bidegree_project(reference_d(a, wk), k, k + 1)
+        ref = F.bidegree_project(reference_d(a, ref), k + 1, k + 1)
+        scale = F.max_coeff(wk) * coef ** 2
+        got = F.partial_d(a, F.partial_dbar(a, wk))
+        assert F.max_coeff(F.add(got, F.scale(ref, -1), cut=0.0)) <= 1e-12 * scale
+        assert abs(F.del_delbar_residual(a, k) - F.max_coeff(ref)) <= 1e-12 * scale
 
 
 def live_share(a, plan):
@@ -392,10 +411,17 @@ def test_del_delbar_residual_agrees_across_replay_branches(n):
 
 
 def test_d_plans_are_shared_and_bounded():
+    # the trace forms keep only coefficients above the cut (2 and 12
+    # here in the adapted frame, 12 and 12 in the dense one), and every
+    # 1-form is laid out on the 2n generators, so all four share a plan
     F._d_plan.cache_clear()
+    sizes = []
     for a in (three_frames(6)["adapted"], dense_draw(6)):
-        H.chern_ricci_form(a)
-        H.bismut_ricci_form(a)
+        for f in (H.chern_trace_form(a), H.bismut_trace_form(a)):
+            assert min(abs(c) for c in f.values()) > F._ZERO_CUT
+            sizes.append(len(f))
+            exterior_d(a, f)
+    assert len(set(sizes)) > 1
     info = F._d_plan.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
     # d of a closed form and of the top form records an empty plan
