@@ -30,14 +30,17 @@ take as an argument) are dropped once, when a result is returned.
 
 Which monomials meet which rows, with which sign and into which output,
 depends on n and the input monomials alone, not on the coefficients.
-So every derivation runs as a recorded plan: entries (output slot,
-source slot) grouped by row, where the source slot points into [x, -x]
-for the step's input x and so carries the sign.  d, del and delbar
-record one plan per (n, part, input monomials), a 1-form taken on all
-2n generators so that its zero coefficients do not split its plans, and
-keep the last _PLANS; partial(partialbar(omega^k)) records two steps,
-delbar then del, per (n, k).  One kernel replays a plan on the
-coefficients of an algebra (see _replay).
+So every derivation runs as a recorded plan: entries grouped by row,
+each with a source slot into [x, -x] for the step's input x, which
+carries the sign, and the pair of output slots 2 out, 2 out + 1 that
+its real and imaginary parts add into, the output read as float64.
+Slots take the smallest unsigned type that holds them.  d, del and
+delbar record one plan per (n, part, input monomials), a 1-form taken
+on all 2n generators so that its zero coefficients do not split its
+plans, and keep the most recently used up to _PLAN_ENTRIES entries in
+all; partial(partialbar(omega^k)) records two steps, delbar then del,
+per (n, k).  One kernel replays a plan on the coefficients of an
+algebra, one bincount per block of entries (see _replay).
 """
 
 import functools
@@ -52,7 +55,9 @@ from .errors import InvalidDegree
 _ZERO_CUT = 1e-14
 _BAR = MAX_DIM  # bit of phibar_1
 _GRID = 1 << 18  # bound on (monomial, row) pairs tested, and on plan entries replayed at once
-_PLANS = 64  # bound on the recorded plans of d, del and delbar kept
+_PLAN_ENTRIES = 1 << 21  # bound on the entries of the d, del and delbar plans kept
+_SWEEP = 1 << 12  # entries a sweep visits in the time a gather's fixed cost takes
+_PAIR = {1: np.uint16, 2: np.uint32, 4: np.uint64}  # both slots of an entry as one item
 
 
 def _parity(x):
@@ -84,21 +89,27 @@ def _indices(mask):
             tuple(b - _BAR + 1 for b in bits if b >= _BAR))
 
 
-def _arrays(entries):
-    """(keys, coefficients) of (I, J, coefficient) triples, not merged."""
-    terms = [(_mask(I, J), c) for I, J, c in entries]
+def _arrays(terms):
+    """(keys, coefficients) of ((bitmask, sign), coefficient) pairs, not merged."""
+    terms = list(terms)
     keys = np.array([m for (m, _), _ in terms], dtype=np.int64)
     coeffs = np.array([s * complex(c) for (_, s), c in terms], dtype=complex)
     return keys, coeffs
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _key_mask(key):
+    """_mask of a dict key (I, J), memoised like _indices."""
+    return _mask(*key)
+
+
 def _from_dict(f):
-    return _arrays((I, J, c) for (I, J), c in f.items())
+    return _arrays((_key_mask(key), c) for key, c in f.items())
 
 
 def _to_dict(keys, coeffs, cut):
     keep = np.abs(coeffs) > cut
-    return {_indices(int(k)): complex(c) for k, c in zip(keys[keep], coeffs[keep])}
+    return {_indices(k): c for k, c in zip(keys[keep].tolist(), coeffs[keep].tolist())}
 
 
 def _merge(*parts):
@@ -116,7 +127,7 @@ def form(entries=(), cut=_ZERO_CUT):
     Index tuples may be unordered; they are sorted with the appropriate
     sign.  Repeated indices inside a tuple make the monomial vanish.
     """
-    return _to_dict(*_merge(_arrays(entries)), cut)
+    return _to_dict(*_merge(_arrays((_mask(I, J), c) for I, J, c in entries)), cut)
 
 
 def phi(i):
@@ -185,6 +196,7 @@ def max_coeff(f):
 
 
 _TABLES = weakref.WeakKeyDictionary()
+_D_PLANS = {}  # (n, part, key bytes) -> _d_plan, least recently used first
 
 
 @functools.lru_cache(maxsize=None)
@@ -271,80 +283,116 @@ def kaehler_power(n, k):
 def _plan_step(keys, rows):
     """Record a derivation on the monomials keys, for any coefficients.
 
-    Returns ((ptr, out, src, size), monomials).  monomials are the
+    Returns ((ptr, slots, src, size), monomials).  monomials are the
     sorted monomials the rows can make, size of them.  The entries
-    ptr[t]:ptr[t+1] belong to row t; each adds coef[t] times entry src
-    of [x, -x] to output out, for the input x, so that src carries the
-    sign.  Rows are taken a block at a time so that no more than _GRID
-    (monomial, row) pairs are tested at once."""
+    ptr[t]:ptr[t+1] belong to row t; entry e adds coef[t] times entry
+    src[e] of [x, -x], for the input x, to output out, so that src
+    carries the sign, and slots[2e], slots[2e+1] are 2 out, 2 out + 1:
+    the places of its real and imaginary part in the output viewed as
+    float64.  Rows are taken a block at a time so that no more than
+    _GRID (monomial, row) pairs are tested at once, and no temporary
+    holds more than a block."""
     step = max(1, _GRID // max(1, keys.size))
-    counts, made, slots, src = [], [], [], []
+    counts, made, inverse, src = [], [], [], []
     for start in range(0, rows[0].size, step):
         block = tuple(x[start:start + step] for x in rows)
         t, r, out, sign = _match(keys, block)
         counts.append(np.bincount(t, minlength=block[0].size))
         out, slot = np.unique(out, return_inverse=True)
         made.append(out)
-        slots.append(slot.astype(np.min_scalar_type(out.size)))
+        inverse.append(slot.astype(np.min_scalar_type(out.size)))
         src.append((r + keys.size * (sign < 0)).astype(np.min_scalar_type(2 * keys.size)))
     # sorted in place: plain np.unique would import numpy.ma on first use
     monomials = np.concatenate(made)
     monomials.sort()
     monomials = monomials[np.diff(monomials, prepend=-1) != 0]
-    out_type = np.min_scalar_type(monomials.size)
-    out = np.concatenate([np.searchsorted(monomials, m).astype(out_type)[slot]
-                          for m, slot in zip(made, slots)])
+    slot_type = np.min_scalar_type(2 * monomials.size)
     ptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    return (ptr, out, np.concatenate(src), monomials.size), monomials
+    slots = np.empty((ptr[-1], 2), dtype=slot_type)
+    at = 0
+    for m, slot in zip(made, inverse):
+        even = (2 * np.searchsorted(monomials, m)).astype(slot_type)[slot]
+        slots[at:at + slot.size, 0] = even
+        np.add(even, 1, out=slots[at:at + slot.size, 1])
+        at += slot.size
+    return (ptr, slots.ravel(), np.concatenate(src), monomials.size), monomials
 
 
 def _replay(step, x, coef):
     """The output coefficients of a recorded step on the input
     coefficients x, with row coefficients coef.
 
-    When the live rows (coef nonzero) hold most of the entries, the plan
-    is swept in order, _GRID entries at a time, dead rows weighing 0.
-    Otherwise the live rows, a to b, are gathered a block at a time, at
-    most _GRID entries in all (a longer row goes alone), and e indexes
-    the entries of a block."""
-    ptr, out, src, size = step
-    live = np.flatnonzero(coef)
-    count = ptr[live + 1] - ptr[live]
-    sweep = 2 * count.sum() > ptr[-1]
-    if sweep:
-        live, count = np.arange(coef.size), np.diff(ptr)
-    end = np.cumsum(count)
+    Gathering the live rows (coef nonzero) costs about twice as much per
+    entry as sweeping the plan in order, dead rows weighing 0, plus a
+    fixed cost of about _SWEEP swept entries.  So a plan is swept unless
+    it has _SWEEP entries or more beyond twice those of its live rows,
+    and the live rows are counted only in a plan of _SWEEP entries or
+    more.  Entries go a block at a time, at most _GRID of them (a longer
+    row goes alone): when gathering, the live rows a to b, with e
+    indexing their entries.  One bincount over the slots of a block adds
+    up its real and imaginary parts."""
+    ptr, slots, src, size = step
     signed = np.concatenate((x, -x))
-    y = np.zeros(size, dtype=complex)
+    sweep = ptr[-1] < _SWEEP
+    if not sweep:
+        live = np.flatnonzero(coef)
+        count = ptr[live + 1] - ptr[live]
+        sweep = ptr[-1] < 2 * count.sum() + _SWEEP
+    if sweep and ptr[-1] <= _GRID:  # one block
+        w = signed.take(src)
+        w *= np.repeat(coef, ptr[1:] - ptr[:-1])
+        return np.bincount(slots, w.view(np.float64), 2 * size).view(complex)
+    if sweep:
+        live, count = np.arange(coef.size), ptr[1:] - ptr[:-1]
+    pairs = slots.view(_PAIR[slots.itemsize])
+    end = np.cumsum(count)
+    y = np.zeros(2 * size)
     a = 0
     while a < live.size:
         b = max(a + 1, int(np.searchsorted(end, end[a] - count[a] + _GRID, "right")))
         e = slice(end[a] - count[a], end[b - 1])
-        if not sweep:
+        if sweep:
+            pair, source = pairs[e], src[e]
+        else:
             shift = ptr[live[a:b]] + count[a:b] - end[a:b]  # plan entry minus position
             e = np.arange(e.start, e.stop) + np.repeat(shift, count[a:b])
-        w = signed.take(src[e])
+            pair, source = pairs.take(e), src.take(e)
+        w = signed.take(source)
         w *= np.repeat(coef[live[a:b]], count[a:b])
-        slot = out[e].astype(np.intp)
-        y += np.bincount(slot, w.real, size) + 1j * np.bincount(slot, w.imag, size)
+        y += np.bincount(pair.view(slots.dtype), w.view(np.float64), y.size)
         a = b
-    return y
+    return y.view(complex)
 
 
-@functools.lru_cache(maxsize=_PLANS)
 def _d_plan(n, part, keys):
     """The rows of del, delbar or d (part 0, 1 or 2) recorded on the
     monomials with int64 key bytes keys, as _plan_step returns it.
-    Cached per (n, part, keys) and never per algebra, at most _PLANS."""
-    rows = _rows(n)
-    rows = rows[part] if part < 2 else tuple(map(np.concatenate, zip(*rows)))
-    return _plan_step(np.frombuffer(keys, dtype=np.int64), rows)
+    Cached per (n, part, keys) and never per algebra; once the plans
+    kept hold more than _PLAN_ENTRIES entries, the least recently used
+    go first (a larger plan is kept alone)."""
+    key = (n, part, keys)
+    plan = _D_PLANS.pop(key, None)
+    if plan is None:
+        rows = _rows(n)
+        rows = rows[part] if part < 2 else tuple(map(np.concatenate, zip(*rows)))
+        plan = _plan_step(np.frombuffer(keys, dtype=np.int64), rows)
+        held = plan[0][0][-1] + sum(p[0][0][-1] for p in _D_PLANS.values())
+        while held > _PLAN_ENTRIES and _D_PLANS:
+            held -= _D_PLANS.pop(next(iter(_D_PLANS)))[0][0][-1]
+    _D_PLANS[key] = plan  # last: most recently used
+    return plan
+
+
+@functools.lru_cache(maxsize=None)
+def _generators(n):
+    """The 2n generator monomials phi_1..phi_n, phibar_1..phibar_n, sorted."""
+    return np.int64(1) << np.r_[:n, _BAR:_BAR + n]
 
 
 def _derivation(alg, f, part):
     """Replay the plan of part 0, 1 or 2 (del, delbar, d) on the form f."""
     keys, coeffs = _from_dict(f)
-    basis = np.int64(1) << np.r_[:alg.n, _BAR:_BAR + alg.n]
+    basis = _generators(alg.n)
     at = np.searchsorted(basis, keys)
     if np.array_equal(basis.take(at, mode="clip"), keys):  # a 1-form: on all 2n generators
         x = np.zeros(basis.size, dtype=complex)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liehermitian import algebra, cli, hermitian, sampling, serial, verify
+from liehermitian import algebra, cli, codim2, hermitian, sampling, serial, verify
 from liehermitian.algebra import change_frame, max_abs
 from liehermitian.almost_abelian import build_almost_abelian
 from liehermitian.codim2 import build_codim2, classify_btp, from_almost_abelian
@@ -450,6 +450,35 @@ def test_sample_btpv0_counts_rank_two_as_refuted_witness(tmp_path, capsys, monke
     assert rep["tallies"]["rank_obstruction"] == {"pass": 1, "fail": 0}
     assert rep["tallies"]["torsion_parallel"] == {"pass": 4, "fail": 0}
     assert rep["tallies"]["classify_roundtrip"] == {"pass": 5, "fail": 0}
+
+
+@pytest.mark.parametrize("report", ["aa_report", "c2_report"])
+def test_sample_builds_each_draw_once(tmp_path, capsys, monkeypatch, report):
+    # a draw takes its algebra from its report; only a draw whose report
+    # raises CrossCheckFailure builds it apart
+    monkeypatch.chdir(tmp_path)
+    family = {"aa_report": "almost_abelian", "c2_report": "codim2"}[report]
+    made, calls = algebra.make_algebra, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return made(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "make_algebra", counted)
+    monkeypatch.setattr(codim2, "make_algebra", counted)
+    code, rep = run_json(capsys, ["sample", family, "--count", "6", "--seed", "1"])
+    assert code == 0 and rep["tallies"]["cross_check"] == {"pass": 6, "fail": 0}
+    assert len(calls) == 6
+
+    def refused(d):
+        raise CrossCheckFailure("refused before building")
+
+    calls.clear()
+    monkeypatch.setattr(cli, report, refused)
+    code, rep = run_json(capsys, ["sample", family, "--count", "6", "--seed", "1"])
+    assert code == 0 and rep["tallies"]["cross_check"] == {"pass": 0, "fail": 6}
+    assert rep["tallies"]["jacobi"] == {"pass": 6, "fail": 0}
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("argv", [["sample", "general"], ["verify"]])

@@ -333,10 +333,14 @@ def test_del_delbar_plans_are_shared_per_dimension():
     assert F._ddbar_plan(6, 2) is plan
     assert F._ddbar_plan.cache_info().currsize == 1
     inputs = math.comb(6, 2)
-    for ptr, out, src, size in plan:
-        assert out.dtype == np.min_scalar_type(size)
+    for ptr, slots, src, size in plan:
+        # entry e writes its real part to slots[2e] = 2 out and its
+        # imaginary part to slots[2e+1] = 2 out + 1 of the float64 output
+        assert slots.dtype == np.min_scalar_type(2 * size)
         assert src.dtype == np.min_scalar_type(2 * inputs)
-        assert ptr[-1] == out.size == src.size
+        assert 2 * ptr[-1] == slots.size == 2 * src.size
+        even, odd = slots[::2], slots[1::2]
+        assert not (even % 2).any() and np.array_equal(odd, even + 1) and odd.max() < 2 * size
         assert src.min() < inputs <= src.max() < 2 * inputs  # both signs occur
         inputs = size
     # the slots of the three report powers fit 16 bits up to n = 16
@@ -410,20 +414,73 @@ def test_del_delbar_residual_agrees_across_replay_branches(n):
     assert max(got.values()) - min(got.values()) <= 1e-12 * scale
 
 
+def reference_replay(step, x, coef, sweep):
+    """forms._replay as a loop of np.add.at over the rows: every row when
+    the plan is swept, the rows with a nonzero coefficient otherwise.
+    Each block of rows holding at most _GRID entries (a longer row
+    alone) is summed apart and then added up, as the replay does."""
+    ptr, slots, src, size = step
+    signed = np.concatenate((x, -x))
+    y, block, used = np.zeros(size, complex), np.zeros(size, complex), 0
+    for t in range(coef.size) if sweep else np.flatnonzero(coef):
+        e = np.arange(ptr[t], ptr[t + 1])
+        if used and used + e.size > F._GRID:
+            y, block, used = y + block, np.zeros(size, complex), 0
+        np.add.at(block, slots[2 * e] // 2, signed[src[e]] * coef[t])
+        used += e.size
+    return y + block
+
+
+@pytest.mark.parametrize("frame", ["adapted", "scrambled", "dense"])
+@pytest.mark.parametrize("n", [4, 8, 13])
+def test_replay_matches_reference_bit_for_bit(n, frame):
+    # both steps of the (n, 1) and (n, n-1) del-delbar plans and the
+    # 1-form d plan; a plan of fewer than _SWEEP entries beyond twice its
+    # live ones is swept, and the n = 13, k = 1 del step (371,124
+    # entries) takes two blocks both ways
+    a = three_frames(n)[frame]
+    table = F._term_table(a)
+    cases = []
+    for k in (1, n - 1):
+        x = F._power(n, k)[1]
+        for step, part in zip(F._ddbar_plan(n, k), (1, 0)):
+            cases.append((step, x, table[part]))
+            x = F._replay(step, x, table[part])
+    f = H.bismut_trace_form(a)
+    step, _ = F._d_plan(n, 2, F._generators(n).tobytes())
+    x = np.array([f.get(((i,), ()), 0) for i in range(1, n + 1)]
+                 + [f.get(((), (i,)), 0) for i in range(1, n + 1)], dtype=complex)
+    cases.append((step, x, table[2]))
+    seen = set()
+    for step, x, coef in cases:
+        ptr = step[0]
+        live = int(np.diff(ptr)[coef != 0].sum())
+        sweep = ptr[-1] < 2 * live + F._SWEEP
+        seen.add((sweep, 2 * live > ptr[-1], ptr[-1] > F._GRID))
+        assert np.array_equal(F._replay(step, x, coef), reference_replay(step, x, coef, sweep))
+    if frame == "dense":
+        assert (True, True, n == 13) in seen  # swept for its live share
+    else:
+        assert (True, False, False) in seen  # swept for its size alone
+        if n > 4:
+            assert (False, False, False) in seen  # gathered in one block
+        if n == 13:
+            assert (False, False, True) in seen  # gathered in two blocks
+
+
 def test_d_plans_are_shared_and_bounded():
     # the trace forms keep only coefficients above the cut (2 and 12
     # here in the adapted frame, 12 and 12 in the dense one), and every
     # 1-form is laid out on the 2n generators, so all four share a plan
-    F._d_plan.cache_clear()
+    F._D_PLANS.clear()
     sizes = []
     for a in (three_frames(6)["adapted"], dense_draw(6)):
         for f in (H.chern_trace_form(a), H.bismut_trace_form(a)):
             assert min(abs(c) for c in f.values()) > F._ZERO_CUT
             sizes.append(len(f))
             exterior_d(a, f)
+            assert len(F._D_PLANS) == 1
     assert len(set(sizes)) > 1
-    info = F._d_plan.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
     # d of a closed form and of the top form records an empty plan
     a = dense_draw(9)
     top = {(tuple(range(1, 10)), tuple(range(1, 10))): 1.0 + 0j}
@@ -431,5 +488,27 @@ def test_d_plans_are_shared_and_bounded():
     for i in range(1, 10):
         for j in range(1, 10):
             exterior_d(a, F.wedge(F.phi(i), F.phibar(j)))
-    assert F._d_plan.cache_info().misses > F._PLANS
-    assert F._d_plan.cache_info().currsize <= F._PLANS
+    assert len(F._D_PLANS) == 1 + 3 + 81  # all small: none is dropped
+
+
+def test_d_plans_are_bounded_by_entries():
+    # distinct dense 2-forms at n = 16, each recorded once: the plans kept
+    # never hold more than _PLAN_ENTRIES entries, the least recently used
+    # go first, and their arrays take at most 8 bytes per entry kept
+    F._D_PLANS.clear()
+    a = dense_draw(16, unimodular=False)
+    rng = rng_for(80, 16)
+    twos = [random_two_form(rng, 16, 1200) for _ in range(10)]
+    keys = [(16, 2, F._from_dict(f)[0].tobytes()) for f in twos]
+    for f in twos[:9]:
+        exterior_d(a, f)
+        assert sum(step[0][-1] for step, _ in F._D_PLANS.values()) <= F._PLAN_ENTRIES
+    kept = len(F._D_PLANS)
+    assert 1 < kept < 9 and list(F._D_PLANS) == keys[9 - kept:9]
+    exterior_d(a, twos[9 - kept])  # the oldest kept, used again, stays
+    exterior_d(a, twos[9])
+    assert keys[9 - kept] in F._D_PLANS and keys[10 - kept] not in F._D_PLANS
+    held = sum(step[0][-1] for step, _ in F._D_PLANS.values())
+    nbytes = sum(x.nbytes for step, monomials in F._D_PLANS.values()
+                 for x in (*step[:3], monomials))
+    assert held <= F._PLAN_ENTRIES and nbytes <= 8 * held
