@@ -54,7 +54,6 @@ from .hermitian import (
     chern_torsion,
     chern_trace_form,
     curvature_hermitian_residual,
-    gauduchon_connection,
     property_report,
     ricci_first,
     ricci_second,

@@ -34,13 +34,14 @@ So every derivation runs as a recorded plan: entries grouped by row,
 each with a source slot into [x, -x] for the step's input x, which
 carries the sign, and the pair of output slots 2 out, 2 out + 1 that
 its real and imaginary parts add into, the output read as float64.
-Slots take the smallest unsigned type that holds them.  d, del and
-delbar record one plan per (n, part, input monomials), a 1-form taken
-on all 2n generators so that its zero coefficients do not split its
-plans, and keep the most recently used up to _PLAN_ENTRIES entries in
-all; partial(partialbar(omega^k)) records two steps, delbar then del,
-per (n, k).  One kernel replays a plan on the coefficients of an
-algebra, one bincount per block of entries (see _replay).
+Slots take the smallest unsigned type that holds them.  One cache holds
+the plans, one per (n, part of d, input monomials), a 1-form taken on
+all 2n generators so that its zero coefficients do not split its plans,
+and keeps the most recently used up to _PLAN_ENTRIES entries in all.
+d, del and delbar replay one plan; partial(partialbar(omega^k)) replays
+two, delbar on the monomials of omega^k, then del on those it made.
+One kernel replays a plan on the coefficients of an algebra, one
+bincount per block of entries (see _replay).
 """
 
 import functools
@@ -55,7 +56,7 @@ from .errors import InvalidDegree
 _ZERO_CUT = 1e-14
 _BAR = MAX_DIM  # bit of phibar_1
 _GRID = 1 << 18  # bound on (monomial, row) pairs tested, and on plan entries replayed at once
-_PLAN_ENTRIES = 1 << 21  # bound on the entries of the d, del and delbar plans kept
+_PLAN_ENTRIES = 1 << 21  # bound on the entries of the plans kept
 _SWEEP = 1 << 12  # entries a sweep visits in the time a gather's fixed cost takes
 _PAIR = {1: np.uint16, 2: np.uint32, 4: np.uint64}  # both slots of an entry as one item
 
@@ -202,12 +203,12 @@ _D_PLANS = {}  # (n, part, key bytes) -> _d_plan, least recently used first
 @functools.lru_cache(maxsize=None)
 def _rows(n):
     """The terms of d on the generators in dimension n, without their
-    coefficients: the rows (del, delbar) of (g, test, pair, span, src),
-    one row per term x_lo ^ x_hi of d x_g, with pair = lo | hi,
-    test = g | pair and span = below(lo) ^ below(hi).  src indexes the
-    coefficient in the source [-C, D, -conj D, -conj C] of _term_table.
-    A monomial K takes the term when K & test == g: it contains g, and
-    once g is gone, neither lo nor hi."""
+    coefficients: the rows (del, delbar, d) of (g, test, pair, span, src),
+    d's being del's then delbar's, one row per term x_lo ^ x_hi of d x_g,
+    with pair = lo | hi, test = g | pair and span = below(lo) ^ below(hi).
+    src indexes the coefficient in the source [-C, D, -conj D, -conj C]
+    of _term_table.  A monomial K takes the term when K & test == g: it
+    contains g, and once g is gone, neither lo nor hi."""
     m, i, k = (x.ravel() for x in np.indices((n, n, n)))
     u = np.int64(1) << np.arange(n, dtype=np.int64)
     b = u << _BAR
@@ -224,22 +225,20 @@ def _rows(n):
         g, lo, hi, src = g[kept], lo[kept], hi[kept], src[kept]
         pair = lo | hi
         out.append((g, g | pair, pair, (lo - 1) ^ (hi - 1), src))
-    return tuple(out)
+    return (*out, tuple(map(np.concatenate, zip(*out))))
 
 
 def _term_table(alg):
-    """The coefficients of the rows of del, of delbar and of d (those of
-    del, then those of delbar) of _rows(n), cached per algebra, with the
-    coefficients at or below the cut set to 0."""
+    """The coefficients of the rows of del, delbar and d of _rows(n),
+    cached per algebra, with those at or below the cut set to 0."""
     try:
         return _TABLES[alg]
     except KeyError:
         pass
     C, D = alg.C.ravel(), alg.D.transpose(1, 0, 2).ravel()
     source = np.concatenate((-C, D, -np.conj(D), -np.conj(C)))
-    coefs = [source[rows[4]] for rows in _rows(alg.n)]
-    coefs = [np.where(np.abs(c) > _ZERO_CUT, c, 0) for c in coefs]
-    _TABLES[alg] = (*coefs, np.concatenate(coefs))
+    coefs = (source[rows[4]] for rows in _rows(alg.n))
+    _TABLES[alg] = tuple(np.where(np.abs(c) > _ZERO_CUT, c, 0) for c in coefs)
     return _TABLES[alg]
 
 
@@ -255,24 +254,27 @@ def _match(keys, rows):
     return t, r, N | pair[t], 1 - 2 * odd
 
 
+def invariant_one_form(alpha):
+    """The invariant 1-form sum_k alpha_k phi_k - conj(alpha_k) phibar_k."""
+    alpha = [complex(c) for c in alpha]
+    f = {((k + 1,), ()): c for k, c in enumerate(alpha)}
+    f.update({((), (k + 1,)): -c.conjugate() for k, c in enumerate(alpha)})
+    return {key: c for key, c in f.items() if abs(c) > _ZERO_CUT}
+
+
 def kaehler_form(n):
     """The fundamental form i * sum phi_k ^ phibar_k of the unitary frame."""
     return {((k,), (k,)): 1.0j for k in range(1, n + 1)}
 
 
-_POWERS = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _power(n, k):
     """omega^k as arrays, cached: sorting the factors of
     (phi_1 phibar_1) .. (phi_k phibar_k) takes k(k-1)/2 transpositions,
     so every phi_K ^ phibar_K with |K| = k carries i^k k! (-1)^(k(k-1)/2)."""
-    if (n, k) not in _POWERS:
-        sub = np.array([s for s in range(1 << n) if s.bit_count() == k],
-                       dtype=np.int64)
-        c = 1j ** k * factorial(k) * (-1) ** (k * (k - 1) // 2)
-        _POWERS[(n, k)] = (sub | (sub << _BAR), np.full(sub.size, c, dtype=complex))
-    return _POWERS[(n, k)]
+    sub = np.array([s for s in range(1 << n) if s.bit_count() == k], dtype=np.int64)
+    c = 1j ** k * factorial(k) * (-1) ** (k * (k - 1) // 2)
+    return sub | (sub << _BAR), np.full(sub.size, c, dtype=complex)
 
 
 def kaehler_power(n, k):
@@ -366,16 +368,15 @@ def _replay(step, x, coef):
 
 def _d_plan(n, part, keys):
     """The rows of del, delbar or d (part 0, 1 or 2) recorded on the
-    monomials with int64 key bytes keys, as _plan_step returns it.
-    Cached per (n, part, keys) and never per algebra; once the plans
-    kept hold more than _PLAN_ENTRIES entries, the least recently used
-    go first (a larger plan is kept alone)."""
+    monomials with int64 key bytes keys, as _plan_step returns it.  The
+    one plan cache of the module, keyed on (n, part, keys) and never on
+    an algebra: once the plans kept hold more than _PLAN_ENTRIES
+    entries, the least recently used go first (a larger plan is kept
+    alone)."""
     key = (n, part, keys)
     plan = _D_PLANS.pop(key, None)
     if plan is None:
-        rows = _rows(n)
-        rows = rows[part] if part < 2 else tuple(map(np.concatenate, zip(*rows)))
-        plan = _plan_step(np.frombuffer(keys, dtype=np.int64), rows)
+        plan = _plan_step(np.frombuffer(keys, dtype=np.int64), _rows(n)[part])
         held = plan[0][0][-1] + sum(p[0][0][-1] for p in _D_PLANS.values())
         while held > _PLAN_ENTRIES and _D_PLANS:
             held -= _D_PLANS.pop(next(iter(_D_PLANS)))[0][0][-1]
@@ -389,8 +390,15 @@ def _generators(n):
     return np.int64(1) << np.r_[:n, _BAR:_BAR + n]
 
 
+def _apply(alg, part, keys, x):
+    """(monomials, coefficients) of part 0, 1 or 2 (del, delbar, d) of the
+    form with monomials keys and coefficients x, replayed from _d_plan."""
+    step, monomials = _d_plan(alg.n, part, keys.tobytes())
+    return monomials, _replay(step, x, _term_table(alg)[part])
+
+
 def _derivation(alg, f, part):
-    """Replay the plan of part 0, 1 or 2 (del, delbar, d) on the form f."""
+    """Part 0, 1 or 2 (del, delbar, d) of the form f, as a dict."""
     keys, coeffs = _from_dict(f)
     basis = _generators(alg.n)
     at = np.searchsorted(basis, keys)
@@ -398,8 +406,7 @@ def _derivation(alg, f, part):
         x = np.zeros(basis.size, dtype=complex)
         x[at] = coeffs
         keys, coeffs = basis, x
-    step, monomials = _d_plan(alg.n, part, keys.tobytes())
-    return _to_dict(monomials, _replay(step, coeffs, _term_table(alg)[part]), _ZERO_CUT)
+    return _to_dict(*_apply(alg, part, keys, coeffs), _ZERO_CUT)
 
 
 def exterior_d(alg, f):
@@ -417,34 +424,20 @@ def partial_dbar(alg, f):
     return _derivation(alg, f, 1)
 
 
-@functools.lru_cache(maxsize=None)
-def _ddbar_plan(n, k):
-    """partial(partialbar(omega^k)) in dimension n as two recorded steps,
-    the delbar rows then the del rows of _rows(n).  Cached per (n, k)
-    and never per algebra; n <= MAX_DIM bounds the cache."""
-    keys, _ = _power(n, k)
-    steps = []
-    for part in (1, 0):
-        step, keys = _plan_step(keys, _rows(n)[part])
-        steps.append(step)
-    return tuple(steps)
-
-
 def del_delbar_residual(alg, k):
     """Max coefficient of  partial(partialbar(omega^k)).
 
     Zero iff omega^k is pluriclosed in the generalized sense: k = 1 is
     the usual pluriclosed condition, k = n - 2 the astheno one, and
-    k = n - 1 vanishes for every unimodular algebra.  Replays the (n, k)
-    plan."""
+    k = n - 1 vanishes for every unimodular algebra.  Replays the delbar
+    plan of omega^k's monomials, then the del plan of those it made."""
     if not 1 <= k <= alg.n - 1:
         raise InvalidDegree(
             f"power k={k} outside the meaningful range 1..{alg.n - 1}"
         )
-    x = _power(alg.n, k)[1]
-    table = _term_table(alg)
-    for step, part in zip(_ddbar_plan(alg.n, k), (1, 0)):
-        x = _replay(step, x, table[part])
+    keys, x = _power(alg.n, k)
+    for part in (1, 0):
+        keys, x = _apply(alg, part, keys, x)
     worst = float(np.abs(x).max(initial=0.0))
     return worst if worst > _ZERO_CUT else 0.0
 

@@ -113,13 +113,6 @@ def bismut_connection(a):
     return -a.C + a.D.transpose(0, 2, 1)
 
 
-def gauduchon_connection(a, t):
-    """The affine line of canonical connections: t=0 gives the Chern
-    coefficients, t=2 the skew-torsion ones, exactly."""
-    s = t / 2.0
-    return (1.0 - s) * chern_connection(a) + s * bismut_connection(a)
-
-
 # ---------------------------------------------------------------------------
 # curvature and its traces
 
@@ -267,22 +260,14 @@ def torsion_bianchi_residual(a):
 # trace forms and Ricci forms
 
 
-def _invariant_one_form(alpha):
-    """The invariant 1-form sum_k alpha_k phi_k - conj(alpha_k) phibar_k."""
-    alpha = [complex(c) for c in alpha]
-    f = {((k + 1,), ()): c for k, c in enumerate(alpha)}
-    f.update({((), (k + 1,)): -c.conjugate() for k, c in enumerate(alpha)})
-    return {key: c for key, c in f.items() if abs(c) > forms._ZERO_CUT}
-
-
 def chern_trace_form(a):
     """trace of the canonical connection form, as an invariant 1-form."""
-    return _invariant_one_form(chern_connection_trace(a))
+    return forms.invariant_one_form(chern_connection_trace(a))
 
 
 def bismut_trace_form(a):
     """trace of the skew-torsion connection form, as an invariant 1-form."""
-    return _invariant_one_form(-bracket_trace(a) + chern_divergence(a))
+    return forms.invariant_one_form(-bracket_trace(a) + chern_divergence(a))
 
 
 def chern_ricci_form(a):

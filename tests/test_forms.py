@@ -310,8 +310,8 @@ def three_frames(n):
 @pytest.mark.parametrize("frame", ["adapted", "scrambled", "dense"])
 @pytest.mark.parametrize("n", range(2, 17))
 def test_del_delbar_plan_matches_generic_route(n, frame):
-    # the (n, k) plan against partial_d(partial_dbar(omega^k)), two
-    # recorded d plans with the output cut between them;
+    # del_delbar_residual against partial_d(partial_dbar(omega^k)), the
+    # same two recorded steps with the output cut between them;
     # one term of the sum is at most |omega^k| * max(|C|, |D|)^2
     a = three_frames(n)[frame]
     coef = max(np.abs(a.C).max(), np.abs(a.D).max())
@@ -322,18 +322,31 @@ def test_del_delbar_plan_matches_generic_route(n, frame):
         assert abs(F.del_delbar_residual(a, k) - ref) <= 1e-12 * scale
 
 
+def ddbar_steps(n, k):
+    """The _d_plan keys and steps of partial(partialbar(omega^k)), as
+    del_delbar_residual looks them up: delbar on the monomials of
+    omega^k, then del on those it made."""
+    keys, steps = F._power(n, k)[0], []
+    for part in (1, 0):
+        key = (n, part, keys.tobytes())
+        step, keys = F._d_plan(*key)
+        steps.append((key, step))
+    return steps
+
+
 def test_del_delbar_plans_are_shared_per_dimension():
-    F._ddbar_plan.cache_clear()
+    F._D_PLANS.clear()
     kaehler_power(6, 2)
-    assert F._ddbar_plan.cache_info().currsize == 0  # built on first use only
+    assert not F._D_PLANS  # recorded on first use only
     first, second = dense_draw(6), three_frames(6)["adapted"]
     F.del_delbar_residual(first, 2)
-    plan = F._ddbar_plan(6, 2)
+    plan = dict(F._D_PLANS)
     F.del_delbar_residual(second, 2)
-    assert F._ddbar_plan(6, 2) is plan
-    assert F._ddbar_plan.cache_info().currsize == 1
+    assert len(plan) == len(F._D_PLANS) == 2
+    assert all(F._D_PLANS[key] is step for key, step in plan.items())
+    assert [key for key, _ in ddbar_steps(6, 2)] == list(plan)
     inputs = math.comb(6, 2)
-    for ptr, slots, src, size in plan:
+    for (ptr, slots, src, size), _ in plan.values():
         # entry e writes its real part to slots[2e] = 2 out and its
         # imaginary part to slots[2e+1] = 2 out + 1 of the float64 output
         assert slots.dtype == np.min_scalar_type(2 * size)
@@ -345,7 +358,43 @@ def test_del_delbar_plans_are_shared_per_dimension():
         inputs = size
     # the slots of the three report powers fit 16 bits up to n = 16
     for k in (1, 14, 15):
-        assert all(x.itemsize <= 2 for step in F._ddbar_plan(16, k) for x in step[1:3])
+        assert all(x.itemsize <= 2 for _, step in ddbar_steps(16, k) for x in step[1:3])
+    # the residual of omega and partial_dbar of the form omega share a
+    # single delbar step
+    F._D_PLANS.clear()
+    a = dense_draw(6)
+    F.del_delbar_residual(a, 1)
+    (delbar, step), _ = ddbar_steps(6, 1)
+    F.partial_dbar(a, kaehler_form(6))
+    assert len(F._D_PLANS) == 2 and F._D_PLANS[delbar][0] is step
+
+
+def test_del_delbar_steps_share_the_plan_budget(monkeypatch):
+    # at n = 9 the steps of omega^1, omega^7 and omega^8 hold 73,917
+    # entries in all; under a budget of 60,000 the least recently used
+    # steps go first, the del step of omega^4 (1,048,950 entries) is
+    # kept alone until the next step is recorded, and plans recorded
+    # again give the same residuals
+    a = dense_draw(9)
+    powers = (1, 7, 8, 4, 8)
+    F._D_PLANS.clear()
+    full = [F.del_delbar_residual(a, k) for k in powers]
+    sizes = {key: step[0][-1] for key, (step, _) in F._D_PLANS.items()}
+    assert sum(sizes[key] for k in (1, 7, 8) for key, _ in ddbar_steps(9, k)) == 73917
+    monkeypatch.setattr(F, "_PLAN_ENTRIES", 60000)
+    F._D_PLANS.clear()
+    order = []  # every key used, least recently used first
+    for k, residual in zip(powers, full):
+        assert F.del_delbar_residual(a, k) == residual
+        used = [key for key, _ in ddbar_steps(9, k)]
+        order = [key for key in order if key not in used] + used
+        kept = list(F._D_PLANS)
+        held = sum(sizes[key] for key in kept)
+        assert kept == order[len(order) - len(kept):]
+        assert held <= F._PLAN_ENTRIES or len(kept) == 1
+        if len(kept) < len(order):  # none went that could have stayed
+            assert held + sizes[order[-len(kept) - 1]] > F._PLAN_ENTRIES
+    assert len(order) == 8 and len(kept) == 2
 
 
 def random_two_form(rng, n, count):
@@ -373,8 +422,8 @@ def test_replayed_d_matches_definition(n, frame):
 @pytest.mark.parametrize("n", range(3, 7))
 def test_replayed_del_delbar_matches_definition(n, frame):
     # omega^k through the recorded d, del and delbar plans, and
-    # partial(partialbar(omega^k)) through two of them and through the
-    # (n, k) plan, against reference_d alone
+    # partial(partialbar(omega^k)) through two of them with and without
+    # the cut between them, against reference_d alone
     a = three_frames(n)[frame]
     coef = max(np.abs(a.C).max(), np.abs(a.D).max())
     for k in range(1, n):
@@ -388,12 +437,12 @@ def test_replayed_del_delbar_matches_definition(n, frame):
         assert abs(F.del_delbar_residual(a, k) - F.max_coeff(ref)) <= 1e-12 * scale
 
 
-def live_share(a, plan):
+def live_share(a, steps):
     """Share of the entries of each del-delbar step that belong to rows
     with a nonzero coefficient; the replay sweeps a step above one half."""
     table = F._term_table(a)
     return [float(np.diff(step[0])[table[part] != 0].sum() / step[0][-1])
-            for step, part in zip(plan, (1, 0))]
+            for (_, part, _), step in steps]
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -404,10 +453,10 @@ def test_del_delbar_residual_agrees_across_replay_branches(n):
     frames = three_frames(n)
     a = frames["adapted"]
     scale = F.max_coeff(kaehler_power(n, n - 1)) * max(np.abs(a.C).max(), np.abs(a.D).max()) ** 2
-    plan = F._ddbar_plan(n, n - 1)
+    steps = ddbar_steps(n, n - 1)
     got = {}
     for name, b in frames.items():
-        share = live_share(b, plan)
+        share = live_share(b, steps)
         assert all(s > 0.5 for s in share) if name == "dense" else all(s <= 0.5 for s in share)
         got[name] = F.del_delbar_residual(b, n - 1)
     assert got["adapted"] > 0.0
@@ -434,8 +483,8 @@ def reference_replay(step, x, coef, sweep):
 @pytest.mark.parametrize("frame", ["adapted", "scrambled", "dense"])
 @pytest.mark.parametrize("n", [4, 8, 13])
 def test_replay_matches_reference_bit_for_bit(n, frame):
-    # both steps of the (n, 1) and (n, n-1) del-delbar plans and the
-    # 1-form d plan; a plan of fewer than _SWEEP entries beyond twice its
+    # both steps of partial(partialbar(omega^k)) for k = 1 and n - 1 and
+    # the 1-form d plan; a plan of fewer than _SWEEP entries beyond twice its
     # live ones is swept, and the n = 13, k = 1 del step (371,124
     # entries) takes two blocks both ways
     a = three_frames(n)[frame]
@@ -443,7 +492,7 @@ def test_replay_matches_reference_bit_for_bit(n, frame):
     cases = []
     for k in (1, n - 1):
         x = F._power(n, k)[1]
-        for step, part in zip(F._ddbar_plan(n, k), (1, 0)):
+        for (_, part, _), step in ddbar_steps(n, k):
             cases.append((step, x, table[part]))
             x = F._replay(step, x, table[part])
     f = H.bismut_trace_form(a)

@@ -22,7 +22,6 @@ from liehermitian import (
     chern_scalar,
     chern_torsion,
     curvature_hermitian_residual,
-    gauduchon_connection,
     property_report,
     ricci_first,
     ricci_second,
@@ -85,14 +84,6 @@ def test_bismut_is_chern_plus_torsion():
     lhs = bismut_connection(a)
     rhs = chern_connection(a) + chern_torsion(a)
     assert max_abs(lhs - rhs) == 0.0
-
-
-def test_gauduchon_line_endpoints():
-    a = single_entry()
-    assert np.allclose(gauduchon_connection(a, 0.0), chern_connection(a))
-    assert np.allclose(gauduchon_connection(a, 2.0), bismut_connection(a))
-    mid = 0.5 * (chern_connection(a) + bismut_connection(a))
-    assert np.allclose(gauduchon_connection(a, 1.0), mid)
 
 
 # ------------------------------------------------------------------ fixtures

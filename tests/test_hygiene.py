@@ -4,8 +4,10 @@ Every module of ``src/liehermitian`` except ``__init__.py`` (whose
 imports are the public re-exports) must use each of its module-level
 imports, and each of its module-level functions and classes must be
 referenced somewhere in ``src/``, ``tests/``, ``demos/`` or ``bench/``
-outside its own definition.  No module of the package imports scipy,
-which is a test-only dependency.
+outside its own definition.  No module of the package reads a private
+name (one with a leading underscore that is not a dunder) of another
+package module.  No module of the package imports scipy, which is a
+test-only dependency.
 """
 
 import ast
@@ -61,6 +63,26 @@ def test_module_level_definitions_are_referenced():
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and everywhere[node.name] <= _names(node)[node.name]]
     assert not unreferenced, "never referenced: %s" % unreferenced
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_modules_read_no_private_names_of_other_modules(path):
+    # from .x import _y, and m._y for a package module m bound by
+    # from . import m
+    tree = _tree(path)
+    relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    modules = {alias.asname or alias.name for node in relative if not node.module
+               for alias in node.names}
+    found = ["%d: %s" % (node.lineno, alias.name) for node in relative
+             for alias in node.names if _private(alias.name)]
+    found += ["%d: %s.%s" % (node.lineno, node.value.id, node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and _private(node.attr)]
+    assert not found, "%s reads private names of other modules: %s" % (path.name, found)
 
 
 def test_package_does_not_import_scipy():
