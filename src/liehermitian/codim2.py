@@ -857,13 +857,15 @@ def classify_btp(d):
 
 
 def spectrum_distance(vals_a, vals_b):
-    """Multiset distance between two equal-length spectra.
+    """Bottleneck distance between two equal-length spectra: over all
+    pairings of the two lists, the smallest largest gap |a_i - b_j|.
 
     Sorting complex eigenvalues is unstable when real parts tie (an
     all-imaginary spectrum plus rounding noise permutes freely), so the
-    comparison pairs the two lists by a minimal-sum assignment of the
-    gaps |a_i - b_j| (:func:`_assignment`) and returns the largest
-    matched gap.
+    lists are paired, not sorted.  The distance is one of the gaps and
+    at least the largest gap from a point of either list to the nearest
+    point of the other.  That bound is tested first, which settles two
+    spectra that agree; then the sorted gaps above it are bisected.
     """
     a = np.asarray(vals_a, dtype=complex).reshape(-1)
     b = np.asarray(vals_b, dtype=complex).reshape(-1)
@@ -874,59 +876,34 @@ def spectrum_distance(vals_a, vals_b):
     cost = np.abs(a[:, None] - b[None, :])
     if not np.isfinite(cost).all():
         raise ValueError("spectra must be finite")
-    cost = cost.tolist()
-    return max(row[j] for row, j in zip(cost, _assignment(cost)))
+    levels = np.sort(cost, axis=None)
+    lo = int(np.searchsorted(levels, max(cost.min(0).max(), cost.min(1).max())))
+    hi, level = levels.size - 1, lo
+    while lo < hi:
+        if _pairs_within(cost <= levels[level]):
+            hi = level
+        else:
+            lo = level + 1
+        level = (lo + hi) // 2
+    return float(levels[lo])
 
 
-def _assignment(cost):
-    """Column assigned to each row by a minimal-sum assignment of the
-    square matrix ``cost`` (a list of lists of floats).
+def _pairs_within(allowed):
+    """Whether the boolean square matrix ``allowed`` pairs every row with
+    a column of its own, by Kuhn's augmenting paths."""
+    adj = [[j for j, ok in enumerate(row) if ok] for row in allowed.tolist()]
+    row_of = [-1] * len(adj)  # row paired with each column, -1 if free
 
-    The Hungarian method with shortest augmenting paths: rows enter one
-    at a time, and each is matched by a Dijkstra search over reduced
-    costs ``cost[i][j] - u[i] - v[j]``, which the potentials u, v keep
-    nonnegative.  O(m^3) steps on Python floats, which beat numpy calls
-    at the spectrum sizes met here (m <= 15).  Column 0 is a virtual
-    column that holds the row being inserted.
-    """
-    m = len(cost)
-    inf = float("inf")
-    u = [0.0] * (m + 1)
-    v = [0.0] * (m + 1)
-    col_row = [0] * (m + 1)  # 1-based row matched to each column, 0 if free
-    for i in range(1, m + 1):
-        col_row[0] = i
-        j0 = 0
-        dist = [inf] * (m + 1)
-        prev = [0] * (m + 1)
-        done = [False] * (m + 1)
-        while col_row[j0]:
-            done[j0] = True
-            i0 = col_row[j0]
-            row, ui = cost[i0 - 1], u[i0]
-            delta, j1 = inf, 0
-            for j in range(1, m + 1):
-                if not done[j]:
-                    r = row[j - 1] - ui - v[j]
-                    if r < dist[j]:
-                        dist[j], prev[j] = r, j0
-                    if dist[j] < delta:
-                        delta, j1 = dist[j], j
-            for j in range(m + 1):
-                if done[j]:
-                    u[col_row[j]] += delta
-                    v[j] -= delta
-                else:
-                    dist[j] -= delta
-            j0 = j1
-        while j0:
-            j1 = prev[j0]
-            col_row[j0] = col_row[j1]
-            j0 = j1
-    cols = [0] * m
-    for j in range(1, m + 1):
-        cols[col_row[j] - 1] = j - 1
-    return cols
+    def augment(i, seen):
+        for j in adj[i]:
+            if j not in seen:
+                seen.add(j)
+                if row_of[j] < 0 or augment(row_of[j], seen):
+                    row_of[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(adj)))
 
 
 def _invariants(d):

@@ -37,7 +37,8 @@ its real and imaginary parts add into, the output read as float64.
 Slots take the smallest unsigned type that holds them.  One cache holds
 the plans, one per (n, part of d, input monomials), a 1-form taken on
 all 2n generators so that its zero coefficients do not split its plans,
-and keeps the most recently used up to _PLAN_ENTRIES entries in all.
+and keeps the most recently used up to _PLAN_ENTRIES entries in all; a
+step that needs more than that is refused.
 d, del and delbar replay one plan; partial(partialbar(omega^k)) replays
 two, delbar on the monomials of omega^k, then del on those it made.
 One kernel replays a plan on the coefficients of an algebra, one
@@ -282,8 +283,9 @@ def kaehler_power(n, k):
     return _to_dict(*_power(n, k), 0.0)
 
 
-def _plan_step(keys, rows):
-    """Record a derivation on the monomials keys, for any coefficients.
+def _plan_step(keys, n, part):
+    """Record the rows of del, delbar or d (part 0, 1 or 2) in dimension
+    n on the monomials keys, for any coefficients.
 
     Returns ((ptr, slots, src, size), monomials).  monomials are the
     sorted monomials the rows can make, size of them.  The entries
@@ -293,12 +295,22 @@ def _plan_step(keys, rows):
     the places of its real and imaginary part in the output viewed as
     float64.  Rows are taken a block at a time so that no more than
     _GRID (monomial, row) pairs are tested at once, and no temporary
-    holds more than a block."""
+    holds more than a block.  A step that would record more entries
+    than the cache keeps, _PLAN_ENTRIES, is refused with InvalidDegree
+    as soon as its count passes that bound."""
+    rows = _rows(n)[part]
     step = max(1, _GRID // max(1, keys.size))
     counts, made, inverse, src = [], [], [], []
+    entries = 0
     for start in range(0, rows[0].size, step):
         block = tuple(x[start:start + step] for x in rows)
         t, r, out, sign = _match(keys, block)
+        entries += t.size
+        if entries > _PLAN_ENTRIES:
+            raise InvalidDegree(
+                f"a derivation step in dimension n={n} needs more than "
+                f"{_PLAN_ENTRIES} plan entries"
+            )
         counts.append(np.bincount(t, minlength=block[0].size))
         out, slot = np.unique(out, return_inverse=True)
         made.append(out)
@@ -371,14 +383,13 @@ def _d_plan(n, part, keys):
     monomials with int64 key bytes keys, as _plan_step returns it.  The
     one plan cache of the module, keyed on (n, part, keys) and never on
     an algebra: once the plans kept hold more than _PLAN_ENTRIES
-    entries, the least recently used go first (a larger plan is kept
-    alone)."""
+    entries, the least recently used go first."""
     key = (n, part, keys)
     plan = _D_PLANS.pop(key, None)
     if plan is None:
-        plan = _plan_step(np.frombuffer(keys, dtype=np.int64), _rows(n)[part])
+        plan = _plan_step(np.frombuffer(keys, dtype=np.int64), n, part)
         held = plan[0][0][-1] + sum(p[0][0][-1] for p in _D_PLANS.values())
-        while held > _PLAN_ENTRIES and _D_PLANS:
+        while held > _PLAN_ENTRIES:
             held -= _D_PLANS.pop(next(iter(_D_PLANS)))[0][0][-1]
     _D_PLANS[key] = plan  # last: most recently used
     return plan
@@ -430,7 +441,9 @@ def del_delbar_residual(alg, k):
     Zero iff omega^k is pluriclosed in the generalized sense: k = 1 is
     the usual pluriclosed condition, k = n - 2 the astheno one, and
     k = n - 1 vanishes for every unimodular algebra.  Replays the delbar
-    plan of omega^k's monomials, then the del plan of those it made."""
+    plan of omega^k's monomials, then the del plan of those it made.
+    Raises InvalidDegree for k outside 1..n-1, and for a middle power
+    whose plan would not fit the plan cache (k = 2 at n = 16)."""
     if not 1 <= k <= alg.n - 1:
         raise InvalidDegree(
             f"power k={k} outside the meaningful range 1..{alg.n - 1}"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,11 @@ from liehermitian import (
     scalar_s,
     scalar_s_hat,
 )
+from liehermitian import forms
 from liehermitian.almost_abelian import aa_residuals
 from liehermitian.codim2 import c2_unimodularity_defect
-from liehermitian.hermitian import decide, sign_mutation
-from liehermitian.algebra import max_abs, unimodularity_defect
+from liehermitian.hermitian import SKT_FORM_FACTOR, decide, sign_mutation, skt_tensor
+from liehermitian.algebra import change_frame, max_abs, unimodularity_defect
 from liehermitian.sampling import (
     aa_balanced,
     aa_btp,
@@ -296,3 +299,81 @@ def test_astheno_vacuous_in_dimension_two():
     d = aa_random(rng_for(123, 11), 2)
     rep = property_report(build_almost_abelian(d))
     assert rep["properties"]["astheno_kaehler"] is None
+
+
+# ------------------------------------------- Gaussian-integer lattice data
+#
+# On Gaussian-integer data every residual is computed from integers well
+# below 2^53, so float64 arithmetic is exact in any order: a predicate
+# holds exactly when its residual is 0.0, and two routes to one
+# polynomial give the same number with no tolerance.
+
+LATTICE_KEYS = ("unimodular", "balanced", "kaehler", "pluriclosed", "chern_flat",
+                "cyt", "chern_kaehler_like", "btp", "bkl")
+
+
+def gaussian_integers(rng, shape):
+    """Entries in {-3..3} + i{-3..3}."""
+    return rng.integers(-3, 4, shape) + 1j * rng.integers(-3, 4, shape)
+
+
+def lattice_draws():
+    """(data, algebra) pairs of Gaussian-integer almost-abelian data with
+    integer lam, 40 at each n = 3..6, cycling through five kinds: free
+    draws; skew-Hermitian A with v = 0; normal diagonal A with real
+    parts in {0, -lam/2} and v = 0; skew-Hermitian A with a zero first
+    row and column, and v = (c, 0, ..)  in its kernel or free.  Every
+    other group of five takes lam = -2 Re tr A (unimodular), and every
+    other group of ten has its algebra moved by a monomial unitary, a
+    permutation times diag(+-1, +-i), which keeps the structure
+    constants Gaussian integers."""
+    rng = rng_for(990, 0)
+    units = np.array([1, -1, 1j, -1j])
+    for n in range(3, 7):
+        for i in range(40):
+            lam = int(rng.integers(-3, 4))
+            v = gaussian_integers(rng, n - 1)
+            A = gaussian_integers(rng, (n - 1, n - 1))
+            kind = i % 5
+            if kind == 2:
+                lam = 2 * int(rng.integers(-1, 2))
+                A = np.diag(rng.integers(0, 2, n - 1) * (-lam // 2)
+                            + 1j * rng.integers(-3, 4, n - 1))
+                v[:] = 0
+            elif kind:
+                A = np.triu(A, 1) - np.triu(A, 1).conj().T + 1j * np.diag(np.diag(A).imag)
+                if kind == 1:
+                    v[:] = 0
+                else:
+                    A[0, :] = A[:, 0] = 0
+                if kind == 3:
+                    v[1:] = 0
+            if i // 5 % 2:
+                lam = -2 * int(np.trace(A).real)
+            d = AlmostAbelianData(n=n, lam=lam, v=v, A=A)
+            a = build_almost_abelian(d)
+            if i // 10 % 2:
+                a = change_frame(a, np.eye(n)[rng.permutation(n)] * rng.choice(units, n))
+            yield d, a
+
+
+def test_closed_forms_and_engine_vanish_together_on_lattice():
+    held = dict.fromkeys(LATTICE_KEYS, 0)
+    for d, a in lattice_draws():
+        closed = aa_residuals(d)
+        engine = property_report(a)["residuals"]
+        for key in LATTICE_KEYS:
+            assert (closed[key] == 0.0) == (engine[key] == 0.0), (key, d)
+            held[key] += closed[key] == 0.0
+    # every predicate both holds and fails on some draw
+    assert all(0 < count < 160 for count in held.values()), held
+
+
+def test_del_delbar_omega_is_the_skt_tensor_exactly_on_lattice():
+    for d, a in lattice_draws():
+        n = a.n
+        ddbar = forms.partial_d(a, forms.partial_dbar(a, forms.kaehler_form(n)))
+        S = SKT_FORM_FACTOR * skt_tensor(a)
+        for i, k in itertools.combinations(range(n), 2):
+            for j, l in itertools.combinations(range(n), 2):
+                assert ddbar.get(((i + 1, k + 1), (j + 1, l + 1)), 0.0) == S[i, k, j, l]

@@ -10,6 +10,7 @@ Bismut connection, built from the Koszul formula on the complexified
 algebra, confirms the engine's verdict on every generator shape.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -601,6 +602,36 @@ def test_spectrum_distance_refuses_non_finite():
         spectrum_distance(np.array([np.nan, 1.0]), np.array([1.0, 2.0]))
 
 
+def bottleneck_by_permutations(x, y):
+    """The smallest largest gap |x_i - y_p(i)| over every permutation p."""
+    cost = np.abs(x[:, None] - y[None, :])
+    perms = np.array(list(itertools.permutations(range(x.size))))
+    return cost[np.arange(x.size), perms].max(axis=1).min()
+
+
+def test_spectrum_distance_matches_brute_force():
+    # the bottleneck distance to the bit, by every pairing at m <= 7:
+    # Gaussian integers and draws from a small pool tie often, which
+    # must not change the value; it is symmetric and does not see the
+    # order of either list
+    rng = rng_for(881, 0)
+    for m in range(1, 8):
+        for _ in range(6):
+            a = cgauss(rng, m)
+            pool = np.round(2.0 * cgauss(rng, 3))
+            lattice = np.round(2.0 * cgauss(rng, (2, m)))
+            for x, y in ((a, cgauss(rng, m)),
+                         (a, rng.permutation(a)),
+                         (a, rng.permutation(a) + 1e-9 * cgauss(rng, m)),
+                         (rng.choice(pool, m), rng.choice(pool, m)),
+                         (lattice[0], lattice[1])):
+                best = bottleneck_by_permutations(x, y)
+                assert spectrum_distance(x, y) == best
+                assert spectrum_distance(y, x) == best
+                assert spectrum_distance(rng.permutation(x), rng.permutation(y)) == best
+            assert spectrum_distance(a, rng.permutation(a)) == 0.0
+
+
 # --------------------------------------------- numpy routines, scipy oracle
 
 
@@ -630,30 +661,3 @@ def test_diagonalize_normal_matches_schur():
         assert np.array_equal(vals, diag[C2._eig_order(diag)])
         assert max_abs(Q.conj().T @ Q - np.eye(len(M))) <= 1e-13
         assert max_abs(Q.conj().T @ M @ Q - np.diag(vals)) <= 1e-13 * max(1.0, max_abs(M))
-
-
-def test_spectrum_distance_matches_linear_sum_assignment():
-    optimize = pytest.importorskip("scipy.optimize")
-    rng = rng_for(881, 0)
-    for m in range(1, 16):
-        for _ in range(4):
-            a = cgauss(rng, m)
-            pool = cgauss(rng, 3)
-            tied = rng.choice(pool, m)
-            lattice = np.round(2.0 * cgauss(rng, (2, m)))
-            for x, y, unique in ((a, cgauss(rng, m), True),
-                                 (a, rng.permutation(a), True),
-                                 (a, rng.permutation(a) + 1e-9 * cgauss(rng, m), True),
-                                 (tied, rng.choice(pool, m), True),
-                                 (lattice[0], lattice[1], False)):
-                cost = np.abs(x[:, None] - y[None, :])
-                rows, cols = optimize.linear_sum_assignment(cost)
-                mine = C2._assignment(cost.tolist())
-                assert sorted(mine) == list(range(m))
-                assert cost[range(m), mine].sum() == pytest.approx(
-                    cost[rows, cols].sum(), rel=1e-13, abs=1e-13)
-                # on the Gaussian integers distinct assignments can tie in
-                # sum, so the largest gap of "the" optimum is not defined
-                if unique:
-                    assert spectrum_distance(x, y) == cost[rows, cols].max()
-            assert spectrum_distance(a, rng.permutation(a)) == 0.0

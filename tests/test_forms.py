@@ -14,7 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from liehermitian import build_general, exterior_d, kaehler_form, kaehler_power
+from liehermitian import (InvalidDegree, build_general, exterior_d, kaehler_form,
+                          kaehler_power)
 from liehermitian import forms as F
 from liehermitian import hermitian as H
 from liehermitian.algebra import change_frame
@@ -372,29 +373,61 @@ def test_del_delbar_plans_are_shared_per_dimension():
 def test_del_delbar_steps_share_the_plan_budget(monkeypatch):
     # at n = 9 the steps of omega^1, omega^7 and omega^8 hold 73,917
     # entries in all; under a budget of 60,000 the least recently used
-    # steps go first, the del step of omega^4 (1,048,950 entries) is
-    # kept alone until the next step is recorded, and plans recorded
-    # again give the same residuals
+    # steps go first, plans recorded again give the same residuals, and
+    # omega^4 is refused at its del step (1,048,950 entries) once its
+    # delbar step (22,680) is kept, with nothing evicted for the refusal
     a = dense_draw(9)
     powers = (1, 7, 8, 4, 8)
     F._D_PLANS.clear()
     full = [F.del_delbar_residual(a, k) for k in powers]
     sizes = {key: step[0][-1] for key, (step, _) in F._D_PLANS.items()}
-    assert sum(sizes[key] for k in (1, 7, 8) for key, _ in ddbar_steps(9, k)) == 73917
+    steps = {k: [key for key, _ in ddbar_steps(9, k)] for k in powers}
+    assert sum(sizes[key] for k in (1, 7, 8) for key in steps[k]) == 73917
     monkeypatch.setattr(F, "_PLAN_ENTRIES", 60000)
     F._D_PLANS.clear()
     order = []  # every key used, least recently used first
     for k, residual in zip(powers, full):
-        assert F.del_delbar_residual(a, k) == residual
-        used = [key for key, _ in ddbar_steps(9, k)]
+        used = steps[k]
+        if sizes[used[1]] > F._PLAN_ENTRIES:
+            with pytest.raises(InvalidDegree, match="n=9 .* 60000 "):
+                F.del_delbar_residual(a, k)
+            used = used[:1]
+        else:
+            assert F.del_delbar_residual(a, k) == residual
         order = [key for key in order if key not in used] + used
         kept = list(F._D_PLANS)
         held = sum(sizes[key] for key in kept)
         assert kept == order[len(order) - len(kept):]
-        assert held <= F._PLAN_ENTRIES or len(kept) == 1
+        assert held <= F._PLAN_ENTRIES
         if len(kept) < len(order):  # none went that could have stayed
             assert held + sizes[order[-len(kept) - 1]] > F._PLAN_ENTRIES
-    assert len(order) == 8 and len(kept) == 2
+    assert len(order) == 7 and len(kept) == 5
+
+
+def test_oversized_step_is_refused(monkeypatch):
+    # the del step of omega^2 at n = 16 would hold 18,768,960 entries,
+    # more than the whole budget: it is refused within one block of
+    # passing the budget, the plans kept stay within the budget, and
+    # the powers the reports take still replay
+    F._D_PLANS.clear()
+    a = dense_draw(16)
+    delbar = (16, 1, F._power(16, 2)[0].tobytes())
+    matched, match = [], F._match
+
+    def counted(keys, rows):
+        out = match(keys, rows)
+        matched.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(F, "_match", counted)
+    with pytest.raises(InvalidDegree, match=f"n=16 .* {F._PLAN_ENTRIES} "):
+        F.del_delbar_residual(a, 2)
+    assert list(F._D_PLANS) == [delbar]
+    recorded = F._D_PLANS[delbar][0][0][-1]
+    assert sum(matched) - recorded <= F._PLAN_ENTRIES + F._GRID
+    for k in (1, 14, 15):
+        F.del_delbar_residual(a, k)
+    assert sum(step[0][-1] for step, _ in F._D_PLANS.values()) <= F._PLAN_ENTRIES
 
 
 def random_two_form(rng, n, count):
