@@ -37,7 +37,6 @@ from .algebra import (
     check_unitary,
     default_tolerance,
     is_nilpotent,
-    jacobi_residual,
     lower_central_dims,
     max_abs,
     unimodularity_defect,
@@ -59,8 +58,6 @@ from .hermitian import (
     ricci_second,
     ricci_third,
     scalar_identity_residuals,
-    scalar_s,
-    scalar_s_hat,
     skt_tensor,
     torsion_bianchi_residual,
     torsion_trace,

@@ -148,8 +148,8 @@ def jacobi_tensors(n, C, D):
     """The three Jacobi tensors whose simultaneous vanishing is the
     Jacobi identity for the complexified bracket.
 
-    Returns rank-4 arrays indexed [i, j, k, l]; callers normally only
-    need their max-abs entries (see :func:`jacobi_residual`).
+    Returns rank-4 arrays indexed [i, j, k, l]; :func:`make_algebra`
+    keeps their max-abs entries as ``Algebra.jacobi``.
     """
     Dc = np.conj(D)
     jcc = (
@@ -170,12 +170,6 @@ def jacobi_tensors(n, C, D):
         + contract("lrk,ijr->ijkl", D, Dc)
     )
     return jcc, jcd, jcdbar
-
-
-def jacobi_residual(a):
-    """Max-abs residual of each Jacobi tensor, as a (cc, cd, cdbar) triple."""
-    jcc, jcd, jcdbar = jacobi_tensors(a.n, a.C, a.D)
-    return (max_abs(jcc), max_abs(jcd), max_abs(jcdbar))
 
 
 def make_algebra(n, C, D, tol=None):

@@ -165,7 +165,6 @@ def _load(args):
 def _structure_checks(a):
     return {
         "jacobi_residual": a.jacobi_max,
-        "d_squared_residual": forms.d_squared_residual(a),
         "unimodularity_defect": max_abs(unimodularity_defect(a)),
         "curvature_hermitian_residual": hermitian.curvature_hermitian_residual(
             hermitian.chern_curvature(a)),
@@ -188,8 +187,8 @@ def cmd_check(args):
         # The family report built the algebra and holds the engine's report.
         fam = aa_report(data) if family == "almost_abelian" else c2_report(data)
         a = fam.pop("algebra")
+        report["report"] = fam.pop("engine")
         report["family_report"] = fam
-        report["report"] = fam["engine"]
     report["structure"] = _structure_checks(a)
     _emit(serial.jsonable(report), args)
     return EXIT_OK

@@ -35,10 +35,9 @@ each with a source slot into [x, -x] for the step's input x, which
 carries the sign, and the pair of output slots 2 out, 2 out + 1 that
 its real and imaginary parts add into, the output read as float64.
 Slots take the smallest unsigned type that holds them.  One cache holds
-the plans, one per (n, part of d, input monomials), a 1-form taken on
-all 2n generators so that its zero coefficients do not split its plans,
-and keeps the most recently used up to _PLAN_ENTRIES entries in all; a
-step that needs more than that is refused.
+the plans, one per (n, part of d, input monomials), and keeps the most
+recently used up to _PLAN_ENTRIES entries in all; a step that needs more
+than that is refused.
 d, del and delbar replay one plan; partial(partialbar(omega^k)) replays
 two, delbar on the monomials of omega^k, then del on those it made.
 One kernel replays a plan on the coefficients of an algebra, one
@@ -395,12 +394,6 @@ def _d_plan(n, part, keys):
     return plan
 
 
-@functools.lru_cache(maxsize=None)
-def _generators(n):
-    """The 2n generator monomials phi_1..phi_n, phibar_1..phibar_n, sorted."""
-    return np.int64(1) << np.r_[:n, _BAR:_BAR + n]
-
-
 def _apply(alg, part, keys, x):
     """(monomials, coefficients) of part 0, 1 or 2 (del, delbar, d) of the
     form with monomials keys and coefficients x, replayed from _d_plan."""
@@ -410,14 +403,7 @@ def _apply(alg, part, keys, x):
 
 def _derivation(alg, f, part):
     """Part 0, 1 or 2 (del, delbar, d) of the form f, as a dict."""
-    keys, coeffs = _from_dict(f)
-    basis = _generators(alg.n)
-    at = np.searchsorted(basis, keys)
-    if np.array_equal(basis.take(at, mode="clip"), keys):  # a 1-form: on all 2n generators
-        x = np.zeros(basis.size, dtype=complex)
-        x[at] = coeffs
-        keys, coeffs = basis, x
-    return _to_dict(*_apply(alg, part, keys, coeffs), _ZERO_CUT)
+    return _to_dict(*_apply(alg, part, *_from_dict(f)), _ZERO_CUT)
 
 
 def exterior_d(alg, f):

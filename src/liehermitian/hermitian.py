@@ -168,21 +168,6 @@ def curvature_hermitian_residual(R):
     return max_abs(R - np.conj(R.transpose(1, 0, 3, 2)))
 
 
-def scalar_s(a):
-    """Both trace routes to the scalar curvature of the canonical
-    connection: (trace of Ric1, trace of Ric2).  Equal by inspection of
-    the defining sums; returned as a pair so callers can confirm."""
-    R = chern_curvature(a)
-    s1 = complex(np.trace(ricci_first(R)))
-    s2 = complex(np.trace(ricci_second(R)))
-    return _realpart(s1, a.tol), _realpart(s2, a.tol)
-
-
-def scalar_s_hat(a):
-    """Trace of the mixed Ricci contraction (the altered scalar)."""
-    return _realpart(chern_scalar_alt(chern_curvature(a)), a.tol)
-
-
 # ---------------------------------------------------------------------------
 # covariant derivatives of the torsion
 
@@ -230,15 +215,6 @@ def bismut_torsion_derivative_residuals(a):
         max_abs(torsion_cov_deriv(T, G, barred=False)),
         max_abs(torsion_cov_deriv(T, G, barred=True)),
     )
-
-
-def chern_torsion_derivative_residual(a):
-    """Max-abs of the barred covariant derivative of the torsion under
-    the canonical connection.  Zero iff the curvature has the full
-    Kaehler symmetry package."""
-    T = chern_torsion(a)
-    G = chern_connection(a)
-    return max_abs(torsion_cov_deriv(T, G, barred=True))
 
 
 def torsion_bianchi_residual(a):
@@ -469,7 +445,10 @@ def property_report(a):
         None if n == 2 else forms.del_delbar_residual(a, n - 2)
     )
     res["chern_flat"] = max_abs(R)
-    res["chern_kaehler_like"] = chern_torsion_derivative_residual(a)
+    # the barred Chern derivative of the torsion: zero iff the curvature
+    # has the full Kaehler symmetry package
+    res["chern_kaehler_like"] = max_abs(
+        torsion_cov_deriv(T, chern_connection(a), barred=True))
     du, db = bismut_torsion_derivative_residuals(a)
     res["btp"] = max(du, db)
     res["bkl"] = max(res["btp"], res["pluriclosed"])

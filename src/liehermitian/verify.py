@@ -195,10 +195,10 @@ def criterion_4(seed):
         col.near(abs(scal["s"] + d.lam ** 2), "s draw %d" % i, bound)
         col.near(abs(scal["s_hat"] + 2.0 * d.lam ** 2 + float(np.vdot(d.v, d.v).real)),
                  "s_hat draw %d" % i, bound)
-        s_eng = hermitian.scalar_s(a)
-        col.near(max(abs(s_eng[0] - scal["s"]), abs(s_eng[1] - scal["s"])),
+        R = hermitian.chern_curvature(a)
+        col.near(abs(hermitian.chern_scalar(R) - scal["s"]),
                  "engine s draw %d" % i, bound)
-        col.near(abs(hermitian.scalar_s_hat(a) - scal["s_hat"]),
+        col.near(abs(hermitian.chern_scalar_alt(R) - scal["s_hat"]),
                  "engine s_hat draw %d" % i, bound)
     return _result(4, "codim-1 scalar curvature closed forms", col)
 

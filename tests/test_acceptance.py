@@ -54,6 +54,17 @@ def test_rank_obstruction_fully_explains_11(battery):
     assert "0 unexplained" in res.detail
 
 
+def test_criterion_4_reads_both_scalars_off_one_curvature(monkeypatch):
+    # four checks per draw; the engine's s and s_hat come from one
+    # Chern curvature tensor per draw
+    real, calls = hermitian.chern_curvature, []
+    monkeypatch.setattr(hermitian, "chern_curvature",
+                        lambda a: calls.append(a) or real(a))
+    res = verify.criterion_4(verify.DEFAULT_SEED)
+    assert res.passed, res.failures[:5]
+    assert res.checks == 400 and len(calls) == 100
+
+
 def test_battery_is_seed_stable():
     one = verify.run_battery(name_filter="criterion-4")
     two = verify.run_battery(name_filter="criterion-4")

@@ -18,13 +18,13 @@ from liehermitian import (
     integrability_residuals,
     make_algebra,
     property_report,
-    scalar_s,
-    scalar_s_hat,
 )
 from liehermitian import forms
 from liehermitian.almost_abelian import aa_residuals
 from liehermitian.codim2 import c2_unimodularity_defect
-from liehermitian.hermitian import SKT_FORM_FACTOR, decide, sign_mutation, skt_tensor
+from liehermitian.hermitian import (SKT_FORM_FACTOR, chern_curvature, chern_scalar_alt,
+                                   decide, ricci_first, ricci_second, sign_mutation,
+                                   skt_tensor)
 from liehermitian.algebra import change_frame, max_abs, unimodularity_defect
 from liehermitian.sampling import (
     aa_balanced,
@@ -88,10 +88,10 @@ def test_scalars_match_engine_when_unimodular(i):
     a = build_almost_abelian(d)
     scal = c2_scalars(d)
     s_closed, s_hat_closed = scal["s"], scal["s_hat"]
-    s_engine, s_engine2 = scalar_s(a)
-    assert s_closed == pytest.approx(s_engine, abs=100 * a.tol)
-    assert s_closed == pytest.approx(s_engine2, abs=100 * a.tol)
-    assert s_hat_closed == pytest.approx(scalar_s_hat(a), abs=100 * a.tol)
+    R = chern_curvature(a)
+    assert s_closed == pytest.approx(np.trace(ricci_first(R)), abs=100 * a.tol)
+    assert s_closed == pytest.approx(np.trace(ricci_second(R)), abs=100 * a.tol)
+    assert s_hat_closed == pytest.approx(chern_scalar_alt(R), abs=100 * a.tol)
 
 
 def test_scalar_closed_forms_on_fixed_data():

@@ -74,7 +74,6 @@ def test_check_abelian_is_kaehler(tmp_path, capsys):
     assert code == 0
     assert rep["report"]["properties"]["kaehler"] is True
     assert rep["structure"]["jacobi_residual"] == 0.0
-    assert rep["structure"]["d_squared_residual"] == 0.0
 
 
 def test_check_text_format(tmp_path, capsys):
@@ -139,6 +138,22 @@ def test_check_builds_once_and_emits_no_algebra(tmp_path, capsys, monkeypatch, s
     assert code == 0
     assert (len(builds), len(reports)) == (1, 1)
     assert "algebra" not in keys_of(rep)
+
+
+@pytest.mark.parametrize("spec", [aa_spec, codim2_spec])
+def test_check_writes_the_engine_report_once(tmp_path, capsys, spec):
+    path = write(tmp_path, "spec.json", spec())
+    code, rep = run_json(capsys, ["check", path])
+    assert code == 0
+    _, data = serial.materialize(serial.load_spec(path))
+    engine = serial.canonical_json(serial.jsonable(hermitian.property_report(data.build())))
+    assert rep["report"] == json.loads(engine)
+    assert "engine" not in rep["family_report"]
+    assert {"family", "n", "tol", "properties", "residuals", "scalars"} <= set(rep["family_report"])
+    assert set(rep["structure"]) == {"jacobi_residual", "unimodularity_defect",
+                                     "curvature_hermitian_residual"}
+    code, tensors = run_json(capsys, ["tensors", path])
+    assert code == 0 and tensors["structure"] == rep["structure"]
 
 
 def test_criterion_10_builds_each_draw_once(monkeypatch):

@@ -529,7 +529,8 @@ def test_replay_matches_reference_bit_for_bit(n, frame):
             cases.append((step, x, table[part]))
             x = F._replay(step, x, table[part])
     f = H.bismut_trace_form(a)
-    step, _ = F._d_plan(n, 2, F._generators(n).tobytes())
+    generators = np.int64(1) << np.r_[:n, F._BAR:F._BAR + n]
+    step, _ = F._d_plan(n, 2, generators.tobytes())
     x = np.array([f.get(((i,), ()), 0) for i in range(1, n + 1)]
                  + [f.get(((), (i,)), 0) for i in range(1, n + 1)], dtype=complex)
     cases.append((step, x, table[2]))
@@ -552,17 +553,19 @@ def test_replay_matches_reference_bit_for_bit(n, frame):
 
 def test_d_plans_are_shared_and_bounded():
     # the trace forms keep only coefficients above the cut (2 and 12
-    # here in the adapted frame, 12 and 12 in the dense one), and every
-    # 1-form is laid out on the 2n generators, so all four share a plan
+    # here in the adapted frame, 12 and 12 in the dense one); a plan is
+    # keyed on the monomials of its input, so forms with the same
+    # monomials share one, and the three on all 12 generators share
     F._D_PLANS.clear()
-    sizes = []
+    sizes, monomials = [], set()
     for a in (three_frames(6)["adapted"], dense_draw(6)):
         for f in (H.chern_trace_form(a), H.bismut_trace_form(a)):
             assert min(abs(c) for c in f.values()) > F._ZERO_CUT
             sizes.append(len(f))
+            monomials.add(F._from_dict(f)[0].tobytes())
             exterior_d(a, f)
-            assert len(F._D_PLANS) == 1
-    assert len(set(sizes)) > 1
+            assert len(F._D_PLANS) == len(monomials)
+    assert len(set(sizes)) > 1 and len(monomials) == 2
     # d of a closed form and of the top form records an empty plan
     a = dense_draw(9)
     top = {(tuple(range(1, 10)), tuple(range(1, 10))): 1.0 + 0j}
@@ -570,7 +573,7 @@ def test_d_plans_are_shared_and_bounded():
     for i in range(1, 10):
         for j in range(1, 10):
             exterior_d(a, F.wedge(F.phi(i), F.phibar(j)))
-    assert len(F._D_PLANS) == 1 + 3 + 81  # all small: none is dropped
+    assert len(F._D_PLANS) == 2 + 3 + 81  # all small: none is dropped
 
 
 def test_d_plans_are_bounded_by_entries():

@@ -26,8 +26,6 @@ from liehermitian import (
     ricci_first,
     ricci_second,
     ricci_third,
-    scalar_s,
-    scalar_s_hat,
 )
 from liehermitian import hermitian as H
 from liehermitian.algebra import max_abs
@@ -174,11 +172,10 @@ def test_torsion_bianchi(i):
 def test_scalar_trace_routes_agree(i):
     a = random_curved(i)
     R = chern_curvature(a)
-    s1, s2 = scalar_s(a)
+    s1, s2 = np.trace(ricci_first(R)), np.trace(ricci_second(R))
     assert s1 == pytest.approx(s2, abs=100 * a.tol)
-    assert s1 == pytest.approx(chern_scalar(R).real, abs=100 * a.tol)
-    assert np.trace(ricci_third(R)) == pytest.approx(scalar_s_hat(a),
-                                                     abs=100 * a.tol)
+    assert s1 == pytest.approx(chern_scalar(R), abs=100 * a.tol)
+    assert np.trace(ricci_third(R)) == pytest.approx(H.chern_scalar_alt(R), abs=100 * a.tol)
 
 
 @pytest.mark.parametrize("i", range(8))
