@@ -66,11 +66,8 @@ from .forms import (
     exterior_d,
     partial_d,
     partial_dbar,
-    kaehler_form,
     kaehler_power,
     del_delbar_residual,
-    top_holomorphic_form,
-    top_form_d_check,
 )
 from .almost_abelian import (
     AlmostAbelianData,

@@ -646,14 +646,6 @@ def rotate_codim2(d, U):
     )
 
 
-def ideal_frame(n, U):
-    """The n x n frame matrix diag(1, U) matching :func:`rotate_codim2`."""
-    F = np.zeros((n, n), dtype=complex)
-    F[0, 0] = 1.0
-    F[1:, 1:] = U
-    return F
-
-
 # ---------------------------------------------------------------------------
 # Paired factorization
 
@@ -754,8 +746,7 @@ def classify_btp(d):
         )
 
     residuals = c2_btp_residuals(d)
-    eye = np.eye(m, dtype=complex)
-    report = {"residuals": residuals, "frame": ideal_frame(n, eye)}
+    report = {"residuals": residuals, "frame": np.eye(n, dtype=complex)}
     worst = max(residuals.values())
     if worst > tol:
         report["family"] = "NotBTP"
@@ -852,7 +843,7 @@ def classify_btp(d):
     _postcondition_invariants(d, rebuilt, max(tol, rebuilt.tol))
     report["family"] = family
     report["params"] = params
-    report["frame"] = ideal_frame(n, frame)
+    report["frame"] = _block_unitary(np.eye(1), frame)
     return report
 
 
@@ -968,4 +959,4 @@ def chern_flat_normal_form(d):
         Z=np.zeros((m, m), dtype=complex),
         tol=d.tol,
     )
-    return data, ideal_frame(d.n, U)
+    return data, _block_unitary(np.eye(1), U)

@@ -25,8 +25,8 @@ from lo and hi, into N | lo | hi with the sign
     (-1)^|(K & below(g)) ^ (N & (below(lo) ^ below(hi)))|:
 
 one count for moving g to the front, one for shuffling lo and hi into N.
-Coefficients of magnitude at most 1e-14 (a cut that form and add also
-take as an argument) are dropped once, when a result is returned.
+Coefficients of magnitude at most 1e-14 are dropped once, when a result
+is returned.
 
 Which monomials meet which rows, with which sign and into which output,
 depends on n and the input monomials alone, not on the coefficients.
@@ -68,9 +68,21 @@ def _parity(x):
     return x & 1
 
 
-def _mask(I, J):
-    """(bitmask, sign) of phi_I ^ phibar_J with the factors sorted;
-    the sign is 0 when an index repeats."""
+@functools.lru_cache(maxsize=1 << 12)
+def _indices(mask):
+    """The key (I, J) of a bitmask, memoised: reports decode the same
+    monomials again and again."""
+    bits = [b for b in range(2 * _BAR) if mask >> b & 1]
+    return (tuple(b + 1 for b in bits if b < _BAR),
+            tuple(b - _BAR + 1 for b in bits if b >= _BAR))
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _key_mask(key):
+    """(bitmask, sign) of the dict key (I, J) of phi_I ^ phibar_J with the
+    factors sorted, memoised like _indices; the sign is 0 when an index
+    repeats."""
+    I, J = key
     mask, sign = 0, 1
     for b in [i - 1 for i in I] + [_BAR + j - 1 for j in J]:
         if mask >> b & 1:
@@ -81,31 +93,12 @@ def _mask(I, J):
     return mask, sign
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def _indices(mask):
-    """The key (I, J) of a bitmask, memoised: reports decode the same
-    monomials again and again."""
-    bits = [b for b in range(2 * _BAR) if mask >> b & 1]
-    return (tuple(b + 1 for b in bits if b < _BAR),
-            tuple(b - _BAR + 1 for b in bits if b >= _BAR))
-
-
-def _arrays(terms):
-    """(keys, coefficients) of ((bitmask, sign), coefficient) pairs, not merged."""
-    terms = list(terms)
-    keys = np.array([m for (m, _), _ in terms], dtype=np.int64)
-    coeffs = np.array([s * complex(c) for (_, s), c in terms], dtype=complex)
-    return keys, coeffs
-
-
-@functools.lru_cache(maxsize=1 << 12)
-def _key_mask(key):
-    """_mask of a dict key (I, J), memoised like _indices."""
-    return _mask(*key)
-
-
 def _from_dict(f):
-    return _arrays((_key_mask(key), c) for key, c in f.items())
+    """(keys, coefficients) of a form dict, one entry per key."""
+    masks = [_key_mask(key) for key in f]
+    keys = np.array([m for m, _ in masks], dtype=np.int64)
+    coeffs = np.array([s * complex(c) for (_, s), c in zip(masks, f.values())], dtype=complex)
+    return keys, coeffs
 
 
 def _to_dict(keys, coeffs, cut):
@@ -113,81 +106,9 @@ def _to_dict(keys, coeffs, cut):
     return {_indices(k): c for k, c in zip(keys[keep].tolist(), coeffs[keep].tolist())}
 
 
-def _merge(*parts):
-    """One array form from (keys, coefficients) parts, with the
-    coefficients of equal keys added up."""
-    keys, coeffs = map(np.concatenate, zip(*parts))
-    keys, inv = np.unique(keys, return_inverse=True)
-    return keys, (np.bincount(inv, coeffs.real, keys.size)
-                   + 1j * np.bincount(inv, coeffs.imag, keys.size))
-
-
-def form(entries=(), cut=_ZERO_CUT):
-    """Build a form dict from (I, J, coefficient) triples.
-
-    Index tuples may be unordered; they are sorted with the appropriate
-    sign.  Repeated indices inside a tuple make the monomial vanish.
-    """
-    return _to_dict(*_merge(_arrays((_mask(I, J), c) for I, J, c in entries)), cut)
-
-
 def phi(i):
     """The generator (1,0)-form with 1-based index i."""
     return {((i,), ()): 1.0 + 0.0j}
-
-
-def phibar(i):
-    """The generator (0,1)-form with 1-based index i."""
-    return {((), (i,)): 1.0 + 0.0j}
-
-
-def add(*forms_, cut=_ZERO_CUT):
-    out = {}
-    for f in forms_:
-        for k, v in f.items():
-            out[k] = out.get(k, 0.0) + v
-    return {k: v for k, v in out.items() if abs(v) > cut}
-
-
-def scale(f, c):
-    c = complex(c)
-    if c == 0:
-        return {}
-    return {k: c * v for k, v in f.items()}
-
-
-def wedge(f, g):
-    """Wedge product of two forms.
-
-    Monomials a, b that share a factor give nothing.  Otherwise a ^ b is
-    sorted by one transposition for each pair of a factor of a above a
-    factor of b, i.e. by |a & above(p)| of them for every bit p of b.
-    """
-    ka, ca = _from_dict(f)
-    kb, cb = _from_dict(g)
-    a, b = ka[:, None], kb[None, :]
-    odd = np.zeros((ka.size, kb.size), dtype=np.int64)
-    for p in range(2 * _BAR):
-        odd ^= (b >> p) & _parity(a >> (p + 1))
-    ok = (a & b) == 0
-    coeffs = ca[:, None] * cb[None, :] * (1 - 2 * odd)
-    return _to_dict(*_merge(((a | b)[ok], coeffs[ok])), _ZERO_CUT)
-
-
-def conjugate(f):
-    """Complex conjugate: swaps the index blocks with sign (-1)^(pq)."""
-    out = {}
-    for (I, J), c in f.items():
-        sgn = (-1) ** (len(I) * len(J))
-        out[(J, I)] = sgn * np.conj(c)
-    return out
-
-
-def bidegree_project(f, p, q):
-    """The (p, q) component of a mixed form."""
-    if p < 0 or q < 0:
-        raise InvalidDegree(f"bidegree ({p},{q}) is negative")
-    return {k: v for k, v in f.items() if len(k[0]) == p and len(k[1]) == q}
 
 
 def max_coeff(f):
@@ -260,11 +181,6 @@ def invariant_one_form(alpha):
     f = {((k + 1,), ()): c for k, c in enumerate(alpha)}
     f.update({((), (k + 1,)): -c.conjugate() for k, c in enumerate(alpha)})
     return {key: c for key, c in f.items() if abs(c) > _ZERO_CUT}
-
-
-def kaehler_form(n):
-    """The fundamental form i * sum phi_k ^ phibar_k of the unitary frame."""
-    return {((k,), (k,)): 1.0j for k in range(1, n + 1)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -451,27 +367,3 @@ def d_squared_residual(alg):
         for k in range(1, alg.n + 1)
     )
 
-
-def top_holomorphic_form(n):
-    """phi_1 ^ .. ^ phi_n."""
-    return {(tuple(range(1, n + 1)), ()): 1.0 + 0.0j}
-
-
-def top_form_d_check(alg):
-    """Both sides of the identity  d(phi_1..phi_n) = zetabar ^ phi_1..phi_n
-    where zetabar is the (0,1)-form with components conj(zeta_k),
-    zeta_k = sum_r D^r_{rk}.
-
-    Returns the pair (lhs, rhs); they agree entrywise on any algebra,
-    which makes the pair a self-test of the forms engine against the
-    tensor side.  Callers assert max_coeff(add(lhs, scale(rhs, -1)))
-    is small."""
-    n = alg.n
-    zeta = np.einsum("rrk->k", alg.D)
-    top = top_holomorphic_form(n)
-    lhs = exterior_d(alg, top)
-    zbar = form(
-        [((), (k + 1,), np.conj(zeta[k])) for k in range(n)]
-    )
-    rhs = wedge(zbar, top)
-    return lhs, rhs

@@ -329,7 +329,7 @@ def skt_form_tensor_residual(a):
     """Gap between del delbar omega computed by the forms engine and the
     closed tensor expression, over canonical index positions."""
     S = skt_tensor(a)
-    ddbar = forms.partial_d(a, forms.partial_dbar(a, forms.kaehler_form(a.n)))
+    ddbar = forms.partial_d(a, forms.partial_dbar(a, forms.kaehler_power(a.n, 1)))
     F = np.zeros_like(S)
     for ((i, k), (j, l)), c in ddbar.items():
         F[i - 1, k - 1, j - 1, l - 1] = c

@@ -244,6 +244,23 @@ def cmat(M):
     return [cvec(row) for row in np.asarray(M)]
 
 
+def _sparse(T, names, tol, antisymmetric):
+    """Sparse records of an array in C order: for each entry not at or
+    below ``tol`` in modulus, its 1-based indices under ``names`` and its
+    value under "v".  A NaN entry is kept, for jsonable to refuse.  With
+    ``antisymmetric`` only the half where the last two indices increase
+    is emitted."""
+    T = np.asarray(T)
+    keep = ~(np.abs(T) <= tol)
+    if antisymmetric:
+        keep &= np.triu(np.ones(T.shape[-2:], dtype=bool), 1)
+    at = (np.argwhere(keep) + 1).T.tolist()
+    vals = T[keep].astype(complex)
+    values = np.stack((vals.real, vals.imag), axis=1).tolist()  # cnum of each
+    keys = (*names, "v")
+    return [dict(zip(keys, record)) for record in zip(*at, values)]
+
+
 def sparse_tensor3(T, tol=0.0, antisymmetric=False):
     """Sparse {"j","i","k","v"} records of a 3-index array, 1-based.
 
@@ -251,37 +268,12 @@ def sparse_tensor3(T, tol=0.0, antisymmetric=False):
     entries are implied.  Entries at or below ``tol`` in modulus are
     dropped.
     """
-    T = np.asarray(T)
-    out = []
-    n = T.shape[0]
-    for j in range(n):
-        for i in range(n):
-            for k in range(n):
-                if antisymmetric and i >= k:
-                    continue
-                val = T[j, i, k]
-                if abs(val) <= tol:
-                    continue
-                out.append({"j": j + 1, "i": i + 1, "k": k + 1, "v": cnum(val)})
-    return out
+    return _sparse(T, "jik", tol, antisymmetric)
 
 
 def sparse_tensor4(R, tol=0.0):
     """Sparse {"i","j","k","l","v"} records of a 4-index array, 1-based."""
-    R = np.asarray(R)
-    out = []
-    n = R.shape[0]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    val = R[i, j, k, l]
-                    if abs(val) <= tol:
-                        continue
-                    out.append(
-                        {"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1, "v": cnum(val)}
-                    )
-    return out
+    return _sparse(R, "ijkl", tol, False)
 
 
 def spec_from_data(data):

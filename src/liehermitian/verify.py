@@ -314,13 +314,13 @@ def criterion_7(seed):
     return _result(7, "astheno equals pluriclosed at k = n-2 (n = 4, 5)", col, detail)
 
 
-def criterion_8(seed, count=200):
+def criterion_8(seed):
     """Curvature-flatness predicates: closed forms against the engine,
     through the cross-check of aa_report, and the collapse of the
     curvature-symmetric class onto the flat one."""
     col = _Collector()
     ckl_flat_agree = True
-    for i in range(count):
+    for i in range(200):
         rng = rng_for(seed * 1000 + 8, i)
         n = int(rng.integers(2, 6))
         kind = i % 4

@@ -372,7 +372,7 @@ def test_closed_forms_and_engine_vanish_together_on_lattice():
 def test_del_delbar_omega_is_the_skt_tensor_exactly_on_lattice():
     for d, a in lattice_draws():
         n = a.n
-        ddbar = forms.partial_d(a, forms.partial_dbar(a, forms.kaehler_form(n)))
+        ddbar = forms.partial_d(a, forms.partial_dbar(a, forms.kaehler_power(n, 1)))
         S = SKT_FORM_FACTOR * skt_tensor(a)
         for i, k in itertools.combinations(range(n), 2):
             for j, l in itertools.combinations(range(n), 2):

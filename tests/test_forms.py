@@ -7,6 +7,11 @@ then checked on curved samples.  The engine works on bitmasks, so the
 same identities are also checked in dense frames up to n = 16, where
 every generator bit and every sign parity is in use, and d is compared
 with a loop that applies its definition.
+
+The expected values come from a small reference of the test's own:
+a monomial is a word of (barred, index) factors, sorted phi before
+phibar by counting transpositions, and form, wedge and reference_d are
+built on that, apart from the engine's sign code.
 """
 
 import math
@@ -14,8 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from liehermitian import (InvalidDegree, build_general, exterior_d, kaehler_form,
-                          kaehler_power)
+from liehermitian import InvalidDegree, build_general, exterior_d, kaehler_power
 from liehermitian import forms as F
 from liehermitian import hermitian as H
 from liehermitian.algebra import change_frame
@@ -33,27 +37,112 @@ from liehermitian.sampling import (
 from liehermitian.almost_abelian import build_almost_abelian
 
 
+# ------------------------------------------------------ the test's reference
+
+
+def word(key):
+    """The factors of the monomial key (I, J), as (barred, index) pairs."""
+    I, J = key
+    return [(False, i) for i in I] + [(True, j) for j in J]
+
+
+def monomial(factors):
+    """(key, sign) of a word of (barred, index) factors: the key (I, J)
+    of the factors sorted, phi before phibar, and (-1) to the number of
+    transpositions that sort them; sign 0 when a factor repeats."""
+    if len(set(factors)) < len(factors):
+        return None, 0
+    swaps = sum(x > y for p, x in enumerate(factors) for y in factors[p + 1:])
+    ordered = sorted(factors)
+    return ((tuple(j for b, j in ordered if not b), tuple(j for b, j in ordered if b)),
+            (-1) ** swaps)
+
+
+def form(terms):
+    """A form dict from (word, coefficient) pairs, the coefficients of
+    equal monomials added up and exact zeros dropped."""
+    out = {}
+    for factors, c in terms:
+        key, sign = monomial(factors)
+        if sign:
+            out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def total(*forms):
+    """The sum of forms."""
+    return form((word(key), c) for f in forms for key, c in f.items())
+
+
+def wedge(f, g):
+    """f ^ g, one concatenated word per pair of monomials."""
+    return form((word(a) + word(b), x * y) for a, x in f.items() for b, y in g.items())
+
+
+def part(f, p, q):
+    """The (p, q) component of a mixed form."""
+    return {key: c for key, c in f.items() if (len(key[0]), len(key[1])) == (p, q)}
+
+
+def graded(f):
+    """f with the sign (-1)^degree on each monomial, so that
+    d(f ^ g) = df ^ g + graded(f) ^ dg."""
+    return {key: (-1) ** (len(key[0]) + len(key[1])) * c for key, c in f.items()}
+
+
+def gap(f, g):
+    """The largest coefficient of f - g."""
+    return max((abs(f.get(key, 0) - g.get(key, 0)) for key in f.keys() | g.keys()),
+               default=0.0)
+
+
+def phibar(i):
+    return {((), (i,)): 1.0 + 0j}
+
+
+def hold_top_form(a):
+    """d(phi_1 ^ .. ^ phi_n) = zetabar ^ phi_1 ^ .. ^ phi_n with
+    zetabar = sum conj(zeta_k) phibar_k and zeta_k = sum_r D^r_{rk};
+    the right-hand side is written out, moving phibar_k past the n
+    factors for (-1)^n.  Returns it."""
+    top = tuple(range(1, a.n + 1))
+    zeta = np.einsum("rrk->k", a.D)
+    rhs = {(top, (k + 1,)): (-1) ** a.n * np.conj(z) for k, z in enumerate(zeta)}
+    assert gap(exterior_d(a, {(top, ()): 1.0 + 0j}), rhs) <= 10 * a.tol
+    return rhs
+
+
+# ------------------------------------------------------ hand-computed values
+
+
+def test_monomial_counts_transpositions():
+    assert monomial([(False, 2), (False, 1)]) == (((1, 2), ()), -1)
+    assert monomial([(True, 1), (False, 3), (False, 1)]) == (((1, 3), (1,)), -1)
+    assert monomial([(True, 2), (False, 1), (True, 2)]) == (None, 0)
+
+
 def test_wedge_anticommutes():
-    f = F.wedge(F.phi(1), F.phi(2))
-    g = F.wedge(F.phi(2), F.phi(1))
+    f = wedge(F.phi(1), F.phi(2))
+    g = wedge(F.phi(2), F.phi(1))
     assert f == {((1, 2), ()): 1.0 + 0j}
     assert g == {((1, 2), ()): -1.0 + 0j}
 
 
 def test_wedge_squares_to_zero():
-    assert F.wedge(F.phi(1), F.phi(1)) == {}
-    assert F.wedge(F.phibar(3), F.phibar(3)) == {}
+    assert wedge(F.phi(1), F.phi(1)) == {}
+    assert wedge(phibar(3), phibar(3)) == {}
 
 
 def test_mixed_wedge_ordering():
     # phibar_1 ^ phi_1 reorders to -phi_1 ^ phibar_1.
-    f = F.wedge(F.phibar(1), F.phi(1))
+    f = wedge(phibar(1), F.phi(1))
     assert f == {((1,), (1,)): -1.0 + 0j}
 
 
 def test_kaehler_form_coefficients():
-    w = kaehler_form(3)
+    w = kaehler_power(3, 1)
     assert w == {((k,), (k,)): 1j for k in (1, 2, 3)}
+    assert list(w) == [((k,), (k,)) for k in (1, 2, 3)]
 
 
 def test_kaehler_square_coefficient():
@@ -65,9 +154,9 @@ def test_kaehler_square_coefficient():
 
 
 def test_kaehler_power_agrees_with_repeated_wedge():
-    w = kaehler_form(3)
-    w3 = F.wedge(F.wedge(w, w), w)
-    assert F.max_coeff(F.add(w3, F.scale(kaehler_power(3, 3), -1))) == 0.0
+    w = kaehler_power(3, 1)
+    w3 = wedge(wedge(w, w), w)
+    assert gap(w3, kaehler_power(3, 3)) == 0.0
 
 
 def test_exterior_d_single_entry():
@@ -86,16 +175,19 @@ def test_exterior_d_c_entry():
 
 
 def test_conjugate_swaps_bidegree():
+    # conj(phi_I ^ phibar_J) = (-1)^(|I||J|) phi_J ^ phibar_I
     a = build_general(2, D_entries=[(1, 2, 1, 1.0)])
-    db = exterior_d(a, F.phibar(2))
-    assert db == F.conjugate(exterior_d(a, F.phi(2)))
+    db = exterior_d(a, phibar(2))
+    conjugate = {(J, I): (-1) ** (len(I) * len(J)) * np.conj(c)
+                 for (I, J), c in exterior_d(a, F.phi(2)).items()}
+    assert db == conjugate
     assert set(db) == {((1,), (1,))}
 
 
 def test_d_squared_vanishes_on_valid_algebra():
     a = hopf_algebra(3)
     for k in range(1, 4):
-        for gen in (F.phi(k), F.phibar(k)):
+        for gen in (F.phi(k), phibar(k)):
             dd = exterior_d(a, exterior_d(a, gen))
             assert F.max_coeff(dd) <= 10 * a.tol
 
@@ -103,36 +195,19 @@ def test_d_squared_vanishes_on_valid_algebra():
 def test_leibniz_rule():
     rng = rng_for(321, 0)
     a = build_almost_abelian(aa_random(rng, 3))
-    f = F.add(F.wedge(F.phi(1), F.phibar(2)), F.scale(F.phi(3), 2.0 - 1.0j))
-    g = F.wedge(F.phi(2), F.phi(3))
-    lhs = exterior_d(a, F.wedge(f, g))
-    # f is mixed degree; split for the sign.
-    f1 = F.bidegree_project(f, 1, 0)
-    f2 = F.bidegree_project(f, 1, 1)
-    rhs = F.add(
-        F.wedge(exterior_d(a, f1), g),
-        F.scale(F.wedge(f1, exterior_d(a, g)), -1.0),
-        F.wedge(exterior_d(a, f2), g),
-        F.wedge(f2, exterior_d(a, g)),
-    )
-    assert F.max_coeff(F.add(lhs, F.scale(rhs, -1))) <= 100 * a.tol
+    f = {((1,), (2,)): 1.0 + 0j, ((3,), ()): 2.0 - 1.0j}  # mixed degree
+    g = {((2, 3), ()): 1.0 + 0j}
+    lhs = exterior_d(a, wedge(f, g))
+    rhs = total(wedge(exterior_d(a, f), g), wedge(graded(f), exterior_d(a, g)))
+    assert gap(lhs, rhs) <= 100 * a.tol
 
 
 def test_partial_splits_d():
     rng = rng_for(321, 1)
     a = build_almost_abelian(aa_random(rng, 3))
-    w = kaehler_form(3)
-    total = exterior_d(a, w)
-    split = F.add(F.partial_d(a, w), F.partial_dbar(a, w))
-    assert F.max_coeff(F.add(total, F.scale(split, -1))) <= 10 * a.tol
-
-
-def test_bidegree_projection_partitions():
-    rng = rng_for(321, 2)
-    a = build_almost_abelian(aa_random(rng, 3))
-    dw = exterior_d(a, kaehler_form(3))
-    parts = F.add(*(F.bidegree_project(dw, p, 3 - p) for p in range(4)))
-    assert F.max_coeff(F.add(dw, F.scale(parts, -1))) == 0.0
+    w = kaehler_power(3, 1)
+    split = total(F.partial_d(a, w), F.partial_dbar(a, w))
+    assert gap(exterior_d(a, w), split) <= 10 * a.tol
 
 
 def test_del_delbar_residual_zero_on_abelian():
@@ -163,8 +238,7 @@ def test_top_form_trace_identity():
     rng = rng_for(321, 3)
     for i in range(5):
         a = build_almost_abelian(aa_random(rng, int(rng.integers(2, 5))))
-        lhs, rhs = F.top_form_d_check(a)
-        assert F.max_coeff(F.add(lhs, F.scale(rhs, -1))) <= 10 * a.tol
+        hold_top_form(a)
 
 
 # ------------------------------------------------------ dense frames, large n
@@ -178,56 +252,65 @@ def dense_draw(n, unimodular=True):
     return change_frame(a, random_unitary(rng, n))
 
 
+def random_word(rng, n, p, q):
+    """A word of p distinct phi and q distinct phibar factors, unordered."""
+    return word(((rng.choice(n, p, replace=False) + 1).tolist(),
+                 (rng.choice(n, q, replace=False) + 1).tolist()))
+
+
 def random_form(rng, n, count):
     """Mixed-degree form from unordered index draws, up to bidegree (3,3)."""
-    return F.form(
-        (rng.choice(n, p, replace=False) + 1, rng.choice(n, q, replace=False) + 1,
-         complex(*rng.normal(size=2)))
-        for p, q in rng.integers(0, 4, size=(count, 2)))
+    return form((random_word(rng, n, p, q), complex(*rng.normal(size=2)))
+                for p, q in rng.integers(0, 4, size=(count, 2)))
 
 
 def reference_d(a, f):
     """d by its definition, with loops: put d x_m, read off C and D, in
     the place of the m-th factor with sign (-1)^(m-1), then sort the
-    factors, phi before phibar, counting transpositions."""
+    factors with monomial."""
     n = a.n
-    d_phi = [[([("u", i), ("u", k)], -a.C[m, i, k]) for i in range(n) for k in range(i + 1, n)]
-             + [([("u", i), ("b", k)], -np.conj(a.D[i, m, k])) for i in range(n) for k in range(n)]
+    d_phi = [[([(False, i + 1), (False, k + 1)], -a.C[m, i, k])
+               for i in range(n) for k in range(i + 1, n)]
+             + [([(False, i + 1), (True, k + 1)], -np.conj(a.D[i, m, k]))
+                for i in range(n) for k in range(n)]
              for m in range(n)]
-    entries = []
-    for (I, J), c in f.items():
-        word = [("u", i - 1) for i in I] + [("b", j - 1) for j in J]
-        for m, (kind, g) in enumerate(word):
-            terms = d_phi[g] if kind == "u" else [
-                ([("b" if s == "u" else "u", j) for s, j in pair], np.conj(t))
-                for pair, t in d_phi[g]]
-            for pair, t in terms:
-                new = [(s == "b", j) for s, j in word[:m] + pair + word[m + 1:]]
-                if len(set(new)) < len(new):
-                    continue
-                swaps = sum(x > y for p, x in enumerate(new) for y in new[p + 1:])
-                entries.append(([j + 1 for b, j in sorted(new) if not b],
-                                [j + 1 for b, j in sorted(new) if b],
-                                (-1) ** (m + swaps) * t * c))
-    return F.form(entries, cut=0.0)
+    terms = []
+    for key, c in f.items():
+        factors = word(key)
+        for m, (barred, g) in enumerate(factors):
+            for pair, t in d_phi[g - 1]:
+                if barred:
+                    pair, t = [(not b, j) for b, j in pair], np.conj(t)
+                terms.append((factors[:m] + pair + factors[m + 1:], (-1) ** m * t * c))
+    return form(terms)
 
 
 @pytest.mark.parametrize("n", [2, 5, 9, 16])
 def test_kaehler_power_closed_coefficient(n):
     # omega^k = i^k k! (-1)^(k(k-1)/2) sum_|K|=k phi_K ^ phibar_K, and
     # omega^k = omega^(k-1) ^ omega through wedge, for every k up to n.
-    w = kaehler_form(n)
-    prev = {((), ()): 1.0 + 0j}
+    # The reference wedge is a Python loop, so at n = 16 it runs inside
+    # two 9-index sub-frames, the top indices and the odd ones: the terms
+    # phi_K ^ phibar_K with K in a sub-frame take only the terms of
+    # omega^(k-1) and omega inside it.
+    frames = [set(range(1, n + 1))] if n <= 9 else [set(range(8, 17)), set(range(1, 17, 2))]
+
+    def inside(f, frame):
+        return {key: c for key, c in f.items() if frame.issuperset(key[0])}
+
+    w = kaehler_power(n, 1)
+    prev = [{((), ()): 1.0 + 0j}] * len(frames)
     for k in range(1, n + 1):
         wk = kaehler_power(n, k)
         c = 1j ** k * math.factorial(k) * (-1) ** (k * (k - 1) // 2)
         assert len(wk) == math.comb(n, k)
         assert all(I == J and len(I) == k for I, J in wk)
         assert all(v == pytest.approx(c, rel=1e-12) for v in wk.values())
-        via = F.wedge(prev, w)
-        assert set(via) == set(wk)
-        assert all(via[key] == pytest.approx(c, rel=1e-12) for key in wk)
-        prev = wk
+        for at, frame in enumerate(frames):
+            via = wedge(prev[at], inside(w, frame))
+            prev[at] = inside(wk, frame)
+            assert set(via) == set(prev[at])
+            assert all(via[key] == pytest.approx(c, rel=1e-12) for key in prev[at])
 
 
 def hold_against_reference(a, f):
@@ -235,13 +318,12 @@ def hold_against_reference(a, f):
     bidegree of f at a time."""
     ref = reference_d(a, f)
     scale = 1.0 + F.max_coeff(ref)
-    assert F.max_coeff(F.add(exterior_d(a, f), F.scale(ref, -1), cut=0.0)) <= 1e-12 * scale
+    assert gap(exterior_d(a, f), ref) <= 1e-12 * scale
     for p, q in {(len(I), len(J)) for I, J in f}:
-        part = F.bidegree_project(f, p, q)
-        ref = reference_d(a, part)
-        for got, shift in ((F.partial_d(a, part), (1, 0)), (F.partial_dbar(a, part), (0, 1))):
-            want = F.bidegree_project(ref, p + shift[0], q + shift[1])
-            assert F.max_coeff(F.add(got, F.scale(want, -1), cut=0.0)) <= 1e-12 * scale
+        fpq = part(f, p, q)
+        ref = reference_d(a, fpq)
+        assert gap(F.partial_d(a, fpq), part(ref, p + 1, q)) <= 1e-12 * scale
+        assert gap(F.partial_dbar(a, fpq), part(ref, p, q + 1)) <= 1e-12 * scale
 
 
 def test_exterior_d_matches_definition_in_dense_frame():
@@ -249,6 +331,20 @@ def test_exterior_d_matches_definition_in_dense_frame():
     rng = rng_for(321, 5)
     for _ in range(3):
         hold_against_reference(a, random_form(rng, 5, 10))
+
+
+def test_exterior_d_reads_keys_in_the_order_written():
+    # a key (I, J) stands for phi_I ^ phibar_J with the factors in the
+    # order written, so an unsorted key carries the sign that sorts it
+    a = dense_draw(5, unimodular=False)
+    rng = rng_for(321, 6)
+    written = {}
+    for p, q in rng.integers(1, 4, size=(10, 2)):
+        key = (tuple((rng.choice(5, p, replace=False) + 1).tolist()),
+               tuple((rng.choice(5, q, replace=False) + 1).tolist()))
+        written[key] = complex(*rng.normal(size=2))
+    assert any(list(I) != sorted(I) for I, J in written)
+    hold_against_reference(a, written)
 
 
 @pytest.mark.parametrize("n", [3, 9, 16])
@@ -259,24 +355,20 @@ def test_exterior_d_is_del_plus_delbar_in_dense_frame(n):
     for _ in range(3):
         f = random_form(rng, n, 10)
         d = exterior_d(a, f)
-        split = F.add(F.partial_d(a, f), F.partial_dbar(a, f))
+        split = total(F.partial_d(a, f), F.partial_dbar(a, f))
         assert F.max_coeff(d) > 1.0
-        assert F.max_coeff(F.add(d, F.scale(split, -1), cut=0.0)) <= 1e-12
+        assert gap(d, split) <= 1e-12
 
 
 def test_leibniz_on_mixed_forms_in_dense_frame():
     a = dense_draw(7, unimodular=False)
     rng = rng_for(321, 7)
     f, g = random_form(rng, 7, 12), random_form(rng, 7, 12)
-    even = {k: v for k, v in f.items() if (len(k[0]) + len(k[1])) % 2 == 0}
-    odd = {k: v for k, v in f.items() if (len(k[0]) + len(k[1])) % 2 == 1}
-    assert even and odd
-    dg = exterior_d(a, g)
-    lhs = exterior_d(a, F.wedge(f, g))
-    rhs = F.add(F.wedge(exterior_d(a, f), g), F.wedge(even, dg),
-                F.scale(F.wedge(odd, dg), -1.0))
+    assert {(len(I) + len(J)) % 2 for I, J in f} == {0, 1}  # even and odd parts
+    lhs = exterior_d(a, wedge(f, g))
+    rhs = total(wedge(exterior_d(a, f), g), wedge(graded(f), exterior_d(a, g)))
     assert F.max_coeff(lhs) > 1.0
-    assert F.max_coeff(F.add(lhs, F.scale(rhs, -1))) <= 10 * a.tol
+    assert gap(lhs, rhs) <= 10 * a.tol
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -289,9 +381,17 @@ def test_skt_tensor_route_in_dense_frame(n):
 def test_d_squared_and_top_form_in_dense_frame(n):
     a = dense_draw(n, unimodular=False)
     assert F.d_squared_residual(a) <= 10 * a.tol
-    lhs, rhs = F.top_form_d_check(a)
-    assert F.max_coeff(rhs) > 1.0
-    assert F.max_coeff(F.add(lhs, F.scale(rhs, -1))) <= 10 * a.tol
+    assert F.max_coeff(hold_top_form(a)) > 1.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "open fault: del_delbar_residual(a, n - 1) calls unimodular data "
+    "non-Gauduchon in dense frames; residual/tol is 21.3 at n = 12 and "
+    "2.18e6 at n = 16, traced to the k! that omega^k carries"))
+@pytest.mark.parametrize("n", [12, 16])
+def test_unimodular_is_gauduchon_in_dense_frame(n):
+    a = dense_draw(n)
+    assert H.property_report(a)["properties"]["gauduchon"]
 
 
 # ------------------------------------------------- the del-delbar plans
@@ -366,7 +466,7 @@ def test_del_delbar_plans_are_shared_per_dimension():
     a = dense_draw(6)
     F.del_delbar_residual(a, 1)
     (delbar, step), _ = ddbar_steps(6, 1)
-    F.partial_dbar(a, kaehler_form(6))
+    F.partial_dbar(a, kaehler_power(6, 1))
     assert len(F._D_PLANS) == 2 and F._D_PLANS[delbar][0] is step
 
 
@@ -432,10 +532,8 @@ def test_oversized_step_is_refused(monkeypatch):
 
 def random_two_form(rng, n, count):
     """A 2-form of bidegrees (2,0), (1,1) and (0,2) from unordered draws."""
-    return F.form(
-        (rng.choice(n, p, replace=False) + 1, rng.choice(n, 2 - p, replace=False) + 1,
-         complex(*rng.normal(size=2)))
-        for p in rng.integers(0, 3, size=count))
+    return form((random_word(rng, n, p, 2 - p), complex(*rng.normal(size=2)))
+                for p in rng.integers(0, 3, size=count))
 
 
 @pytest.mark.parametrize("frame", ["adapted", "scrambled", "dense"])
@@ -462,11 +560,10 @@ def test_replayed_del_delbar_matches_definition(n, frame):
     for k in range(1, n):
         wk = kaehler_power(n, k)
         hold_against_reference(a, wk)
-        ref = F.bidegree_project(reference_d(a, wk), k, k + 1)
-        ref = F.bidegree_project(reference_d(a, ref), k + 1, k + 1)
+        ref = part(reference_d(a, wk), k, k + 1)
+        ref = part(reference_d(a, ref), k + 1, k + 1)
         scale = F.max_coeff(wk) * coef ** 2
-        got = F.partial_d(a, F.partial_dbar(a, wk))
-        assert F.max_coeff(F.add(got, F.scale(ref, -1), cut=0.0)) <= 1e-12 * scale
+        assert gap(F.partial_d(a, F.partial_dbar(a, wk)), ref) <= 1e-12 * scale
         assert abs(F.del_delbar_residual(a, k) - F.max_coeff(ref)) <= 1e-12 * scale
 
 
@@ -572,7 +669,7 @@ def test_d_plans_are_shared_and_bounded():
     assert exterior_d(a, {}) == exterior_d(a, top) == F.partial_d(a, top) == {}
     for i in range(1, 10):
         for j in range(1, 10):
-            exterior_d(a, F.wedge(F.phi(i), F.phibar(j)))
+            exterior_d(a, {((i,), (j,)): 1.0 + 0j})
     assert len(F._D_PLANS) == 2 + 3 + 81  # all small: none is dropped
 
 

@@ -187,7 +187,7 @@ def test_ricci_form_traces_match_matrices(i):
 def skt_residual_by_loop(a):
     """skt_form_tensor_residual as a loop over the positions i<k, j<l."""
     n, S = a.n, H.skt_tensor(a)
-    ddbar = H.forms.partial_d(a, H.forms.partial_dbar(a, H.forms.kaehler_form(n)))
+    ddbar = H.forms.partial_d(a, H.forms.partial_dbar(a, H.forms.kaehler_power(n, 1)))
     worst = 0.0
     for i in range(n):
         for k in range(i + 1, n):

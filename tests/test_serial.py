@@ -169,3 +169,56 @@ def test_sparse_tensor_roundtrip_halves():
         dense[e["j"] - 1, e["i"] - 1, e["k"] - 1] = v
         dense[e["j"] - 1, e["k"] - 1, e["i"] - 1] = -v
     assert max_abs(dense - a.C) == 0.0
+
+
+def loop_tensor3(T, tol=0.0, antisymmetric=False):
+    """sparse_tensor3 as nested loops over the indices."""
+    out = []
+    n = T.shape[0]
+    for j in range(n):
+        for i in range(n):
+            for k in range(n):
+                if antisymmetric and i >= k:
+                    continue
+                val = T[j, i, k]
+                if abs(val) <= tol:
+                    continue
+                out.append({"j": j + 1, "i": i + 1, "k": k + 1, "v": serial.cnum(val)})
+    return out
+
+
+def loop_tensor4(R, tol=0.0):
+    """sparse_tensor4 as nested loops over the indices."""
+    out = []
+    n = R.shape[0]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    val = R[i, j, k, l]
+                    if abs(val) <= tol:
+                        continue
+                    out.append({"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1,
+                                "v": serial.cnum(val)})
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_sparse_tensors_match_the_index_loops(n):
+    # zeros, entries just either side of the cut and one NaN, which is
+    # kept for jsonable to refuse; repr compares NaN and the key types
+    rng = np.random.default_rng(n)
+    for shape, encode, loop in (((n,) * 3, serial.sparse_tensor3, loop_tensor3),
+                                ((n,) * 4, serial.sparse_tensor4, loop_tensor4)):
+        T = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        T[rng.random(shape) < 0.4] = 0.0
+        T.flat[rng.integers(T.size)] = 1e-3
+        T.flat[rng.integers(T.size)] = complex(np.nan, 1.0)
+        for tol in (0.0, 1e-3, 0.5):
+            assert repr(encode(T, tol=tol)) == repr(loop(T, tol=tol))
+            assert repr(encode(T.real, tol=tol)) == repr(loop(T.real, tol=tol))
+        if encode is serial.sparse_tensor3:
+            for tol in (0.0, 0.5):
+                got = encode(T, tol=tol, antisymmetric=True)
+                assert repr(got) == repr(loop(T, tol=tol, antisymmetric=True))
+    assert any(math.isnan(e["v"][0]) for e in serial.sparse_tensor4(T))
