@@ -3,7 +3,8 @@
 Forms go in and out as dicts mapping ``(I, J) -> coefficient``, where I
 and J are strictly increasing tuples of 1-based frame indices standing
 for the monomial phi_{I1} ^ .. ^ phi_{Ip} ^ phibar_{J1} ^ .. ^ phibar_{Jq};
-mixed-degree forms carry keys of several lengths.
+mixed-degree forms carry keys of several lengths.  An input key in
+another order stands for its factors as written.
 
 Inside, a monomial is a bitmask, bit i-1 for phi_i and bit MAX_DIM+j-1
 for phibar_j, so that bit order is factor order, and a form is a pair of
