@@ -14,6 +14,7 @@ phibar by counting transpositions, and form, wedge and reference_d are
 built on that, apart from the engine's sign code.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -288,29 +289,35 @@ def reference_d(a, f):
 @pytest.mark.parametrize("n", [2, 5, 9, 16])
 def test_kaehler_power_closed_coefficient(n):
     # omega^k = i^k k! (-1)^(k(k-1)/2) sum_|K|=k phi_K ^ phibar_K, and
-    # omega^k = omega^(k-1) ^ omega through wedge, for every k up to n.
-    # The reference wedge is a Python loop, so at n = 16 it runs inside
-    # two 9-index sub-frames, the top indices and the odd ones: the terms
-    # phi_K ^ phibar_K with K in a sub-frame take only the terms of
-    # omega^(k-1) and omega inside it.
-    frames = [set(range(1, n + 1))] if n <= 9 else [set(range(8, 17)), set(range(1, 17, 2))]
-
-    def inside(f, frame):
-        return {key: c for key, c in f.items() if frame.issuperset(key[0])}
-
+    # omega^k = omega^(k-1) ^ omega for every k up to n.  omega^(k-1)
+    # holds only the terms phi_R ^ phibar_R, so the wedge coefficient of
+    # phi_K ^ phibar_K is the sum over j in K of the words
+    # (R, R) + (j, j) with R = K - {j}.  It is taken on every K up to
+    # n = 9; at n = 16 (2^16 terms) on the first, the last and six
+    # random K of each size, K = (1..16) among them.
+    rng = rng_for(4141, n)
     w = kaehler_power(n, 1)
-    prev = [{((), ()): 1.0 + 0j}] * len(frames)
+    prev = {((), ()): 1.0 + 0j}
     for k in range(1, n + 1):
         wk = kaehler_power(n, k)
         c = 1j ** k * math.factorial(k) * (-1) ** (k * (k - 1) // 2)
-        assert len(wk) == math.comb(n, k)
-        assert all(I == J and len(I) == k for I, J in wk)
+        assert set(wk) == {(K, K) for K in itertools.combinations(range(1, n + 1), k)}
         assert all(v == pytest.approx(c, rel=1e-12) for v in wk.values())
-        for at, frame in enumerate(frames):
-            via = wedge(prev[at], inside(w, frame))
-            prev[at] = inside(wk, frame)
-            assert set(via) == set(prev[at])
-            assert all(via[key] == pytest.approx(c, rel=1e-12) for key in prev[at])
+        if n <= 9:
+            keys = list(wk)
+        else:
+            keys = [tuple(range(1, k + 1)), tuple(range(n - k + 1, n + 1))] + [
+                tuple(sorted((rng.choice(n, k, replace=False) + 1).tolist())) for _ in range(6)]
+            keys = [(K, K) for K in keys]
+        for key in keys:
+            via = 0
+            for j in key[0]:
+                R = tuple(i for i in key[0] if i != j)
+                at, sign = monomial(word((R, R)) + word(((j,), (j,))))
+                assert at == key
+                via += sign * prev[(R, R)] * w[((j,), (j,))]
+            assert via == pytest.approx(wk[key], rel=1e-12)
+        prev = wk
 
 
 def hold_against_reference(a, f):
