@@ -12,8 +12,6 @@ S_1 S_2 / sqrt(r) because W is unitary.
 Run with  python3 demos/normal_forms.py
 """
 
-import warnings
-
 import numpy as np
 
 from liehermitian import (btpv0_obstruction, c2_report, classify_btp,
@@ -42,11 +40,9 @@ print("rank-1 paired blocks: torsion parallel =", p1["btp"],
       " balanced =", p1["balanced"], " pluriclosed =", p1["pluriclosed"])
 
 # --- rank two cannot --------------------------------------------------
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    S2 = np.array([1.5, 0.7])
-    W2 = np.diag([np.exp(0.3j), np.exp(-0.9j)])
-    d2 = make_btpv0(5, 2, S2, W2, np.zeros(0, dtype=complex))
+S2 = np.array([1.5, 0.7])
+W2 = np.diag([np.exp(0.3j), np.exp(-0.9j)])
+d2 = make_btpv0(5, 2, S2, W2, np.zeros(0, dtype=complex))
 res = c2_btp_residuals(d2)
 print("\nrank-2 paired blocks: residuals by equation")
 for key in sorted(res):

@@ -27,7 +27,6 @@ the family to one of those normal forms, and the paired factorization
 :func:`paired_takagi_factor` the classifier rests on.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -477,7 +476,7 @@ def make_btpv0(n, r, S, W, a=(), tol=None):
     (r, r, n-1-2r), Y = X + B with B carrying diag(S) in its upper
     middle block, and Z carrying diag(S) W there.  Requires r >= 1, S
     positive real of length r, W a symmetric unitary r x r matrix
-    commuting with diag(S), and len(a) = n - 1 - 2r.
+    commuting with diag(S), and len(a) = n - 1 - 2r (0 when n = 2r + 1).
 
     The result is unimodular, balanced and not pluriclosed for every r.
     Its torsion is parallel exactly when r = 1.  For r >= 2 it is the
@@ -491,13 +490,6 @@ def make_btpv0(n, r, S, W, a=(), tol=None):
     m = n - 1
     if 2 * r > m:
         raise ParameterDomain("need n - 1 >= 2r (got n=%d, r=%d)" % (n, r))
-    if r > (n - 2) / 2.0:
-        warnings.warn(
-            "r = %d leaves no room for the diagonal tail (n = %d); "
-            "the third block is empty" % (r, n),
-            RuntimeWarning,
-            stacklevel=2,
-        )
     S = np.asarray(S, dtype=float).reshape(-1)
     if S.shape != (r,):
         raise ParameterDomain("S must be a vector of length r = %d" % r)
@@ -724,6 +716,9 @@ def _structural(msg, value, bound):
         )
 
 
+_NORMAL_FORMS = {"v1": make_btpv1, "v2": make_btpv2, "v0": make_btpv0}
+
+
 def classify_btp(d):
     """Identify the torsion-parallel normal form of unimodular data.
 
@@ -735,6 +730,11 @@ def classify_btp(d):
     NotBTP, which is an answer, not an error.  Non-unimodular input
     raises NotUnimodular; non-integrable input raises
     IntegrabilityViolation.
+
+    Each torsion-parallel branch rotates its leading block into place
+    and checks its structure (CrossCheckFailure where it fails); then the
+    rest of X is diagonalized into ``params["a"]``, and the make_btpv*
+    constructor called with ``params`` must rebuild the input's invariants.
     """
     tol = d.tol
     n, m = d.n, d.n - 1
@@ -749,15 +749,11 @@ def classify_btp(d):
     report = {"residuals": residuals, "frame": np.eye(n, dtype=complex)}
     worst = max(residuals.values())
     if worst > tol:
-        report["family"] = "NotBTP"
-        report["params"] = {"residual": worst}
+        report.update(family="NotBTP", params={"residual": worst})
         return report
 
-    B = d.Y - d.X
-    Am = d.Z.T - d.Z
-    if max(max_abs(d.v), max_abs(B), max_abs(Am)) <= tol:
-        report["family"] = "Kahler"
-        report["params"] = {}
+    if max(max_abs(d.v), max_abs(d.Y - d.X), max_abs(d.Z.T - d.Z)) <= tol:
+        report.update(family="Kahler", params={})
         return report
 
     check = 100.0 * tol
@@ -776,25 +772,14 @@ def classify_btp(d):
         z1 = np.array(cur.Z[0, 1:])
         znorm = float(np.linalg.norm(z1))
         if znorm <= tol:
-            vals, Q = diagonalize_normal(cur.X[1:, 1:])
-            U = _block_unitary(np.eye(1), Q.conj().T)
-            frame = U @ frame
-            family = "v1"
-            params = {"v2": vnorm, "a": vals}
-            rebuilt = make_btpv1(n, vnorm, vals, tol=d.tol)
+            family, params, p = "v1", {"v2": vnorm}, 1
         else:
             U = _block_unitary(np.eye(1), _unitary_sending_to_e1(z1))
             cur = rotate_codim2(cur, U)
             frame = U @ frame
-            X2 = cur.X[2:, 2:]
             _structural("the coupling cell must decouple from the diagonal tail",
                         max(max_abs(cur.X[1, 1:]), max_abs(cur.X[1:, 1])), check)
-            vals, Q = diagonalize_normal(X2)
-            U = _block_unitary(np.eye(2), Q.conj().T)
-            frame = U @ frame
-            family = "v2"
-            params = {"v2": vnorm, "p": znorm, "a": vals}
-            rebuilt = make_btpv2(n, vnorm, znorm, vals, tol=d.tol)
+            family, params, p = "v2", {"v2": vnorm, "p": znorm}, 2
     else:
         _structural("lam must vanish for torsion-parallel data", abs(d.lam), check)
         # Rank and row compression of Z.
@@ -830,20 +815,13 @@ def classify_btp(d):
         _structural("the transverse action must vanish on the paired blocks",
                     max_abs(cur.X[: 2 * r, :]) + max_abs(cur.X[:, : 2 * r]),
                     np.sqrt(check))
-        x = cur.X[2 * r :, 2 * r :]
-        vals, Q = diagonalize_normal(x)
-        U = _block_unitary(np.eye(2 * r), Q.conj().T)
-        frame = U @ frame
-        family = "v0"
-        params = {"r": r, "S": S, "W": Wf, "a": vals}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rebuilt = make_btpv0(n, r, S, Wf, vals, tol=d.tol)
+        family, params, p = "v0", {"r": r, "S": S, "W": Wf}, 2 * r
 
-    _postcondition_invariants(d, rebuilt, max(tol, rebuilt.tol))
-    report["family"] = family
-    report["params"] = params
-    report["frame"] = _block_unitary(np.eye(1), frame)
+    params["a"], Q = diagonalize_normal(cur.X[p:, p:])
+    frame = _block_unitary(np.eye(p), Q.conj().T) @ frame
+    rebuilt = _NORMAL_FORMS[family](n, **params, tol=tol)
+    _postcondition_invariants(d, rebuilt, tol)
+    report.update(family=family, params=params, frame=_block_unitary(np.eye(1), frame))
     return report
 
 

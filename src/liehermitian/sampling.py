@@ -7,8 +7,6 @@ feeding PCG64.  Reports quote :data:`GENERATOR_LABEL` so the provenance
 of random data is visible in saved output.
 """
 
-import warnings
-
 import numpy as np
 
 from .algebra import make_algebra, max_abs
@@ -21,6 +19,7 @@ from .codim2 import (
     make_btpv2,
     rotate_codim2,
 )
+from .errors import DimensionMismatch
 
 GENERATOR_LABEL = "numpy PCG64, SeedSequence(seed, spawn_key=(index,))"
 
@@ -307,7 +306,7 @@ def c2_kahler(rng, n):
 
 
 def c2_generator(rng, n, kind=None):
-    """Random draw from one of the three normal-form shapes.
+    """Random draw from one of the three normal-form shapes, n >= 3.
 
     The v1 and v2 draws are torsion-parallel.  The v0 draws cover the
     whole block-rank range 1 <= r <= (n-1)/2: rank one gives a
@@ -315,25 +314,19 @@ def c2_generator(rng, n, kind=None):
     the rank obstruction (see :func:`~liehermitian.codim2.make_btpv0`),
     which is balanced and unimodular but not torsion-parallel.
     """
+    if n < 3:
+        raise DimensionMismatch("normal-form draws need n >= 3, got n = %d" % n)
     if kind is None:
         kind = ("v1", "v2", "v0")[int(rng.integers(0, 3))]
     if kind == "v1":
         return make_btpv1(n, 0.5 + rng.random(), cgauss(rng, n - 2))
     if kind == "v2":
-        if n < 3:
-            return make_btpv1(n, 0.5 + rng.random(), cgauss(rng, n - 2))
         return make_btpv2(n, 0.5 + rng.random(), 0.5 + rng.random(),
                           cgauss(rng, n - 3))
     if kind == "v0":
-        m = n - 1
-        rmax = m // 2
-        if rmax < 1:
-            return make_btpv1(n, 0.5 + rng.random(), cgauss(rng, n - 2))
-        r = int(rng.integers(1, rmax + 1))
+        r = int(rng.integers(1, (n - 1) // 2 + 1))
         S, W = grouped_singular_data(rng, r)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return make_btpv0(n, r, S, W, cgauss(rng, m - 2 * r))
+        return make_btpv0(n, r, S, W, cgauss(rng, n - 1 - 2 * r))
     raise ValueError("unknown generator kind %r" % (kind,))
 
 
@@ -372,12 +365,14 @@ _C2_KINDS = ("aa", "diag", "herm", "skt", "sym", "kahler", "gen")
 
 
 def c2_random(rng, n, unimodular=False, scramble=True):
-    """Mixed draw over the integrable constructions of the family.
+    """Mixed draw over the integrable constructions of the family, n >= 3.
 
     The skt, sym, kahler and generator constructions are unimodular
     regardless of the flag; the flag only constrains the first three
     kinds.
     """
+    if n < 3:
+        raise DimensionMismatch("mixed draws need n >= 3, got n = %d" % n)
     kind = _C2_KINDS[int(rng.integers(0, len(_C2_KINDS)))]
     if kind == "aa":
         d = c2_from_aa(rng, n, unimodular=unimodular)

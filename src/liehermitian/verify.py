@@ -414,7 +414,7 @@ def generator_answer(kind, d):
     of a paired-block draw (None for v1 and v2) and the family
     classify_btp must return, which is NotBTP for rank r >= 2."""
     if kind != "v0":
-        return None, "v1" if kind == "v2" and d.n < 3 else kind
+        return None, kind
     r = int(np.linalg.matrix_rank(d.Z, tol=1e-8))
     return r, "NotBTP" if r >= 2 else "v0"
 

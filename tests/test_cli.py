@@ -409,11 +409,67 @@ def test_classify_not_btp_is_exit_zero(tmp_path, capsys):
                               [[0.0, 0.0], [1.0, 0.0]]],
                         "a": []}}
     path = write(tmp_path, "r2.json", spec)
-    with pytest.warns(RuntimeWarning):
-        code, rep = run_json(capsys, ["classify", path])
+    code = cli.main(["classify", path])
+    captured = capsys.readouterr()
     assert code == 0
+    # n = 2r + 1 leaves the diagonal tail empty, which is valid input
+    assert captured.err == ""
+    rep = json.loads(captured.out)
     assert rep["classification"]["family"] == "NotBTP"
     assert rep["classification"]["params"]["residual"] == pytest.approx(1.05)
+
+
+def test_empty_tail_rank_one_spec_is_quiet(tmp_path):
+    # n = 3, r = 1: the rank-one paired blocks fill the ideal, valid and
+    # torsion-parallel; a fresh interpreter prints no warning for it
+    spec = {"schema": "lie-hermitian/v1", "n": 3, "family": "btpv0",
+            "payload": {"r": 1, "S": [1.2], "W": [[[0.6, 0.8]]], "a": []}}
+    path = write(tmp_path, "r1.json", spec)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    for command in ("check", "classify"):
+        proc = subprocess.run([sys.executable, "-m", "liehermitian.cli", command, path],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stderr == ""
+        rep = json.loads(proc.stdout)
+        if command == "check":
+            assert rep["report"]["properties"]["btp"] is True
+        else:
+            assert rep["classification"]["family"] == "v0"
+
+
+def _normal_form_draw(kind, n, rng):
+    if kind != "v0":
+        return sampling.c2_generator(rng, n, kind=kind)
+    S, W = sampling.grouped_singular_data(rng, 1)
+    return codim2.make_btpv0(n, 1, S, W, sampling.cgauss(rng, n - 3))
+
+
+@pytest.mark.parametrize("kind", ["v1", "v2", "v0"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_classified_params_round_trip_as_spec(tmp_path, capsys, kind, n):
+    # the params classify reports are the payload of the btp<family> spec,
+    # which is the contract classify_btp's rebuild rests on
+    rng = sampling.rng_for(612, 10 * n + ("v1", "v2", "v0").index(kind))
+    scrambled = sampling.c2_scramble(rng, _normal_form_draw(kind, n, rng))
+    path = write(tmp_path, "in.json", serial.jsonable(serial.spec_from_data(scrambled)))
+    code, rep = run_json(capsys, ["classify", path])
+    assert code == 0
+    out = rep["classification"]
+    assert out["family"] == kind
+    spec = {"schema": "lie-hermitian/v1", "n": n, "family": "btp" + kind,
+            "payload": out["params"]}
+    family, data = serial.materialize(serial.validate_spec(spec))
+    assert family == "btp" + kind
+    back = write(tmp_path, "back.json", spec)
+    code, checked_in = run_json(capsys, ["check", path])
+    assert code == 0
+    code, checked_back = run_json(capsys, ["check", back])
+    assert code == 0
+    assert checked_back["report"]["properties"] == checked_in["report"]["properties"]
+    assert checked_in["report"]["properties"]["btp"] is True
 
 
 # ------------------------------------------------------------------- sample

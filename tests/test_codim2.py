@@ -11,7 +11,6 @@ algebra, confirms the engine's verdict on every generator shape.
 """
 
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -388,11 +387,9 @@ def test_classify_refuses_non_unimodular():
 
 
 def rank_two_pair():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return make_btpv0(5, 2, np.array([1.5, 0.7]),
-                          np.diag([np.exp(0.3j), np.exp(-0.9j)]),
-                          np.zeros(0, dtype=complex))
+    return make_btpv0(5, 2, np.array([1.5, 0.7]),
+                      np.diag([np.exp(0.3j), np.exp(-0.9j)]),
+                      np.zeros(0, dtype=complex))
 
 
 def test_rank_two_residual_sits_in_untraced_equations():
@@ -449,9 +446,7 @@ def test_paired_block_obstruction_is_exact(groups):
         # repeated values with a genuinely non-diagonal W
         assert max_abs(W - np.diag(np.diag(W))) > 0.05
     n = 2 * r + 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        d = make_btpv0(n, r, S, W, cgauss(rng_for(79, r), 1))
+    d = make_btpv0(n, r, S, W, cgauss(rng_for(79, r), 1))
     res = C2.c2_btp_residuals(d)
     predicted = btpv0_obstruction(S, W)
     assert predicted == pytest.approx(obstruction_by_loops(S, W), abs=1e-12)
@@ -539,12 +534,6 @@ def test_koszul_bismut_connection_agrees_with_engine(make, parallel):
     else:
         assert engine > 0.1
         assert max_abs(dT) == pytest.approx(engine, rel=1e-9)
-
-
-def test_rank_bound_warning():
-    with pytest.warns(RuntimeWarning):
-        make_btpv0(5, 2, np.array([1.0, 0.5]), np.eye(2, dtype=complex),
-                   np.zeros(0, dtype=complex))
 
 
 # ------------------------------------------------------- matrix factoring

@@ -4,6 +4,8 @@ import pytest
 from liehermitian import build_codim2, c2_report, property_report
 from liehermitian.algebra import max_abs, unimodularity_defect
 from liehermitian.almost_abelian import build_almost_abelian
+from liehermitian.codim2 import make_btpv0, make_btpv1, make_btpv2
+from liehermitian.errors import DimensionMismatch
 from liehermitian import sampling as sm
 
 
@@ -45,6 +47,41 @@ def test_generators_are_integrable_and_unimodular(kind):
         d = sm.c2_generator(sm.rng_for(43, i), 4 + i, kind=kind)
         a = build_codim2(d)  # IntegrabilityViolation would propagate
         assert max_abs(unimodularity_defect(a)) <= 10 * a.tol
+
+
+@pytest.mark.parametrize("kind", [None, "v1", "v2", "v0"])
+def test_generator_refuses_n_below_three(kind):
+    with pytest.raises(DimensionMismatch):
+        sm.c2_generator(sm.rng_for(43, 0), 2, kind=kind)
+
+
+def test_mixed_draw_refuses_n_below_three():
+    with pytest.raises(DimensionMismatch):
+        sm.c2_random(sm.rng_for(43, 0), 2)
+
+
+def generator_by_hand(rng, n, kind):
+    """The draw order of c2_generator, step by step."""
+    if kind is None:
+        kind = ("v1", "v2", "v0")[int(rng.integers(0, 3))]
+    if kind == "v1":
+        return make_btpv1(n, 0.5 + rng.random(), sm.cgauss(rng, n - 2))
+    if kind == "v2":
+        v2 = 0.5 + rng.random()
+        return make_btpv2(n, v2, 0.5 + rng.random(), sm.cgauss(rng, n - 3))
+    r = int(rng.integers(1, (n - 1) // 2 + 1))
+    S, W = sm.grouped_singular_data(rng, r)
+    return make_btpv0(n, r, S, W, sm.cgauss(rng, n - 1 - 2 * r))
+
+
+@pytest.mark.parametrize("kind", [None, "v1", "v2", "v0"])
+def test_generator_draws_are_fixed_by_the_seed(kind):
+    for n in range(3, 7):
+        for i in range(4):
+            d = sm.c2_generator(sm.rng_for(45, i), n, kind=kind)
+            ref = generator_by_hand(sm.rng_for(45, i), n, kind)
+            for field in ("lam", "v", "X", "Y", "Z"):
+                assert np.array_equal(getattr(d, field), getattr(ref, field))
 
 
 def test_scramble_preserves_predicates():
