@@ -149,26 +149,20 @@ def jacobi_tensors(n, C, D):
     Jacobi identity for the complexified bracket.
 
     Returns rank-4 arrays indexed [i, j, k, l]; :func:`make_algebra`
-    keeps their max-abs entries as ``Algebra.jacobi``.
+    keeps their max-abs entries as ``Algebra.jacobi``.  Terms that are
+    a relabelling of another term's indices reuse its product: the
+    cyclic terms of the CC tensor, and the i <-> k partners in the other
+    two.
     """
     Dc = np.conj(D)
-    jcc = (
-        contract("rij,lrk->ijkl", C, C)
-        + contract("rjk,lri->ijkl", C, C)
-        + contract("rki,lrj->ijkl", C, C)
-    )
-    jcd = (
-        contract("rik,ljr->ijkl", C, D)
-        + contract("rji,lrk->ijkl", D, D)
-        - contract("rjk,lri->ijkl", D, D)
-    )
-    jcdbar = (
-        contract("rik,rjl->ijkl", C, Dc)
-        - contract("jrk,irl->ijkl", C, Dc)
-        + contract("jri,krl->ijkl", C, Dc)
-        - contract("lri,kjr->ijkl", D, Dc)
-        + contract("lrk,ijr->ijkl", D, Dc)
-    )
+    cc = contract("rij,lrk->ijkl", C, C)
+    jcc = cc + cc.transpose(2, 0, 1, 3) + cc.transpose(1, 2, 0, 3)
+    dd = contract("rji,lrk->ijkl", D, D)
+    jcd = contract("rik,ljr->ijkl", C, D) + dd - dd.transpose(2, 1, 0, 3)
+    cd = contract("jrk,irl->ijkl", C, Dc)
+    ddc = contract("lri,kjr->ijkl", D, Dc)
+    jcdbar = (contract("rik,rjl->ijkl", C, Dc) - cd + cd.transpose(2, 1, 0, 3)
+              - ddc + ddc.transpose(2, 1, 0, 3))
     return jcc, jcd, jcdbar
 
 
@@ -369,15 +363,16 @@ def lower_central_dims(a):
         r = int(np.sum(s > a.tol / scale * max(1.0, s[0] if s.size else 0.0)))
         return u[:, :r]
 
-    current = np.eye(n2, dtype=complex)
+    # the first image, [g, g], is spanned by the columns of B itself
+    img, width = B.reshape(n2, -1), n2
     dims = []
     for _ in range(n2 + 1):
-        img = contract("gxy,ys->gxs", B, current).reshape(n2, -1)
         nxt = _span(img)
         dims.append(nxt.shape[1])
-        if nxt.shape[1] == 0 or nxt.shape[1] == current.shape[1]:
+        if nxt.shape[1] in (0, width):
             break
-        current = nxt
+        width = nxt.shape[1]
+        img = contract("gxy,ys->gxs", B, nxt).reshape(n2, -1)
     return dims
 
 

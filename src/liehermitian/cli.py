@@ -200,6 +200,7 @@ def cmd_tensors(args):
     hermitian.require_lie_algebra(a)
     cut = a.tol
     T = hermitian.chern_torsion(a)
+    eta = hermitian.torsion_trace(T)
     R = hermitian.chern_curvature(a)
     b11, b20 = hermitian.bismut_ricci_blocks(a)
     report = serial.report_header("tensors", tol=a.tol)
@@ -220,12 +221,12 @@ def cmd_tensors(args):
         "bismut_two_zero": serial.cmat(b20),
     }
     report["vectors"] = {
-        "torsion_trace": serial.cvec(hermitian.torsion_trace(a)),
+        "torsion_trace": serial.cvec(eta),
         "connection_trace": serial.cvec(hermitian.chern_connection_trace(a)),
         "bracket_trace": serial.cvec(hermitian.bracket_trace(a)),
         "divergence": serial.cvec(hermitian.chern_divergence(a)),
     }
-    report["scalars"] = hermitian.report_scalars(a, R, b11)
+    report["scalars"] = hermitian.report_scalars(a, R, b11, eta)
     report["structure"] = _structure_checks(a)
     _emit(serial.jsonable(report), args)
     return EXIT_OK

@@ -4,19 +4,26 @@ the lower central series.
 ``algebra.contract`` replaces every two-operand ``np.einsum`` under
 ``src/``.  These tests hold it to ``np.einsum`` on every spec the
 package uses, guard that no multi-operand ``np.einsum`` comes back, and
-check the frame change built on it.
+check the frame change built on it.  Where one term of a tensor is an
+index relabelling of another, the package forms the product once; the
+reference formulas below keep one product per term, and exact
+Gaussian-integer tests hold the two equal.
 """
 
 import ast
 import json
+import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from liehermitian import AlmostAbelianData, build_almost_abelian, cli
-from liehermitian.algebra import change_frame, contract, lower_central_dims, max_abs
+from liehermitian import AlmostAbelianData, build_almost_abelian, cli, codim2
+from liehermitian.algebra import (change_frame, contract, jacobi_tensors,
+                                  lower_central_dims, max_abs)
 from liehermitian.codim2 import build_codim2
+from liehermitian.hermitian import chern_curvature, sign_mutation
 from liehermitian.sampling import c2_from_aa, random_unitary, rng_for
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liehermitian"
@@ -34,14 +41,45 @@ def _calls(name):
                     yield path.name, node.lineno, node
 
 
+# One product per term, as (sign, spec, first operand, second operand):
+# the Jacobi tensors, the Chern curvature (signs of _CURVATURE_SIGNS) and
+# the shared parts of the BTP residual system.  Operands are named in
+# the dict each test passes.
+REFERENCE_TERMS = {
+    "jcc": [(1, "rij,lrk->ijkl", "C", "C"), (1, "rjk,lri->ijkl", "C", "C"),
+            (1, "rki,lrj->ijkl", "C", "C")],
+    "jcd": [(1, "rik,ljr->ijkl", "C", "D"), (1, "rji,lrk->ijkl", "D", "D"),
+            (-1, "rjk,lri->ijkl", "D", "D")],
+    "jcdbar": [(1, "rik,rjl->ijkl", "C", "Dc"), (-1, "jrk,irl->ijkl", "C", "Dc"),
+               (1, "jri,krl->ijkl", "C", "Dc"), (-1, "lri,kjr->ijkl", "D", "Dc"),
+               (1, "lrk,ijr->ijkl", "D", "Dc")],
+    "curvature": [(1, "rki,rlj->ijkl", "D", "Dc"), (-1, "lri,krj->ijkl", "D", "Dc"),
+                  (-1, "jri,klr->ijkl", "D", "Dc"), (-1, "irj,lkr->ijkl", "Dc", "D")],
+    "eq1": [(1, "kj,li->ijkl", "B", "Z"), (-1, "ij,lk->ijkl", "B", "Z"),
+            (-1, "ik,lj->ijkl", "Am", "B")],
+    "eq2": [(1, "kj,li->ijkl", "B", "Bc"), (-1, "ij,lk->ijkl", "B", "Bc"),
+            (-1, "ik,lj->ijkl", "Am", "Zc")],
+    "v1": [(1, "k,li->ikl", "v", "Z"), (-1, "i,lk->ikl", "v", "Z"),
+           (-1, "l,ik->ikl", "v", "Am")],
+    "v2": [(1, "k,li->ikl", "v", "Bc"), (-1, "i,lk->ikl", "v", "Bc"),
+           (-1, "l,ik->ikl", "vc", "Am")],
+    "w1": [(1, "l,kj->jkl", "v", "B"), (-1, "k,lj->jkl", "v", "B")],
+}
+
 CONTRACT_CALLS = list(_calls("contract"))
+# The reference formulas are computed with contract too, so their specs
+# stay under the einsum comparison.
 SOURCE_SPECS = sorted({node.args[0].value for _, _, node in CONTRACT_CALLS
-                       if isinstance(node.args[0], ast.Constant)})
+                       if isinstance(node.args[0], ast.Constant)}
+                      | {spec for terms in REFERENCE_TERMS.values() for _, spec, _, _ in terms})
 
 
 def test_every_contraction_names_its_spec_literally():
+    # the AST scan finds every call site that a plain-text search finds,
     # so that the comparison below covers every spec the package uses
-    assert len(CONTRACT_CALLS) >= 40
+    text = "".join(path.read_text() for path in sorted(PACKAGE.glob("*.py")))
+    assert CONTRACT_CALLS
+    assert len(CONTRACT_CALLS) == len(re.findall(r"(?<!def )\bcontract\(", text))
     for name, line, node in CONTRACT_CALLS:
         assert isinstance(node.args[0], ast.Constant), "%s:%d" % (name, line)
 
@@ -153,3 +191,67 @@ def test_check_large_scale_spec_is_not_nilpotent(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["family_report"]["properties"]["nilpotent"] is False
+
+
+# ------------------------------------------------- shared products, exactly
+
+
+def _reference(name, ops, flip=None):
+    """The one-product-per-term sum ``name``, with term ``flip`` negated."""
+    return sum((-sign if t == flip else sign) * contract(spec, ops[x], ops[y])
+               for t, (sign, spec, x, y) in enumerate(REFERENCE_TERMS[name]))
+
+
+def _gaussian(rng, *shape):
+    """Entries in {-3..3} + i{-3..3}: every sum below stays an exact
+    integer far below 2^53, so the routes must agree with ==."""
+    return rng.integers(-3, 4, shape) + 1j * rng.integers(-3, 4, shape)
+
+
+def _gaussian_algebra(n):
+    rng = rng_for(5150, n)
+    C = _gaussian(rng, n, n, n)
+    return {"C": C - C.transpose(0, 2, 1), "D": _gaussian(rng, n, n, n)}
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_jacobi_tensors_equal_one_product_per_term(n):
+    ops = _gaussian_algebra(n)
+    ops["Dc"] = np.conj(ops["D"])
+    got = jacobi_tensors(n, ops["C"], ops["D"])
+    for name, tensor in zip(("jcc", "jcd", "jcdbar"), got):
+        assert np.array_equal(tensor, _reference(name, ops)), name
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_chern_curvature_equals_one_product_per_term(n):
+    ops = _gaussian_algebra(n)
+    ops["Dc"] = np.conj(ops["D"])
+    a = SimpleNamespace(D=ops["D"])
+    assert np.array_equal(chern_curvature(a), _reference("curvature", ops))
+    # flipping one sign moves that term alone: terms 3 and 4 share a
+    # product but not a sign
+    for t in range(4):
+        with sign_mutation(curvature_index=t):
+            assert np.array_equal(chern_curvature(a), _reference("curvature", ops, flip=t)), t
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_btp_system_equals_one_product_per_term(n, monkeypatch):
+    m = n - 1
+    rng = rng_for(5151, n)
+    X, Y, Z = (_gaussian(rng, m, m) for _ in range(3))
+    v = _gaussian(rng, m)
+    d = SimpleNamespace(n=n, lam=2.0, v=v, X=X, Y=Y, Z=Z)
+    seen = []
+    monkeypatch.setattr(codim2, "max_abs", lambda x: seen.append(x) or max_abs(x))
+    codim2.c2_btp_residuals(d)
+    # eq1 and eq2 are the system's only rank-4 tensors; v1, v2, w1 and
+    # w2 its rank-3 ones, in that order
+    eq1, eq2 = [x for x in seen if np.ndim(x) == 4]
+    v1, v2, w1, _ = [x for x in seen if np.ndim(x) == 3]
+    B = Y - X
+    ops = {"B": B, "Z": Z, "Am": Z.T - Z, "Bc": np.conj(B), "Zc": np.conj(Z),
+           "v": v, "vc": np.conj(v)}
+    for name, tensor in zip(("eq1", "eq2", "v1", "v2", "w1"), (eq1, eq2, v1, v2, w1)):
+        assert np.array_equal(tensor, _reference(name, ops)), name

@@ -224,6 +224,22 @@ def test_property_report_refuses_invalid_algebra():
         property_report(a)
 
 
+@pytest.mark.parametrize("i", range(4))
+def test_report_builds_torsion_and_bismut_connection_once(i, monkeypatch):
+    a = random_curved(i)
+    calls = []
+    for name in ("chern_torsion", "bismut_connection"):
+        real = getattr(H, name)
+        monkeypatch.setattr(H, name, lambda a, name=name, real=real:
+                            calls.append(name) or real(a))
+    rep = property_report(a)
+    assert sorted(calls) == ["bismut_connection", "chern_torsion"]
+    res = rep["residuals"]
+    # one route to each residual, whether read off the report or alone
+    assert res["btp"] == max(H.bismut_torsion_derivative_residuals(a))
+    assert res["balanced"] == max_abs(H.torsion_trace(chern_torsion(a)))
+
+
 def test_sign_mutation_flips_and_restores():
     a = build_almost_abelian(solvable_unimodular())
     base = chern_torsion(a).copy()
