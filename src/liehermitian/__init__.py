@@ -23,8 +23,6 @@ from .errors import (
     ParameterDomain,
     NotUnimodular,
     CrossCheckFailure,
-    Singular,
-    NotCompatible,
     NotAstheno,
     NonFiniteValue,
     ParseError,
@@ -93,7 +91,6 @@ from .codim2 import (
     make_btpv0,
     make_btpv1,
     make_btpv2,
-    paired_takagi_factor,
     rotate_codim2,
     spectrum_distance,
 )

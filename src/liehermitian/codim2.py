@@ -21,10 +21,12 @@ data is checked for integrability.
 Besides the closed-form predicates and curvature blocks, this module
 carries the torsion-parallel machinery: the residual system of
 :func:`c2_btp_residuals`, the three normal-form generators
-``make_btpv1`` / ``make_btpv2`` / ``make_btpv0``, the classifier
+``make_btpv1`` / ``make_btpv2`` / ``make_btpv0``, and the classifier
 :func:`classify_btp` that reduces any Bismut-torsion-parallel metric of
-the family to one of those normal forms, and the paired factorization
-:func:`paired_takagi_factor` the classifier rests on.
+the family to one of those normal forms.  The paired-block form
+``make_btpv0`` is torsion-parallel only at block rank one (the rank-one
+cap); the classifier states the cap as a structural check and reads the
+frame of its 1 x 1 paired cells in closed form.
 """
 
 from dataclasses import dataclass
@@ -43,10 +45,8 @@ from .errors import (
     DimensionMismatch,
     IntegrabilityViolation,
     NegativeLambda,
-    NotCompatible,
     NotUnimodular,
     ParameterDomain,
-    Singular,
 )
 from . import hermitian
 
@@ -548,14 +548,6 @@ def _fix_column_phases(Q):
     return Q
 
 
-def _eigh_desc(M):
-    """Hermitian eigendecomposition, eigenvalues descending, phases fixed."""
-    w, Q = np.linalg.eigh(M)
-    w = w[::-1]
-    Q = _fix_column_phases(Q[:, ::-1])
-    return w, Q
-
-
 def _eig_order(vals):
     return np.lexsort((-vals.imag, -vals.real))
 
@@ -626,68 +618,6 @@ def rotate_codim2(d, U):
         Z=U @ d.Z @ U.T,
         tol=d.tol,
     )
-
-
-# ---------------------------------------------------------------------------
-# Paired factorization
-
-
-def paired_takagi_factor(b, z, tol=None):
-    """Joint normal form of two nonsingular matrices tied by three equations.
-
-    Given square b and z with
-
-        conj(z) tz = conj(b) tb,   tz conj(z) = b* b,   b tz = z tb,
-
-    returns (U, S, V, W) with U, V, W unitary, S a positive vector in
-    descending order, W symmetric, W commuting with diag(S), and
-
-        b = U diag(S) V*,     z = U diag(S) W tV.
-
-    Raises Singular when either matrix is singular at the tolerance and
-    NotCompatible, naming the failing equation, when the three relations
-    do not hold.
-    """
-    b = np.asarray(b, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape != z.shape:
-        raise DimensionMismatch("b and z must be square matrices of equal size")
-    r = b.shape[0]
-    if r == 0:
-        raise DimensionMismatch("matrices must be nonempty")
-    if tol is None:
-        tol = default_tolerance(b, z)
-
-    for name, M in (("b", b), ("z", z)):
-        sv = np.linalg.svd(M, compute_uv=False)
-        if sv[-1] <= tol:
-            raise Singular(
-                "%s is singular at the tolerance (smallest singular value %.3e)"
-                % (name, sv[-1])
-            )
-
-    checks = (
-        ("conj(z) tz = conj(b) tb", np.conj(z) @ z.T - np.conj(b) @ b.T),
-        ("tz conj(z) = b* b", z.T @ np.conj(z) - b.conj().T @ b),
-        ("b tz = z tb", b @ z.T - z @ b.T),
-    )
-    for name, E in checks:
-        res = max_abs(E)
-        if res > tol:
-            raise NotCompatible(
-                "equation %s fails with residual %.3e" % (name, res)
-            )
-
-    w, U0 = _eigh_desc(np.conj(z) @ z.T)
-    s = np.sqrt(np.maximum(w, 0.0))
-    if s[-1] <= 0.0:
-        raise Singular("degenerate spectrum in the paired factorization")
-    Sinv = (1.0 / s)[:, None]
-    V0s = Sinv * (U0.conj().T @ np.conj(b))
-    Q = Sinv * (U0.conj().T @ np.conj(z))
-    V0 = V0s.conj().T
-    W0 = Q @ np.conj(V0)
-    return np.conj(U0), s, np.conj(V0), np.conj(W0)
 
 
 # ---------------------------------------------------------------------------
@@ -772,40 +702,48 @@ def classify_btp(d):
             family, params, p = "v2", {"v2": vnorm, "p": znorm}, 2
     else:
         _structural("lam must vanish for torsion-parallel data", abs(d.lam), check)
-        # Rank and row compression of Z.
+        # Rank and row compression of Z.  The torsion-parallel equations
+        # cap its rank at one, so the paired blocks are 1 x 1 cells.
         P, sv, Qh = np.linalg.svd(d.Z)
         r = int(np.count_nonzero(sv > tol))
         _structural("Z must be nonzero alongside a nonzero torsion",
                     float(r == 0), 0.5)
         _structural("Z must be singular on torsion-parallel data",
                     float(2 * r > m), 0.5)
+        _structural("Z must have rank one on torsion-parallel data",
+                    float(r), 1.5)
         frame = P.conj().T
         cur = rotate_codim2(d, frame)
         _structural("the upper left block of Z must vanish",
-                    max_abs(cur.Z[:r, :r]), np.sqrt(check))
+                    abs(cur.Z[0, 0]), np.sqrt(check))
         Bcur = np.array(cur.Y - cur.X)
-        Bcur[:r, r:] = 0.0
+        Bcur[0, 1:] = 0.0
         _structural("B must be supported on its upper right block",
                     max_abs(Bcur), check)
-        y = cur.Z[:r, r:]
-        Py, sy, Qyh = np.linalg.svd(y)
+        Py, sy, Qyh = np.linalg.svd(cur.Z[:1, 1:])
         _structural("the right block of Z must have full rank",
-                    float(sy[min(r, len(sy)) - 1] <= tol), 0.5)
-        U = _block_unitary(np.eye(r), np.conj(Qyh))
+                    float(sy[0] <= tol), 0.5)
+        U = _block_unitary(np.eye(1), np.conj(Qyh))
         cur = rotate_codim2(cur, U)
         frame = U @ frame
         _structural("B must vanish beyond the paired columns",
-                    max_abs((cur.Y - cur.X)[:r, 2 * r :]), check)
-        z = np.array(cur.Z[:r, r : 2 * r])
-        b = np.array((cur.Y - cur.X)[:r, r : 2 * r])
-        Uf, S, Vf, Wf = paired_takagi_factor(b, z, tol=10.0 * tol)
-        U = _block_unitary(Uf.conj().T, Vf.conj().T, np.eye(m - 2 * r))
+                    max_abs((cur.Y - cur.X)[0, 2:]), check)
+        # The paired cells z and b have one modulus s; the phase of b
+        # moves into the second frame vector, leaving b = s, z = s W.
+        z = cur.Z[0, 1]
+        b = (cur.Y - cur.X)[0, 1]
+        s = abs(b)
+        _structural("the paired cell of B must be nonzero", float(s <= tol), 0.5)
+        _structural("the paired cells of B and Z must have equal modulus",
+                    abs(abs(z) - s), check)
+        U = _block_unitary(np.eye(1), b / s, np.eye(m - 2))
         cur = rotate_codim2(cur, U)
         frame = U @ frame
         _structural("the transverse action must vanish on the paired blocks",
-                    max_abs(cur.X[: 2 * r, :]) + max_abs(cur.X[:, : 2 * r]),
+                    max_abs(cur.X[:2, :]) + max_abs(cur.X[:, :2]),
                     np.sqrt(check))
-        family, params, p = "v0", {"r": r, "S": S, "W": Wf}, 2 * r
+        params = {"r": 1, "S": np.array([s]), "W": np.array([[z * b / s**2]])}
+        family, p = "v0", 2
 
     params["a"], Q = diagonalize_normal(cur.X[p:, p:])
     frame = _block_unitary(np.eye(p), Q.conj().T) @ frame

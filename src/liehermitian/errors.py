@@ -75,15 +75,6 @@ class CrossCheckFailure(LieHermitianError):
         self.engine = engine
 
 
-class Singular(LieHermitianError):
-    pass
-
-
-class NotCompatible(LieHermitianError):
-    """Matrix pair does not satisfy the compatibility equations required
-    for the joint factorization."""
-
-
 class NotAstheno(LieHermitianError):
     """Eigenvalue certificate for the astheno-Kahler condition failed.
 

@@ -391,34 +391,3 @@ def c2_random(rng, n, unimodular=False, scramble=True):
     if scramble:
         d = c2_scramble(rng, d)
     return d
-
-
-# ---------------------------------------------------------------------------
-# Paired factorization inputs
-
-
-def takagi_compatible_pair(rng, r, groups=None):
-    """(b, z) satisfying the three compatibility equations exactly.
-
-    ``groups`` optionally prescribes the multiplicity pattern of the
-    singular values, e.g. (2, 1) for a double and a simple value.
-    """
-    S, W = grouped_singular_data(rng, r, groups=groups)
-    U = random_unitary(rng, r)
-    V = random_unitary(rng, r)
-    b = U @ np.diag(S) @ V.conj().T
-    z = U @ np.diag(S) @ W @ V.T
-    return b, z
-
-
-def takagi_incompatible_pair(rng, r):
-    """A compatible pair with z pushed off the compatibility variety."""
-    b, z = takagi_compatible_pair(rng, r)
-    while True:
-        G = cgauss(rng, (r, r))
-        z2 = z + 0.3 * G / max_abs(G)
-        e1 = max_abs(np.conj(z2) @ z2.T - np.conj(b) @ b.T)
-        e2 = max_abs(z2.T @ np.conj(z2) - b.conj().T @ b)
-        e3 = max_abs(b @ z2.T - z2 @ b.T)
-        if max(e1, e2, e3) > 1e-3:
-            return b, z2

@@ -1,11 +1,14 @@
 """Seeded self-check battery behind the verify command.
 
-Thirteen numbered criteria exercise the package end to end: the
+Twelve numbered criteria exercise the package end to end: the
 tensor/forms dualities, trace and scalar identities, every family
 closed form against the general engine, the normal-form generators and
-the classifier, the paired factorization, and sign-flip sensitivity of
-the core conventions.  All sampling is deterministic: criterion c draws
-its sample i from ``rng_for(seed * 1000 + c, i)``.
+the classifier, and sign-flip sensitivity of the core conventions.
+Number 12 is vacant: it checked a paired matrix factorization that the
+classifier no longer uses, and the sign-flip criterion keeps number 13
+so that a criterion's number and its seed stream stay fixed.  All
+sampling is deterministic: criterion c draws its sample i from
+``rng_for(seed * 1000 + c, i)``.
 
 The family reports compare their closed forms with the engine
 themselves (:func:`~liehermitian.hermitian.cross_check`), so the
@@ -43,9 +46,8 @@ from .codim2 import (
     c2_scalars,
     chern_flat_normal_form,
     classify_btp,
-    paired_takagi_factor,
 )
-from .errors import NotAstheno, NotCompatible, LieHermitianError
+from .errors import NotAstheno, LieHermitianError
 from . import sampling as sm
 from .sampling import rng_for
 
@@ -511,38 +513,6 @@ def criterion_11(seed):
     return _result(11, "torsion-parallel generators and classifier", col, detail)
 
 
-def criterion_12(seed):
-    """Paired factorization: invariants on compatible pairs, refusal otherwise."""
-    col = _Collector()
-    for i in range(200):
-        rng = rng_for(seed * 1000 + 12, i)
-        r = int(rng.integers(1, 5))
-        b, z = sm.takagi_compatible_pair(rng, r)
-        try:
-            U, S, V, W = paired_takagi_factor(b, z)
-        except LieHermitianError as exc:
-            col.ok(False, "compatible draw %d raised %s" % (i, exc))
-            continue
-        Sd = np.diag(S)
-        bound = 1e-8 * max(1.0, float(S[0]))
-        col.near(max_abs(b - U @ Sd @ V.conj().T), "draw %d b" % i, bound)
-        col.near(max_abs(z - U @ Sd @ W @ V.T), "draw %d z" % i, bound)
-        col.near(max_abs(W - W.T), "draw %d W symmetry" % i, bound)
-        col.near(max_abs(W @ Sd - Sd @ W), "draw %d WS commutation" % i, bound)
-        col.ok(np.all(np.diff(S) <= 1e-12) and np.all(S > 0),
-               "draw %d: S not positive descending" % i)
-    for i in range(200):
-        rng = rng_for(seed * 1000 + 12, 10000 + i)
-        r = int(rng.integers(1, 5))
-        b, z = sm.takagi_incompatible_pair(rng, r)
-        try:
-            paired_takagi_factor(b, z)
-            col.ok(False, "incompatible draw %d accepted" % i)
-        except NotCompatible:
-            col.ok(True, "")
-    return _result(12, "paired symmetric factorization invariants", col)
-
-
 def _mutation_probe(seed):
     """Quick identity set that must pass unmutated and break under either
     documented sign flip.  Returns the list of failing labels.  The
@@ -610,7 +580,6 @@ _CRITERIA = {
     9: criterion_9,
     10: criterion_10,
     11: criterion_11,
-    12: criterion_12,
     13: criterion_13,
 }
 
@@ -618,7 +587,7 @@ SLUGS = {
     1: "duality", 2: "gauduchon", 3: "skt-agreement", 4: "aa-scalars",
     5: "aa-booleans", 6: "aa-btp", 7: "astheno", 8: "flat-classes",
     9: "c2-booleans", 10: "c2-curvature", 11: "btp-families",
-    12: "takagi", 13: "mutation",
+    13: "mutation",
 }
 
 

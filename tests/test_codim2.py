@@ -22,11 +22,9 @@ from liehermitian import (
     DimensionMismatch,
     IntegrabilityViolation,
     NegativeLambda,
-    NotCompatible,
     NotUnimodular,
     ParameterDomain,
     PatternMismatch,
-    Singular,
     btpv0_obstruction,
     build_codim2,
     c2_report,
@@ -40,7 +38,6 @@ from liehermitian import (
     make_btpv0,
     make_btpv1,
     make_btpv2,
-    paired_takagi_factor,
     rotate_codim2,
     spectrum_distance,
 )
@@ -59,8 +56,6 @@ from liehermitian.sampling import (
     grouped_singular_data,
     random_unitary,
     rng_for,
-    takagi_compatible_pair,
-    takagi_incompatible_pair,
 )
 from liehermitian.verify import hold_curvature_blocks
 
@@ -371,6 +366,32 @@ def test_classify_frame_is_explicit():
     assert got.lam >= 0
 
 
+def rank_one_draw(kind, n, rng):
+    """A v1 or v2 generator draw, or a v0 draw of block rank one."""
+    if kind != "v0":
+        return c2_generator(rng, n, kind=kind)
+    S, W = grouped_singular_data(rng, 1)
+    return make_btpv0(n, 1, S, W, cgauss(rng, n - 3))
+
+
+@pytest.mark.parametrize("kind", ["v1", "v2", "v0"])
+@pytest.mark.parametrize("n", range(3, 10))
+def test_classify_frame_carries_input_onto_its_normal_form(kind, n):
+    # the whole output at once: the frame carries the scrambled algebra
+    # onto the normal form its params build, entry by entry
+    rng = rng_for(82, 100 + 10 * n + ("v1", "v2", "v0").index(kind))
+    scrambled = c2_scramble(rng, rank_one_draw(kind, n, rng))
+    out = classify_btp(scrambled)
+    assert out["family"] == kind
+    moved = change_frame(build_codim2(scrambled), out["frame"])
+    make = {"v1": make_btpv1, "v2": make_btpv2, "v0": make_btpv0}[kind]
+    normal = build_codim2(make(n, **out["params"]))
+    bound = 1e-12 * (1.0 + max_abs((normal.C, normal.D)))
+    assert max_abs((moved.C - normal.C, moved.D - normal.D)) <= bound
+    if kind == "v0":
+        assert abs(out["params"]["W"][0, 0]) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_classify_kahler_tag():
     d = c2_kahler(rng_for(77, 4), 4)
     assert classify_btp(d)["family"] == "Kahler"
@@ -536,29 +557,62 @@ def test_koszul_bismut_connection_agrees_with_engine(make, parallel):
         assert max_abs(dT) == pytest.approx(engine, rel=1e-9)
 
 
-# ------------------------------------------------------- matrix factoring
+# ------------------------------------------------------ classifier guards
 
 
-def test_paired_factor_reconstructs():
-    b, z = takagi_compatible_pair(rng_for(99, 0), 3, groups=(2, 1))
-    U, S, V, W = paired_takagi_factor(b, z)
-    assert max_abs(U @ np.diag(S) @ V.conj().T - b) <= 1e-9
-    assert max_abs(U @ np.diag(S) @ W @ V.T - z) <= 1e-9
-    assert max_abs(W - W.T) <= 1e-9
-    assert max_abs(W @ np.diag(S) - np.diag(S) @ W) <= 1e-9
-    assert all(S[i] >= S[i + 1] - 1e-12 for i in range(len(S) - 1))
+def unit_cells(s1, s2, n=4):
+    """Integrable, unimodular data whose only cells are Y = s1 E_01 and
+    Z = s2 E_01: a rank-one v0 point when |s1| = |s2| > 0."""
+    m = n - 1
+    Y, Z = zeros(m), zeros(m)
+    Y[0, 1], Z[0, 1] = s1, s2
+    return Codim2Data(n=n, lam=0.0, v=np.zeros(m, dtype=complex),
+                      X=zeros(m), Y=Y, Z=Z)
 
 
-def test_paired_factor_refuses_incompatible():
-    b, z = takagi_incompatible_pair(rng_for(99, 1), 3)
-    with pytest.raises(NotCompatible):
-        paired_takagi_factor(b, z)
+@pytest.fixture
+def residuals_vanish(monkeypatch):
+    # every input passes the residual system, so classify_btp reaches
+    # the structural checks of its v0 branch
+    real = C2.c2_btp_residuals
+    monkeypatch.setattr(C2, "c2_btp_residuals",
+                        lambda d: dict.fromkeys(real(d), 0.0))
 
 
-def test_paired_factor_refuses_singular():
-    b = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(Singular):
-        paired_takagi_factor(b, b)
+def test_classify_states_the_rank_one_cap(residuals_vanish):
+    scrambled = c2_scramble(rng_for(82, 0), rank_two_pair())
+    with pytest.raises(CrossCheckFailure, match="Z must have rank one"):
+        classify_btp(scrambled)
+
+
+@pytest.mark.parametrize("scramble", [False, True], ids=["adapted", "scrambled"])
+def test_classify_refuses_unequal_paired_cells(residuals_vanish, scramble):
+    d = unit_cells(1.0, 1.5)
+    if scramble:
+        d = c2_scramble(rng_for(82, 1), d)
+    with pytest.raises(CrossCheckFailure, match="must have equal modulus"):
+        classify_btp(d)
+
+
+@pytest.mark.parametrize("scramble", [False, True], ids=["adapted", "scrambled"])
+def test_classify_equal_paired_cells_are_v0(scramble):
+    d = unit_cells(1.3, 1.3 * np.exp(0.4j))
+    if scramble:
+        d = c2_scramble(rng_for(82, 2), d)
+    out = classify_btp(d)
+    assert out["family"] == "v0"
+    # the phase of W follows the frame's free phase; its modulus is one
+    assert out["params"]["S"] == pytest.approx([1.3], abs=1e-12)
+    assert abs(out["params"]["W"][0, 0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_classify_refuses_a_vanishing_paired_cell_of_b():
+    # Z of order 50 tol passes the quadratic residual system, but B has
+    # no cell to pair with it, so the frame has no phase to read
+    d = unit_cells(0.0, 5e-8)
+    assert max(C2.c2_btp_residuals(d).values()) <= d.tol
+    with pytest.raises(CrossCheckFailure, match="paired cell of B must be nonzero"):
+        classify_btp(d)
 
 
 # ------------------------------------------------------------- flat forms

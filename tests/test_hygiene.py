@@ -7,7 +7,8 @@ referenced somewhere in ``src/``, ``tests/``, ``demos/`` or ``bench/``
 outside its own definition.  No module of the package reads a private
 name (one with a leading underscore that is not a dunder) of another
 package module.  No module of the package imports scipy, which is a
-test-only dependency.
+test-only dependency.  Every exception class of ``errors.py`` but the
+base class is raised somewhere in ``src/``.
 """
 
 import ast
@@ -93,3 +94,14 @@ def test_package_does_not_import_scipy():
              or isinstance(node, ast.ImportFrom)
              and (node.module or "").split(".")[0] == "scipy"]
     assert not found, "scipy imported at %s" % found
+
+
+def test_every_error_class_is_raised():
+    errors = PACKAGE / "errors.py"
+    defined = {node.name for node in _tree(errors).body
+               if isinstance(node, ast.ClassDef)} - {"LieHermitianError"}
+    raised = {node.exc.func.id for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.walk(_tree(path))
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+              and isinstance(node.exc.func, ast.Name)}
+    assert not defined - raised, "never raised: %s" % sorted(defined - raised)
