@@ -92,7 +92,6 @@ from .codim2 import (
     make_btpv1,
     make_btpv2,
     rotate_codim2,
-    spectrum_distance,
 )
 from .serial import (
     canonical_json,

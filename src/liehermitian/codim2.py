@@ -653,8 +653,9 @@ def classify_btp(d):
 
     Each torsion-parallel branch rotates its leading block into place
     and checks its structure (CrossCheckFailure where it fails); then the
-    rest of X is diagonalized into ``params["a"]``, and the make_btpv*
-    constructor called with ``params`` must rebuild the input's invariants.
+    rest of X is diagonalized into ``params["a"]``, and the input moved by
+    the frame must agree entrywise with what the make_btpv* constructor
+    builds from ``params``, and have the same property report.
     """
     tol = d.tol
     n, m = d.n, d.n - 1
@@ -748,77 +749,29 @@ def classify_btp(d):
     params["a"], Q = diagonalize_normal(cur.X[p:, p:])
     frame = _block_unitary(np.eye(p), Q.conj().T) @ frame
     rebuilt = _NORMAL_FORMS[family](n, **params, tol=tol)
-    _postcondition_invariants(d, rebuilt, tol)
+    _postcondition(d, frame, rebuilt, tol)
     report.update(family=family, params=params, frame=_block_unitary(np.eye(1), frame))
     return report
 
 
-def spectrum_distance(vals_a, vals_b):
-    """Bottleneck distance between two equal-length spectra: over all
-    pairings of the two lists, the smallest largest gap |a_i - b_j|.
+def _postcondition(original, frame, rebuilt, tol):
+    """Hold the input, moved by the frame classify_btp returns, against
+    its torsion-parallel normal form, and their property reports.
 
-    Sorting complex eigenvalues is unstable when real parts tie (an
-    all-imaginary spectrum plus rounding noise permutes freely), so the
-    lists are paired, not sorted.  The distance is one of the gaps and
-    at least the largest gap from a point of either list to the nearest
-    point of the other.  That bound is tested first, which settles two
-    spectra that agree; then the sorted gaps above it are bisected.
+    ``frame`` is the unitary on the n - 1 ideal directions.  lam, v, X, Y
+    and Z of the moved input must each agree entrywise with the normal
+    form's within 10 tol, so the frame and every phase the reduction
+    fixed (that of W on the v0 branch) are checked, not only what is
+    left invariant.  This covers the invariants: rebuilt.X is diagonal,
+    so by Bauer-Fike an entrywise gap of 10 tol moves the spectrum of X
+    by at most (n - 1) 10 tol, and by Weyl's inequality the same bound
+    holds for the singular values of B and Z and for |v|.
     """
-    a = np.asarray(vals_a, dtype=complex).reshape(-1)
-    b = np.asarray(vals_b, dtype=complex).reshape(-1)
-    if a.shape != b.shape:
-        raise ValueError("spectra must have equal length")
-    if a.size == 0:
-        return 0.0
-    cost = np.abs(a[:, None] - b[None, :])
-    if not np.isfinite(cost).all():
-        raise ValueError("spectra must be finite")
-    levels = np.sort(cost, axis=None)
-    lo = int(np.searchsorted(levels, max(cost.min(0).max(), cost.min(1).max())))
-    hi, level = levels.size - 1, lo
-    while lo < hi:
-        if _pairs_within(cost <= levels[level]):
-            hi = level
-        else:
-            lo = level + 1
-        level = (lo + hi) // 2
-    return float(levels[lo])
-
-
-def _pairs_within(allowed):
-    """Whether the boolean square matrix ``allowed`` pairs every row with
-    a column of its own, by Kuhn's augmenting paths."""
-    adj = [[j for j, ok in enumerate(row) if ok] for row in allowed.tolist()]
-    row_of = [-1] * len(adj)  # row paired with each column, -1 if free
-
-    def augment(i, seen):
-        for j in adj[i]:
-            if j not in seen:
-                seen.add(j)
-                if row_of[j] < 0 or augment(row_of[j], seen):
-                    row_of[j] = i
-                    return True
-        return False
-
-    return all(augment(i, set()) for i in range(len(adj)))
-
-
-def _invariants(d):
-    """Frame-invariant data of a parameter set."""
-    return {
-        "singular values of B": np.linalg.svd(d.Y - d.X, compute_uv=False),
-        "singular values of Z": np.linalg.svd(d.Z, compute_uv=False),
-        "norm of v": np.linalg.norm(d.v),
-    }
-
-
-def _postcondition_invariants(original, rebuilt, tol):
-    """Frame-invariant agreement between input data and its normal form."""
     sides = "input and its torsion-parallel normal form"
-    hermitian.cross_check(_invariants(original), _invariants(rebuilt), tol, sides=sides)
-    _structural("the spectrum of X must survive the reduction",
-                spectrum_distance(np.linalg.eigvals(original.X), np.linalg.eigvals(rebuilt.X)),
-                10.0 * tol)
+    moved = rotate_codim2(original, frame)
+    blocks = ("lam", "v", "X", "Y", "Z")
+    hermitian.cross_check({b: getattr(moved, b) for b in blocks},
+                          {b: getattr(rebuilt, b) for b in blocks}, tol, sides=sides)
     # classify_btp checked the input's integrability on entry
     rep_o = hermitian.property_report(assemble(original.n, original.lam, original.v,
                                                original.X, original.Y, original.Z, tol))

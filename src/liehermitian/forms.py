@@ -339,12 +339,14 @@ def partial_dbar(alg, f):
 
 
 def del_delbar_residual(alg, k):
-    """Max coefficient of  partial(partialbar(omega^k)).
+    """Max coefficient of  partial(partialbar(omega^k / k!)).
 
     Zero iff omega^k is pluriclosed in the generalized sense: k = 1 is
     the usual pluriclosed condition, k = n - 2 the astheno one, and
     k = n - 1 vanishes for every unimodular algebra.  Replays the delbar
-    plan of omega^k's monomials, then the del plan of those it made.
+    plan of omega^k's monomials, then the del plan of those it made, and
+    divides by k!, the factor every term of omega^k carries: callers'
+    tolerances do not grow with k!, and its rounding noise would.
     Raises InvalidDegree for k outside 1..n-1, and for a middle power
     whose plan would not fit the plan cache (k = 2 at n = 16)."""
     if not 1 <= k <= alg.n - 1:
@@ -354,7 +356,7 @@ def del_delbar_residual(alg, k):
     keys, x = _power(alg.n, k)
     for part in (1, 0):
         keys, x = _apply(alg, part, keys, x)
-    worst = float(np.abs(x).max(initial=0.0))
+    worst = float(np.abs(x).max(initial=0.0)) / factorial(k)
     return worst if worst > _ZERO_CUT else 0.0
 
 

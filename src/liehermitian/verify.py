@@ -370,13 +370,13 @@ def hold_curvature_blocks(d, a):
     return engine[0]
 
 
-def criterion_10(seed, count=200):
+def criterion_10(seed):
     """Codim-2 curvature data: the Ricci contractions and skew-torsion
     Ricci blocks against their closed forms (one check per draw), the
     flat normal form, and the rank and sign of the first trace.  The
     predicates and scalars are held by the cross-check of c2_report."""
     col = _Collector()
-    for i in range(count):
+    for i in range(200):
         rng = rng_for(seed * 1000 + 10, i)
         n = int(rng.integers(3, 6))
         d = sm.c2_random(rng, n, unimodular=bool(i % 2), scramble=True)
@@ -521,12 +521,7 @@ def _mutation_probe(seed):
     """
     bad = []
     for i in range(10):
-        rng = rng_for(seed * 1000 + 13, i)
-        n = int(rng.integers(2, 5))
-        if i % 2:
-            a = sm.aa_random(rng, n, unimodular=True).build()
-        else:
-            a = sm.c2_random(rng, n + 1, unimodular=True).build()
+        a = _unimodular_algebra(rng_for(seed * 1000 + 13, i), i)
         bound = 10.0 * a.tol
         if hermitian.ricci_form_trace_residual(a) > bound:
             bad.append("ricci-trace draw %d" % i)

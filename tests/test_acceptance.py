@@ -86,9 +86,7 @@ def test_battery_is_seed_stable():
 def test_report_disagreement_is_a_recorded_failure(criterion):
     # Under a curvature sign flip the family reports raise
     # CrossCheckFailure; the criterion records that as a failed draw.
-    # Criterion 8 always takes its 200 draws; criterion 10 takes 10.
-    kwargs = {"count": 10} if criterion is verify.criterion_10 else {}
     with hermitian.sign_mutation(curvature_index=1):
-        res = criterion(verify.DEFAULT_SEED, **kwargs)
+        res = criterion(verify.DEFAULT_SEED)
     assert not res.passed
     assert re.match(r"draw \d+: report raised .*disagree", res.failures[0])

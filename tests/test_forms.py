@@ -391,11 +391,7 @@ def test_d_squared_and_top_form_in_dense_frame(n):
     assert F.max_coeff(hold_top_form(a)) > 1.0
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "open fault: del_delbar_residual(a, n - 1) calls unimodular data "
-    "non-Gauduchon in dense frames; residual/tol is 21.3 at n = 12 and "
-    "2.18e6 at n = 16, traced to the k! that omega^k carries"))
-@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("n", range(10, 17))
 def test_unimodular_is_gauduchon_in_dense_frame(n):
     a = dense_draw(n)
     assert H.property_report(a)["properties"]["gauduchon"]
@@ -427,7 +423,7 @@ def test_del_delbar_plan_matches_generic_route(n, frame):
         wk = kaehler_power(n, k)
         ref = F.max_coeff(F.partial_d(a, F.partial_dbar(a, wk)))
         scale = F.max_coeff(wk) * coef ** 2
-        assert abs(F.del_delbar_residual(a, k) - ref) <= 1e-12 * scale
+        assert abs(math.factorial(k) * F.del_delbar_residual(a, k) - ref) <= 1e-12 * scale
 
 
 def ddbar_steps(n, k):
@@ -571,7 +567,8 @@ def test_replayed_del_delbar_matches_definition(n, frame):
         ref = part(reference_d(a, ref), k + 1, k + 1)
         scale = F.max_coeff(wk) * coef ** 2
         assert gap(F.partial_d(a, F.partial_dbar(a, wk)), ref) <= 1e-12 * scale
-        assert abs(F.del_delbar_residual(a, k) - F.max_coeff(ref)) <= 1e-12 * scale
+        residual = math.factorial(k) * F.del_delbar_residual(a, k)
+        assert abs(residual - F.max_coeff(ref)) <= 1e-12 * scale
 
 
 def live_share(a, steps):
