@@ -673,7 +673,7 @@ def classify_btp(d):
         report.update(family="NotBTP", params={"residual": worst})
         return report
 
-    if max(max_abs(d.v), max_abs(d.Y - d.X), max_abs(d.Z.T - d.Z)) <= tol:
+    if c2_residuals(d)["kaehler"] <= tol:
         report.update(family="Kahler", params={})
         return report
 
@@ -789,9 +789,16 @@ def chern_flat_normal_form(d):
 
     Requires the closed-form flatness residual to vanish at the
     tolerance.  Returns (data, frame) where the new Y is diagonal with
-    equal eigenvalues grouped together and X is exactly block-diagonal
+    equal eigenvalues next to each other and X is exactly block-diagonal
     along those groups; ``frame`` is the n x n unitary realizing the
     change.
+
+    In the order of :func:`diagonalize_normal`, each eigenvalue of Y
+    joins the first group whose first member lies within 10 tol of it,
+    or else starts one, and the groups keep the order of their first
+    members.  Rounding moves the real parts of a repeated eigenvalue, so
+    a third one of the same real part can sort between its copies; when
+    no two eigenvalues are that close, the order is the sort's.
     """
     res = c2_residuals(d)["chern_flat"]
     if res > d.tol:
@@ -800,22 +807,20 @@ def chern_flat_normal_form(d):
         )
     m = d.n - 1
     vals, Q = diagonalize_normal(d.Y)
-    U = Q.conj().T
+    # label[i] is the index of the first member of the group of vals[i]
+    label = []
+    for i, z in enumerate(vals):
+        label.append(next((j for j in range(i) if label[j] == j
+                           and abs(z - vals[j]) <= 10.0 * d.tol), i))
+    label = np.array(label, dtype=int)
+    order = np.argsort(label, kind="stable")
+    vals, label, U = vals[order], label[order], Q[:, order].conj().T
     cur = rotate_codim2(d, U)
-    groups = []
-    start = 0
-    for i in range(1, m + 1):
-        if i == m or abs(vals[i] - vals[start]) > 10.0 * d.tol:
-            groups.append((start, i))
-            start = i
-    Xb = np.zeros((m, m), dtype=complex)
-    for lo, hi in groups:
-        Xb[lo:hi, lo:hi] = cur.X[lo:hi, lo:hi]
     data = Codim2Data(
         n=d.n,
         lam=0.0,
         v=np.zeros(m, dtype=complex),
-        X=Xb,
+        X=np.where(label[:, None] == label, cur.X, 0.0),
         Y=np.diag(vals),
         Z=np.zeros((m, m), dtype=complex),
         tol=d.tol,

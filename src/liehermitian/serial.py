@@ -206,6 +206,8 @@ def materialize(spec):
             _cvector(p["a"], "payload.a", n - 2), tol=tol,
         )
     if family == "btpv2":
+        if n < 3:
+            _fail("n", "btpv2 needs n >= 3, got %d" % n)
         return family, make_btpv2(
             n, _real(p["v2"], "payload.v2"), _real(p["p"], "payload.p"),
             _cvector(p["a"], "payload.a", n - 3), tol=tol,
@@ -214,6 +216,8 @@ def materialize(spec):
         r = _integer(p["r"], "payload.r")
         if r < 1:
             _fail("payload.r", "need r >= 1, got %d" % r)
+        if 2 * r > n - 1:
+            _fail("payload.r", "need 2r <= n - 1, got r = %d at n = %d" % (r, n))
         return family, make_btpv0(
             n, r, _rvector(p["S"], "payload.S", r),
             _cmatrix(p["W"], "payload.W", r, r),

@@ -6,9 +6,14 @@ closed form against the general engine, the normal-form generators and
 the classifier, and sign-flip sensitivity of the core conventions.
 Number 12 is vacant: it checked a paired matrix factorization that the
 classifier no longer uses, and the sign-flip criterion keeps number 13
-so that a criterion's number and its seed stream stay fixed.  All
-sampling is deterministic: criterion c draws its sample i from
-``rng_for(seed * 1000 + c, i)``.
+so that a criterion's number and its seed stream stay fixed.
+
+Each criterion is declared once, by the ``@_criterion(number, slug,
+title)`` line above its body, and the registry ``_CRITERIA`` (and
+``SLUGS``, read off it) lists the declared functions by number.  The
+body records its checks into the :class:`CriterionResult` it is given
+and draws its sample i from ``draw(i)``, which is
+``rng_for(seed * 1000 + number, i)``, so all sampling is deterministic.
 
 The family reports compare their closed forms with the engine
 themselves (:func:`~liehermitian.hermitian.cross_check`), so the
@@ -24,7 +29,7 @@ of rank r >= 2 must be refuted exactly as the rank obstruction of
 :func:`~liehermitian.codim2.btpv0_obstruction` predicts.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,33 +61,19 @@ DEFAULT_SEED = 20260818
 
 @dataclass
 class CriterionResult:
+    """The outcome of one criterion, and the collector its body records
+    named subchecks into."""
+
     number: int
     slug: str
     title: str
     passed: bool
     checks: int
-    failures: list = field(default_factory=list)
-    detail: str = ""
+    failures: list
+    detail: str
 
     def as_dict(self):
-        return {
-            "number": self.number,
-            "slug": self.slug,
-            "title": self.title,
-            "passed": self.passed,
-            "checks": self.checks,
-            "failures": list(self.failures[:20]),
-            "failure_count": len(self.failures),
-            "detail": self.detail,
-        }
-
-
-class _Collector:
-    """Accumulates named subchecks for one criterion."""
-
-    def __init__(self):
-        self.checks = 0
-        self.failures = []
+        return dict(vars(self), failures=self.failures[:20], failure_count=len(self.failures))
 
     def ok(self, cond, label):
         self.checks += 1
@@ -106,16 +97,21 @@ class _Collector:
         return rep
 
 
-def _result(number, title, col, detail=""):
-    return CriterionResult(
-        number=number,
-        slug=SLUGS[number],
-        title=title,
-        passed=not col.failures,
-        checks=col.checks,
-        failures=col.failures,
-        detail=detail,
-    )
+def _criterion(number, slug, title):
+    """Declare criterion ``number``.  The decorated ``body(col, draw)``
+    records into the result ``col`` and returns its detail line or None;
+    the declared function runs it for a seed and returns the result,
+    passed when no subcheck failed."""
+    def declare(body):
+        def run(seed):
+            col = CriterionResult(number, slug, title, False, 0, [], "")
+            col.detail = body(col, lambda i: rng_for(seed * 1000 + number, i)) or ""
+            col.passed = not col.failures
+            return col
+        run.number, run.slug, run.__doc__ = number, slug, body.__doc__
+        run.__name__ = run.__qualname__ = body.__name__
+        return run
+    return declare
 
 
 def _mixed_algebra(rng, index):
@@ -144,34 +140,32 @@ def _unimodular_algebra(rng, index):
     return sm.c2_random(rng, n + 1, unimodular=True).build()
 
 
-def criterion_1(seed):
+@_criterion(1, "duality", "bracket Jacobi residual matches d^2 on generators")
+def criterion_1(col, draw):
     """Jacobi residual and d-squared on generators vanish together."""
-    col = _Collector()
     for i in range(200):
-        rng = rng_for(seed * 1000 + 1, i)
+        rng = draw(i)
         a, _ = _mixed_algebra(rng, i)
         bound = 10.0 * a.tol
         dd = forms.d_squared_residual(a)
         agree = (a.jacobi_max <= bound) == (dd <= bound)
         col.ok(agree, "draw %d: jacobi %.3e vs d^2 %.3e disagree" % (i, a.jacobi_max, dd))
-    return _result(1, "bracket Jacobi residual matches d^2 on generators", col)
 
 
-def criterion_2(seed):
+@_criterion(2, "gauduchon", "del delbar of omega^(n-1) vanishes when unimodular")
+def criterion_2(col, draw):
     """Unimodular draws satisfy the top-degree del-delbar identity."""
-    col = _Collector()
     for i in range(200):
-        a = _unimodular_algebra(rng_for(seed * 1000 + 2, i), i)
+        a = _unimodular_algebra(draw(i), i)
         col.near(forms.del_delbar_residual(a, a.n - 1),
                  "draw %d" % i, 10.0 * a.tol)
-    return _result(2, "del delbar of omega^(n-1) vanishes when unimodular", col)
 
 
-def criterion_3(seed):
+@_criterion(3, "skt-agreement", "pluriclosed tensor equals the del-delbar coefficients")
+def criterion_3(col, draw):
     """Pluriclosed tensor and the forms engine agree exactly."""
-    col = _Collector()
     for i in range(200):
-        rng = rng_for(seed * 1000 + 3, i)
+        rng = draw(i)
         a, valid = _mixed_algebra(rng, i)
         if valid is None and a.jacobi_max > a.tol:
             continue
@@ -181,14 +175,13 @@ def criterion_3(seed):
         dd = forms.del_delbar_residual(a, 1)
         col.ok((tens <= bound) == (dd <= bound),
                "boolean draw %d: tensor %.3e vs form %.3e" % (i, tens, dd))
-    return _result(3, "pluriclosed tensor equals the del-delbar coefficients", col)
 
 
-def criterion_4(seed):
+@_criterion(4, "aa-scalars", "codim-1 scalar curvature closed forms")
+def criterion_4(col, draw):
     """Scalar curvature values on unimodular codim-1 data."""
-    col = _Collector()
     for i in range(100):
-        rng = rng_for(seed * 1000 + 4, i)
+        rng = draw(i)
         n = int(rng.integers(2, 6))
         d = sm.aa_random(rng, n, unimodular=True)
         scal = c2_scalars(d)
@@ -202,17 +195,16 @@ def criterion_4(seed):
                  "engine s draw %d" % i, bound)
         col.near(abs(hermitian.chern_scalar_alt(R) - scal["s_hat"]),
                  "engine s_hat draw %d" % i, bound)
-    return _result(4, "codim-1 scalar curvature closed forms", col)
 
 
-def criterion_5(seed):
+@_criterion(5, "aa-booleans", "codim-1 closed-form predicates match the engine")
+def criterion_5(col, draw):
     """Closed-form predicate booleans against the engine, through the
     cross-check of aa_report, plus the two pluriclosed formulations
     against each other."""
-    col = _Collector()
     for n in (2, 3, 4, 5):
         for i in range(500):
-            rng = rng_for(seed * 1000 + 5, n * 10000 + i)
+            rng = draw(n * 10000 + i)
             kind = i % 5
             if kind == 0:
                 d = sm.aa_random(rng, n, unimodular=True)
@@ -227,7 +219,7 @@ def criterion_5(seed):
             col.report(aa_report, d, "n=%d draw %d" % (n, i))
     # matrix equation vs spectral formulation of pluriclosed
     for i in range(400):
-        rng = rng_for(seed * 1000 + 5, 900000 + i)
+        rng = draw(900000 + i)
         n = int(rng.integers(2, 6))
         if i < 200:
             d = sm.aa_normal_matrix(rng, n, unimodular=bool(i % 2))
@@ -238,14 +230,13 @@ def criterion_5(seed):
         spec = spectral_pluriclosed_residual(d)
         col.ok((mat <= tol10) == (spec <= tol10),
                "formulations draw %d: matrix %.3e spectral %.3e" % (i, mat, spec))
-    return _result(5, "codim-1 closed-form predicates match the engine", col)
 
 
-def criterion_6(seed):
+@_criterion(6, "aa-btp", "skew-torsion parallelism constraint surface")
+def criterion_6(col, draw):
     """Torsion-parallel condition on codim-1 data: projection and refutation."""
-    col = _Collector()
     for i in range(100):
-        rng = rng_for(seed * 1000 + 6, i)
+        rng = draw(i)
         n = int(rng.integers(2, 6))
         d = sm.aa_btp(rng, n)
         rep = col.report(aa_report, d, "projected draw %d" % i)
@@ -256,7 +247,7 @@ def criterion_6(seed):
         col.ok(aa_residuals(d)["btp"] <= 10.0 * d.tol,
                "projected draw %d: constraint drifted" % i)
     for i in range(100):
-        rng = rng_for(seed * 1000 + 6, 10000 + i)
+        rng = draw(10000 + i)
         n = int(rng.integers(2, 6))
         d = sm.aa_btp_perturbed(rng, n)
         rep = col.report(aa_report, d, "perturbed draw %d" % i)
@@ -265,10 +256,10 @@ def criterion_6(seed):
                    "perturbed draw %d still parallel" % i)
         col.ok(aa_residuals(d)["btp"] >= 0.1,
                "perturbed draw %d residual too small" % i)
-    return _result(6, "skew-torsion parallelism constraint surface", col)
 
 
-def criterion_7(seed):
+@_criterion(7, "astheno", "astheno equals pluriclosed at k = n-2 (n = 4, 5)")
+def criterion_7(col, draw):
     """Astheno condition coincides with pluriclosed in low dimension.
 
     The equality holds for unimodular data only, so it is asserted on
@@ -277,10 +268,9 @@ def criterion_7(seed):
     (the certificate family with two or more low eigenvalues never
     balances the trace).
     """
-    col = _Collector()
     astheno_seen = 0
     for i in range(200):
-        rng = rng_for(seed * 1000 + 7, i)
+        rng = draw(i)
         n = 4 + (i % 2)
         if i % 3 == 0:
             d = sm.aa_astheno(rng, n)
@@ -312,18 +302,17 @@ def criterion_7(seed):
         lo = np.sum(np.abs(re_eigs[:k] - h / 2.0)) if k else 0.0
         hi = np.sum(np.abs(re_eigs[k:] - (d.lam + h) / 2.0))
         col.near(lo + hi, "draw %d eigenvalue split" % i, 100.0 * tol10)
-    detail = "%d astheno positives among 200 draws" % astheno_seen
-    return _result(7, "astheno equals pluriclosed at k = n-2 (n = 4, 5)", col, detail)
+    return "%d astheno positives among 200 draws" % astheno_seen
 
 
-def criterion_8(seed):
+@_criterion(8, "flat-classes", "flatness and curvature-symmetry closed forms")
+def criterion_8(col, draw):
     """Curvature-flatness predicates: closed forms against the engine,
     through the cross-check of aa_report, and the collapse of the
     curvature-symmetric class onto the flat one."""
-    col = _Collector()
     ckl_flat_agree = True
     for i in range(200):
-        rng = rng_for(seed * 1000 + 8, i)
+        rng = draw(i)
         n = int(rng.integers(2, 6))
         kind = i % 4
         if kind == 0:
@@ -339,20 +328,18 @@ def criterion_8(seed):
         if eng["chern_kaehler_like"] != eng["chern_flat"]:
             ckl_flat_agree = False
             col.ok(False, "draw %d: curvature-symmetric without being flat" % i)
-    detail = "symmetry class collapses to flat: %s" % ckl_flat_agree
-    return _result(8, "flatness and curvature-symmetry closed forms", col, detail)
+    return "symmetry class collapses to flat: %s" % ckl_flat_agree
 
 
-def criterion_9(seed):
+@_criterion(9, "c2-booleans", "codim-2 closed-form predicates match the engine")
+def criterion_9(col, draw):
     """Codim-2 closed-form predicate booleans against the engine, through
     the cross-check of c2_report."""
-    col = _Collector()
     for i in range(200):
-        rng = rng_for(seed * 1000 + 9, i)
+        rng = draw(i)
         n = int(rng.integers(3, 6))
         d = sm.c2_random(rng, n, unimodular=bool(i % 2), scramble=bool(i % 3))
         col.report(c2_report, d, "draw %d" % i)
-    return _result(9, "codim-2 closed-form predicates match the engine", col)
 
 
 def hold_curvature_blocks(d, a):
@@ -370,14 +357,14 @@ def hold_curvature_blocks(d, a):
     return engine[0]
 
 
-def criterion_10(seed):
+@_criterion(10, "c2-curvature", "codim-2 curvature identities and trace blocks")
+def criterion_10(col, draw):
     """Codim-2 curvature data: the Ricci contractions and skew-torsion
     Ricci blocks against their closed forms (one check per draw), the
     flat normal form, and the rank and sign of the first trace.  The
     predicates and scalars are held by the cross-check of c2_report."""
-    col = _Collector()
     for i in range(200):
-        rng = rng_for(seed * 1000 + 10, i)
+        rng = draw(i)
         n = int(rng.integers(3, 6))
         d = sm.c2_random(rng, n, unimodular=bool(i % 2), scramble=True)
         rep = col.report(c2_report, d, "draw %d" % i)
@@ -402,7 +389,6 @@ def criterion_10(seed):
         if abs(s) > bound:
             col.ok(np.sign(lead.real) == np.sign(s),
                    "draw %d: trace sign %.3e vs scalar %.3e" % (i, lead.real, s))
-    return _result(10, "codim-2 curvature identities and trace blocks", col)
 
 
 def _paired_blocks(d, r):
@@ -453,7 +439,8 @@ def generator_checks(kind, d, rep, r):
     return checks
 
 
-def criterion_11(seed):
+@_criterion(11, "btp-families", "torsion-parallel generators and classifier")
+def criterion_11(col, draw):
     """Normal-form generators and the classifier.
 
     Every generator draw must pass :func:`generator_checks`.  Rank-one
@@ -462,11 +449,10 @@ def criterion_11(seed):
     Scrambled draws must classify as :func:`generator_answer` says, with
     the generator's parameters.
     """
-    col = _Collector()
     witnesses = refuted = 0
     for kind_pos, kind in enumerate(("v1", "v2", "v0")):
         for i in range(50):
-            rng = rng_for(seed * 1000 + 11, kind_pos * 1000 + i)
+            rng = draw(kind_pos * 1000 + i)
             n = int(rng.integers(3, 7))
             d = sm.c2_generator(rng, n, kind=kind)
             r, _ = generator_answer(kind, d)
@@ -480,7 +466,7 @@ def criterion_11(seed):
                 witnesses += 1
                 refuted += not bad
     for i in range(100):
-        rng = rng_for(seed * 1000 + 11, 50000 + i)
+        rng = draw(50000 + i)
         n = int(rng.integers(3, 7))
         kind = ("v1", "v2", "v0")[i % 3]
         d = sm.c2_generator(rng, n, kind=kind)
@@ -508,12 +494,11 @@ def criterion_11(seed):
         if expected == "NotBTP":
             witnesses += 1
             refuted += good
-    detail = ("%d rank>=2 paired-block draws, %d refuted as the obstruction "
-              "predicts, %d unexplained") % (witnesses, refuted, len(col.failures))
-    return _result(11, "torsion-parallel generators and classifier", col, detail)
+    return ("%d rank>=2 paired-block draws, %d refuted as the obstruction "
+            "predicts, %d unexplained") % (witnesses, refuted, len(col.failures))
 
 
-def _mutation_probe(seed):
+def _mutation_probe(draw):
     """Quick identity set that must pass unmutated and break under either
     documented sign flip.  Returns the list of failing labels.  The
     family reports cross-check closed forms against the engine and raise
@@ -521,7 +506,7 @@ def _mutation_probe(seed):
     """
     bad = []
     for i in range(10):
-        a = _unimodular_algebra(rng_for(seed * 1000 + 13, i), i)
+        a = _unimodular_algebra(draw(i), i)
         bound = 10.0 * a.tol
         if hermitian.ricci_form_trace_residual(a) > bound:
             bad.append("ricci-trace draw %d" % i)
@@ -531,7 +516,7 @@ def _mutation_probe(seed):
         if max(res["s"], res["s_hat"]) > bound:
             bad.append("scalar draw %d" % i)
     for i in range(5):
-        rng = rng_for(seed * 1000 + 13, 100 + i)
+        rng = draw(100 + i)
         d = sm.aa_btp(rng, int(rng.integers(2, 5)))
         try:
             if not aa_report(d)["engine"]["properties"]["btp"]:
@@ -549,41 +534,24 @@ MUTATIONS = (
 )
 
 
-def criterion_13(seed):
+@_criterion(13, "mutation", "sign-flip sensitivity of the conventions")
+def criterion_13(col, draw):
     """Single sign flips in the core conventions break the battery."""
-    col = _Collector()
-    baseline = _mutation_probe(seed)
+    baseline = _mutation_probe(draw)
     col.ok(not baseline, "baseline probe failed: %s" % baseline[:3])
     for name, kwargs in MUTATIONS:
         with hermitian.sign_mutation(**kwargs):
-            broken = _mutation_probe(seed)
+            broken = _mutation_probe(draw)
         col.ok(bool(broken), "mutation %r went undetected" % name)
-        after = _mutation_probe(seed)
+        after = _mutation_probe(draw)
         col.ok(not after, "mutation %r leaked out of its scope" % name)
-    return _result(13, "sign-flip sensitivity of the conventions", col)
 
 
-_CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-    11: criterion_11,
-    13: criterion_13,
-}
+_CRITERIA = {c.number: c for c in (
+    criterion_1, criterion_2, criterion_3, criterion_4, criterion_5, criterion_6,
+    criterion_7, criterion_8, criterion_9, criterion_10, criterion_11, criterion_13)}
 
-SLUGS = {
-    1: "duality", 2: "gauduchon", 3: "skt-agreement", 4: "aa-scalars",
-    5: "aa-booleans", 6: "aa-btp", 7: "astheno", 8: "flat-classes",
-    9: "c2-booleans", 10: "c2-curvature", 11: "btp-families",
-    13: "mutation",
-}
+SLUGS = {number: c.slug for number, c in _CRITERIA.items()}
 
 
 def run_battery(seed=DEFAULT_SEED, name_filter=None):
@@ -592,10 +560,6 @@ def run_battery(seed=DEFAULT_SEED, name_filter=None):
     ``name_filter`` matches against "criterion-N" and the slug, case
     insensitive.  Returns a list of CriterionResult in numeric order.
     """
-    selected = []
-    for number in sorted(_CRITERIA):
-        label = "criterion-%d %s" % (number, SLUGS[number])
-        if name_filter and name_filter.lower() not in label.lower():
-            continue
-        selected.append(number)
-    return [_CRITERIA[number](seed) for number in selected]
+    return [c(seed) for number, c in sorted(_CRITERIA.items())
+            if not name_filter
+            or name_filter.lower() in ("criterion-%d %s" % (number, c.slug)).lower()]

@@ -23,8 +23,8 @@ from liehermitian import hermitian, verify
 
 @pytest.fixture(scope="session")
 def battery():
-    results = verify.run_battery()
-    return {r.number: r for r in results}
+    # keyed by the registry, not by the number each result carries
+    return dict(zip(sorted(verify.SLUGS), verify.run_battery()))
 
 
 _IDS = ["%02d-%s" % (n, verify.SLUGS[n]) for n in sorted(verify.SLUGS)]
@@ -38,6 +38,16 @@ def test_criterion(battery, number):
     if res.failures:
         message += "\n  " + "\n  ".join(res.failures[:8])
     assert res.passed, message
+
+
+def test_registry_holds_every_criterion_under_its_number(battery):
+    # the one tuple that builds the registry is where it could drift
+    declared = {int(name.split("_")[1]): value for name, value in vars(verify).items()
+                if re.fullmatch(r"criterion_\d+", name)}
+    assert verify._CRITERIA == declared
+    assert verify.SLUGS.keys() == declared.keys()
+    assert {number: (res.number, res.slug) for number, res in battery.items()} == {
+        number: (number, slug) for number, slug in verify.SLUGS.items()}
 
 
 # The verdict and check count of every criterion at the default seed.

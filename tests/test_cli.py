@@ -174,6 +174,31 @@ def test_check_malformed_spec_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"] == "ParseError"
 
 
+def _short_generator_spec(family, n, r):
+    if family == "btpv2":
+        payload = {"v2": 1.0, "p": 1.0, "a": []}
+    else:
+        payload = {"r": r, "S": [1.0] * r, "a": [],
+                   "W": [[[float(i == j), 0.0] for j in range(r)] for i in range(r)]}
+    return {"schema": "lie-hermitian/v1", "n": n, "family": family, "payload": payload}
+
+
+# the nine generator specs at n = 2..5, r = 1..3 that leave no room for
+# the diagonal tail a
+_SHORT_SPECS = [("btpv2", 2, None)] + [("btpv0", n, r) for n in range(2, 6)
+                                       for r in (1, 2, 3) if 2 * r > n - 1]
+
+
+@pytest.mark.parametrize("family, n, r", _SHORT_SPECS)
+def test_generator_spec_too_short_for_its_tail_exits_2(tmp_path, capsys, family, n, r):
+    code = cli.main(["check", write(tmp_path, "short.json", _short_generator_spec(family, n, r))])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and err["error"] == "ParseError"
+    assert "expected length -" not in err["message"]
+    assert err["message"].startswith("n: btpv2 needs n >= 3" if family == "btpv2"
+                                     else "payload.r: need 2r <= n - 1"), err["message"]
+
+
 def test_check_non_integrable_exits_3_with_residuals(tmp_path, capsys):
     spec = {"schema": "lie-hermitian/v1", "n": 3, "family": "codim2",
             "payload": {"lambda": 1.0,

@@ -652,6 +652,27 @@ def test_chern_flat_normal_form_structure():
     assert max_abs(frame @ frame.conj().T - np.eye(4)) <= 1e-9
 
 
+def test_chern_flat_normal_form_keeps_a_repeated_eigenvalue_together():
+    # Y = diag(1, 1 + 2i, 1) with X coupling the two copies of 1: after a
+    # random frame, rounding can sort 1 + 2i between the copies, which
+    # must still form one group, with the X entries that join them kept
+    for s in range(200):
+        rng = rng_for(77, s)
+        G = cgauss(rng, (2, 2))
+        X = zeros(3)
+        X[np.ix_([0, 2], [0, 2])] = 1j * (G + G.conj().T)
+        X[1, 1] = cgauss(rng)
+        flat = Codim2Data(n=4, lam=0.0, v=np.zeros(3, dtype=complex), X=X,
+                          Y=np.diag([1.0, 1.0 + 2.0j, 1.0]), Z=zeros(3))
+        d = rotate_codim2(flat, random_unitary(rng, 3))
+        nf, frame = chern_flat_normal_form(d)
+        ones = np.flatnonzero(np.abs(np.diag(nf.Y) - 1.0) <= 1e-9)
+        assert list(ones) in ([0, 1], [1, 2]), (s, np.diag(nf.Y))
+        moved, want = change_frame(build_codim2(d), frame), build_codim2(nf)
+        scale = max(max_abs(want.C), max_abs(want.D))
+        assert max(max_abs(moved.C - want.C), max_abs(moved.D - want.D)) <= 1e-12 * (1 + scale), s
+
+
 def test_chern_flat_normal_form_refuses_curved():
     d = c2_random(rng_for(55, 9), 4)
     if C2.c2_residuals(d)["chern_flat"] <= d.tol:
