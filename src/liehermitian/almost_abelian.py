@@ -10,20 +10,23 @@ assembles, evaluates and reports it, with any real lam allowed: the
 shared predicates and the scalars come from the closed forms of
 :mod:`liehermitian.codim2` read on those blocks, and :func:`aa_report`
 is :func:`~liehermitian.codim2.c2_report` on the slice.  What
-codimension one adds lives here: nilpotency, the Chern-Kaehler-like,
-BTP and BKL conditions and the eigenvalue profile of the
-astheno-Kaehler condition, which :func:`aa_report` holds against the
-engine run of c2_report.  A disagreement raises
+codimension one adds lives here, in the table
+``AlmostAbelianData.PREDICATES`` that extends the shared one:
+nilpotency, the Chern-Kaehler-like, BTP and BKL conditions and, from
+n = 4, the eigenvalue profile of the astheno-Kaehler condition.
+c2_report holds them against its engine run, and :func:`aa_report`
+nilpotency against the lower central series.  A disagreement raises
 :class:`~liehermitian.errors.CrossCheckFailure` instead of trusting
 either side.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import is_nilpotent, max_abs, require_ideal_pattern
-from .codim2 import assemble, c2_report, c2_residuals, freeze_fields
+from .codim2 import Codim2Data, assemble, c2_report, c2_scalars, freeze_fields
 from .errors import NotAstheno, ParameterDomain, PatternMismatch
 from . import hermitian
 
@@ -41,6 +44,26 @@ class AlmostAbelianData:
     """
 
     BLOCKS = ("A",)
+    # Codim2Data.PREDICATES and the closed forms codimension one adds,
+    # keyed by their names in hermitian.PREDICATES but for nilpotent,
+    # which aa_report holds against the lower central series instead.
+    PREDICATES = {
+        **Codim2Data.PREDICATES,
+        "nilpotent": lambda d, scal: max(
+            abs(d.lam),
+            max_abs(np.linalg.matrix_power(d.A, d.n - 1)) / (1.0 + max_abs(d.A)) ** (d.n - 1)),
+        "chern_kaehler_like": lambda d, scal: max(
+            max_abs(d.A.conj().T @ d.v),
+            max_abs(np.outer(d.v, np.conj(d.v)) + (d.A @ d.A.conj().T - d.A.conj().T @ d.A)
+                    - d.lam * (d.A + d.A.conj().T)),
+        ),
+        "btp": lambda d, scal: max(max_abs(d.A + d.A.conj().T), max_abs(d.A @ d.v)),
+        "bkl": None,
+        # at n = 3 the astheno condition is the pluriclosed one
+        "astheno_kaehler": lambda d, scal: (
+            d._spectrum[1][3] if d.n > 3
+            else Codim2Data.PREDICATES["pluriclosed"](d, scal) if d.n == 3 else None),
+    }
 
     n: int
     lam: float
@@ -50,10 +73,46 @@ class AlmostAbelianData:
 
     def __post_init__(self):
         freeze_fields(self, nonnegative=False)
+        # stored once: every shared closed form reads them
+        for name, M in (("X", -self.A.conj().T), ("Y", self.A),
+                        ("Z", np.zeros(self.A.shape, dtype=complex))):
+            M.setflags(write=False)
+            object.__setattr__(self, name, M)
 
-    X = property(lambda self: -self.A.conj().T)
-    Y = property(lambda self: self.A)
-    Z = property(lambda self: np.zeros(self.A.shape, dtype=complex))
+    @cached_property
+    def _spectrum(self):
+        """The eigenvalues of A and their astheno profile, worked out once
+        for the astheno route and aa_report.  The profile is (k, h,
+        commutator residual, total residual, clauses), None below n = 4."""
+        n, lam, A = self.n, self.lam, self.A
+        eigs = np.linalg.eigvals(A)
+        if n < 4:
+            return eigs, None
+        m = n - 1
+        h = trace_sum(A)
+        comm_res = max_abs(A.conj().T @ A - A @ A.conj().T)
+        scale = 1e-7 * (1.0 + max_abs(A) + abs(lam))
+        doubled = 2.0 * eigs.real
+        if abs(lam) <= scale:
+            # The two admissible values coincide; every eigenvalue must sit
+            # at h and the count equation then forces h = 0.
+            k = m
+            bucket_res = float(np.max(np.abs(doubled - h))) if m else 0.0
+            count_res = abs((n - 2) * h)
+        else:
+            near_h = np.abs(doubled - h)
+            near_lh = np.abs(doubled - (lam + h))
+            choose_h = near_h <= near_lh
+            k = int(np.count_nonzero(choose_h))
+            bucket_res = float(np.max(np.minimum(near_h, near_lh))) if m else 0.0
+            count_res = abs((n - 1 - k) * lam + (n - 2) * h)
+        total = max(comm_res, bucket_res, count_res)
+        clauses = {
+            "commutator": comm_res,
+            "eigenvalue_bucket": bucket_res,
+            "count_equation": count_res,
+        }
+        return eigs, (k, h, comm_res, total, clauses)
 
     def build(self):
         """Assemble the full structure-constant tensors from the parameters.
@@ -105,41 +164,14 @@ def trace_sum(A):
 
 
 def aa_residuals(d):
-    """Closed-form residuals for the standard predicates.
+    """Closed-form residuals of :attr:`AlmostAbelianData.PREDICATES`:
+    those of :func:`~liehermitian.codim2.c2_residuals` and the added ones.
 
     Each entry is a nonnegative number; the predicate holds exactly when
     the residual vanishes, and numerically when it stays below the data
     tolerance.  ``None`` marks a predicate with no content at this n.
-    The predicates of :func:`~liehermitian.codim2.c2_residuals` come
-    from it.
     """
-    res = c2_residuals(d)
-    prof = _astheno_profile(d, np.linalg.eigvals(d.A))
-    res.update(_added_residuals(d, res["pluriclosed"], prof))
-    return res
-
-
-def _added_residuals(d, pluriclosed, prof):
-    """The residuals codimension one adds to the shared ones: nilpotent,
-    chern_kaehler_like, btp, bkl and astheno_kaehler, given the shared
-    ``pluriclosed`` residual and the astheno profile ``prof``."""
-    n, lam, v, A = d.n, d.lam, d.v, d.A
-    m = n - 1
-    H = A + A.conj().T
-    comm = A @ A.conj().T - A.conj().T @ A
-
-    nilp_scale = (1.0 + max_abs(A)) ** m
-    res = {
-        "nilpotent": max(abs(lam), max_abs(np.linalg.matrix_power(A, m)) / nilp_scale),
-        "chern_kaehler_like": max(
-            max_abs(A.conj().T @ v),
-            max_abs(np.outer(v, np.conj(v)) + comm - lam * H),
-        ),
-        "btp": max(max_abs(H), max_abs(A @ v)),
-    }
-    res["bkl"] = max(res["btp"], pluriclosed)
-    res["astheno_kaehler"] = prof[3] if prof else (pluriclosed if n == 3 else None)
-    return res
+    return hermitian.evaluate(AlmostAbelianData.PREDICATES, d, c2_scalars(d))
 
 
 def spectral_pluriclosed_residual(d):
@@ -158,39 +190,6 @@ def spectral_pluriclosed_residual(d):
     return max(max_abs(comm), float(np.max(dist)))
 
 
-def _astheno_profile(d, eigs):
-    """Internal worker on the eigenvalues ``eigs`` of A: (k, h,
-    commutator residual, total residual, clauses), None below n = 4."""
-    n, lam, A = d.n, d.lam, d.A
-    if n < 4:
-        return None
-    m = n - 1
-    h = trace_sum(A)
-    comm_res = max_abs(A.conj().T @ A - A @ A.conj().T)
-    scale = 1e-7 * (1.0 + max_abs(A) + abs(lam))
-    doubled = 2.0 * eigs.real
-    if abs(lam) <= scale:
-        # The two admissible values coincide; every eigenvalue must sit
-        # at h and the count equation then forces h = 0.
-        k = m
-        bucket_res = float(np.max(np.abs(doubled - h))) if m else 0.0
-        count_res = abs((n - 2) * h)
-    else:
-        near_h = np.abs(doubled - h)
-        near_lh = np.abs(doubled - (lam + h))
-        choose_h = near_h <= near_lh
-        k = int(np.count_nonzero(choose_h))
-        bucket_res = float(np.max(np.minimum(near_h, near_lh))) if m else 0.0
-        count_res = abs((n - 1 - k) * lam + (n - 2) * h)
-    total = max(comm_res, bucket_res, count_res)
-    clauses = {
-        "commutator": comm_res,
-        "eigenvalue_bucket": bucket_res,
-        "count_equation": count_res,
-    }
-    return k, h, comm_res, total, clauses
-
-
 def aa_astheno_profile(d):
     """Certificate for the astheno condition when n >= 4.
 
@@ -201,7 +200,7 @@ def aa_astheno_profile(d):
     """
     if d.n < 4:
         raise ParameterDomain("the eigenvalue certificate needs n >= 4")
-    k, h, comm_res, total, clauses = _astheno_profile(d, np.linalg.eigvals(d.A))
+    k, h, comm_res, total, clauses = d._spectrum[1]
     if total > d.tol:
         worst = max(clauses, key=lambda key: clauses[key])
         raise NotAstheno(
@@ -213,24 +212,18 @@ def aa_astheno_profile(d):
 
 
 def aa_report(d):
-    """:func:`~liehermitian.codim2.c2_report` on the slice, plus what
-    codimension one adds: its five predicates, held against the engine
-    run of c2_report (nilpotency against the lower central series of the
-    algebra it built; a disagreement raises CrossCheckFailure), and the
-    eigenvalue data of A.
+    """:func:`~liehermitian.codim2.c2_report` on the slice, which decides
+    and cross-checks the table :attr:`AlmostAbelianData.PREDICATES`, plus
+    nilpotency held against the lower central series of the algebra it
+    built (a disagreement raises CrossCheckFailure) and the eigenvalue
+    data of A.
     """
     rep = c2_report(d)
-    engine, tol = rep["engine"], rep["tol"]
-    eigs = np.linalg.eigvals(d.A)
-    prof = _astheno_profile(d, eigs)
-    res = _added_residuals(d, rep["residuals"]["pluriclosed"], prof)
-    props = hermitian.decide(res, tol)
     nilp = is_nilpotent(rep["algebra"])
-    hermitian.cross_check(props, dict(engine["properties"], nilpotent=nilp), tol, res,
-                          dict(engine["residuals"], nilpotent=float(not nilp)))
-    rep["properties"].update(props)
-    rep["residuals"].update(res)
+    hermitian.cross_check(rep["properties"], {"nilpotent": nilp}, rep["tol"],
+                          rep["residuals"], {"nilpotent": float(not nilp)})
 
+    eigs, prof = d._spectrum
     eigs = np.sort_complex(eigs)
     eigen_data = {
         "eigenvalues": eigs,

@@ -11,12 +11,13 @@ pair of quadratic matrix equations checked by
 The codimension-one family of :mod:`liehermitian.almost_abelian` is
 the slice Z = 0, X = -A*, Y = A, and its data exposes those blocks, so
 both families share one parameter model kept here: the field validation
-of :func:`freeze_fields`, the (C, D) assembly of :func:`assemble`, and
-the one closed form of each shared predicate and scalar in
-:func:`c2_residuals` and :func:`c2_scalars`, valid for either sign of
-lam, and the one report :func:`c2_report` that holds them against the
-engine.  Each data class builds its own algebra: only codimension-two
-data is checked for integrability.
+of :func:`freeze_fields`, the (C, D) assembly of :func:`assemble`, the
+one closed form of each shared predicate, in the table
+``Codim2Data.PREDICATES`` keyed by the names of ``hermitian.PREDICATES``,
+and of each scalar, in :func:`c2_scalars`, valid for either sign of lam,
+and the one report :func:`c2_report`, which decides the table its data
+class names and holds it against the engine.  Each data class builds its
+own algebra: only codimension-two data is checked for integrability.
 
 Besides the closed-form predicates and curvature blocks, this module
 carries the torsion-parallel machinery: the residual system of
@@ -102,6 +103,29 @@ class Codim2Data:
     """
 
     BLOCKS = ("X", "Y", "Z")
+    # The closed form of each predicate the two families share, for any
+    # real lam, keyed by its name in hermitian.PREDICATES and in report
+    # order.  A route takes the data and its scalars c2_scalars(d).
+    PREDICATES = {
+        "unimodular": lambda d, scal: c2_unimodularity_defect(d),
+        "balanced": lambda d, scal: max(abs(np.trace(d.X) - np.trace(d.Y)), max_abs(d.v)),
+        "kaehler": lambda d, scal: max(max_abs(d.v), max_abs(d.Z.T - d.Z), max_abs(d.X - d.Y)),
+        "pluriclosed": lambda d, scal: max_abs(
+            d.X @ d.X.conj().T - d.Y @ d.X.conj().T + d.Z.T @ np.conj(d.Z) - d.Z @ np.conj(d.Z)
+            + d.Y.conj().T @ d.Y - d.Y.conj().T @ d.X + d.lam * (d.Y - d.X)),
+        "chern_flat": lambda d, scal: max(
+            abs(d.lam),
+            max_abs(d.v),
+            max_abs(d.Z),
+            max_abs(d.Y @ d.Y.conj().T - d.Y.conj().T @ d.Y),
+            max_abs(d.Y @ d.X.conj().T - d.X.conj().T @ d.Y),
+        ),
+        "cyt": lambda d, scal: max(
+            max_abs(d.X @ d.v),
+            max_abs(d.Y.conj().T @ d.v + d.Z.T @ np.conj(d.v)),
+            abs(scal["s_b"]),
+        ),
+    }
 
     n: int
     lam: float
@@ -274,46 +298,15 @@ def c2_bismut_blocks(d, scal):
     return M, P
 
 
-def c2_residuals(d, scal=None):
-    """Closed-form residuals of the standard predicates, for any real lam."""
-    lam, v, X, Y, Z = d.lam, d.v, d.X, d.Y, d.Z
-    Xs = X.conj().T
-    Ys = Y.conj().T
-    vmax = max_abs(v)
-    skt = (
-        X @ Xs
-        - Y @ Xs
-        + Z.T @ np.conj(Z)
-        - Z @ np.conj(Z)
-        + Ys @ Y
-        - Ys @ X
-        + lam * (Y - X)
-    )
-    if scal is None:
-        scal = c2_scalars(d)
-    return {
-        "unimodular": c2_unimodularity_defect(d),
-        "balanced": max(abs(np.trace(X) - np.trace(Y)), vmax),
-        "kaehler": max(vmax, max_abs(Z.T - Z), max_abs(X - Y)),
-        "pluriclosed": max_abs(skt),
-        "chern_flat": max(
-            abs(lam),
-            vmax,
-            max_abs(Z),
-            max_abs(Y @ Ys - Ys @ Y),
-            max_abs(Y @ Xs - Xs @ Y),
-        ),
-        "cyt": max(
-            max_abs(X @ v),
-            max_abs(Ys @ v + Z.T @ np.conj(v)),
-            abs(scal["s_b"]),
-        ),
-    }
+def c2_residuals(d):
+    """Closed-form residuals of the predicates both families share, the
+    routes of :attr:`Codim2Data.PREDICATES`, for data of either family."""
+    return hermitian.evaluate(Codim2Data.PREDICATES, d, c2_scalars(d))
 
 
 def c2_report(d):
-    """Predicates and scalars of either family, cross-checked against the
-    tensor engine.
+    """Predicates of the table ``d.PREDICATES`` and scalars of either
+    family, cross-checked against the tensor engine.
 
     Builds the algebra once with ``d.build()`` and runs the engine once.
     Booleans must match exactly, ``s``, ``s_hat`` and ``s_b`` within ten
@@ -324,7 +317,7 @@ def c2_report(d):
     engine = hermitian.property_report(alg)
     tol = alg.tol
     scal = c2_scalars(d)
-    res = c2_residuals(d, scal)
+    res = hermitian.evaluate(d.PREDICATES, d, scal)
     props = hermitian.decide(res, tol)
     hermitian.cross_check(props, engine["properties"], tol, res, engine["residuals"])
     hermitian.cross_check(scal, engine["scalars"], tol)
@@ -673,7 +666,7 @@ def classify_btp(d):
         report.update(family="NotBTP", params={"residual": worst})
         return report
 
-    if c2_residuals(d)["kaehler"] <= tol:
+    if Codim2Data.PREDICATES["kaehler"](d, None) <= tol:  # reads no scalar
         report.update(family="Kahler", params={})
         return report
 
@@ -800,7 +793,7 @@ def chern_flat_normal_form(d):
     a third one of the same real part can sort between its copies; when
     no two eigenvalues are that close, the order is the sort's.
     """
-    res = c2_residuals(d)["chern_flat"]
+    res = Codim2Data.PREDICATES["chern_flat"](d, None)  # reads no scalar
     if res > d.tol:
         raise ParameterDomain(
             "data is not Chern-flat (residual %.3e)" % res

@@ -34,6 +34,7 @@ notices; see :func:`sign_mutation`.
 """
 
 import contextlib
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -424,9 +425,43 @@ def report_scalars(a, R, bismut_one_one, eta):
     }
 
 
+def evaluate(table, *args):
+    """Each predicate's residual, in ``table`` order, from its route
+    called on ``args``.  bkl has no route (None): Bismut Kaehler-like is
+    BTP and pluriclosed, so its residual is the larger of theirs."""
+    res = {}
+    for name, route in table.items():
+        res[name] = max(res["btp"], res["pluriclosed"]) if route is None else route(*args)
+    return res
+
+
+# Each predicate's engine route, in report order, on what property_report
+# forms once: the algebra t.a, the Chern torsion t.T and curvature t.R,
+# the torsion trace t.eta and the Bismut Ricci form t.rho_b.  Routes look
+# forms functions up when called, so a wrapper installed there sees them.
+PREDICATES = {
+    "kaehler": lambda t: max_abs(t.T),
+    "balanced": lambda t: max_abs(t.eta),
+    "pluriclosed": lambda t: forms.del_delbar_residual(t.a, 1),
+    "gauduchon": lambda t: forms.del_delbar_residual(t.a, t.a.n - 1),
+    "astheno_kaehler": lambda t: (
+        None if t.a.n == 2 else forms.del_delbar_residual(t.a, t.a.n - 2)),
+    "chern_flat": lambda t: max_abs(t.R),
+    # the barred Chern derivative of the torsion: zero iff the curvature
+    # has the full Kaehler symmetry package
+    "chern_kaehler_like": lambda t: max_abs(
+        torsion_cov_deriv(t.T, chern_connection(t.a), barred=True)),
+    "btp": lambda t: max(_parallel_residuals(t.T, bismut_connection(t.a))),
+    "bkl": None,
+    "cyt": lambda t: forms.max_coeff(t.rho_b),
+    "chern_ricci_flat": lambda t: forms.max_coeff(chern_ricci_form(t.a)),
+    "unimodular": lambda t: max_abs(unimodularity_defect(t.a)),
+}
+
+
 def property_report(a):
     """Classify the frame metric of an algebra against the standard
-    special-metric conditions.
+    special-metric conditions, the predicates of :data:`PREDICATES`.
 
     Returns a dict with keys 'properties' (booleans, or None where a
     condition does not apply), 'residuals' (the numbers the booleans
@@ -440,37 +475,16 @@ def property_report(a):
     require_lie_algebra(a)
 
     T = chern_torsion(a)
-    R = chern_curvature(a)
-    eta = torsion_trace(T)
-    w = unimodularity_defect(a)
-    rho_b = bismut_ricci_form(a)
-
-    res = {}
-    res["kaehler"] = max_abs(T)
-    res["balanced"] = max_abs(eta)
-    res["pluriclosed"] = forms.del_delbar_residual(a, 1)
-    res["gauduchon"] = forms.del_delbar_residual(a, n - 1)
-    res["astheno_kaehler"] = (
-        None if n == 2 else forms.del_delbar_residual(a, n - 2)
-    )
-    res["chern_flat"] = max_abs(R)
-    # the barred Chern derivative of the torsion: zero iff the curvature
-    # has the full Kaehler symmetry package
-    res["chern_kaehler_like"] = max_abs(
-        torsion_cov_deriv(T, chern_connection(a), barred=True))
-    res["btp"] = max(_parallel_residuals(T, bismut_connection(a)))
-    res["bkl"] = max(res["btp"], res["pluriclosed"])
-    res["cyt"] = forms.max_coeff(rho_b)
-    res["chern_ricci_flat"] = forms.max_coeff(chern_ricci_form(a))
-    res["unimodular"] = max_abs(w)
-
+    t = SimpleNamespace(a=a, T=T, R=chern_curvature(a), eta=torsion_trace(T),
+                        rho_b=bismut_ricci_form(a))
+    res = evaluate(PREDICATES, t)
     return {
         "n": n,
         "tol": tol,
         "jacobi_residual": list(a.jacobi),
         "properties": decide(res, tol),
         "residuals": res,
-        "scalars": report_scalars(a, R, one_one_matrix(rho_b, n), eta),
+        "scalars": report_scalars(a, t.R, one_one_matrix(t.rho_b, n), t.eta),
     }
 
 

@@ -23,6 +23,7 @@ from liehermitian import (
     NotUnimodular,
     ParameterDomain,
     PatternMismatch,
+    aa_report,
     btpv0_obstruction,
     build_codim2,
     c2_report,
@@ -39,6 +40,7 @@ from liehermitian import (
     rotate_codim2,
 )
 from liehermitian import codim2 as C2
+from liehermitian import hermitian as H
 from liehermitian import verify
 from liehermitian.algebra import change_frame, max_abs
 from liehermitian.hermitian import bismut_torsion_derivative_residuals, sign_mutation
@@ -211,6 +213,19 @@ def test_report_crosscheck_clean(i):
     assert set(rep["properties"]) == set(C2.c2_residuals(d))
 
 
+def test_every_report_reads_its_predicates_off_one_table():
+    d = c2_random(rng_for(71, 0), 4)
+    aa = aa_random(rng_for(71, 1), 4)
+    # the engine table is the engine report's list of predicates
+    assert list(H.PREDICATES) == list(H.property_report(d.build())["residuals"])
+    # cross_check skips a key the engine lacks, so a misspelt family key
+    # would never be compared; nilpotent alone is held elsewhere
+    for table in (Codim2Data.PREDICATES, AlmostAbelianData.PREDICATES):
+        assert set(table) - {"nilpotent"} <= set(H.PREDICATES)
+    assert list(c2_report(d)["properties"]) == list(Codim2Data.PREDICATES)
+    assert list(aa_report(aa)["properties"]) == list(AlmostAbelianData.PREDICATES)
+
+
 def _curvature_draws(kind):
     """Four draws of one kind for the closed curvature blocks: mixed
     c2_random data, unscrambled generator shapes (btpv0 at block rank
@@ -266,6 +281,17 @@ def test_closed_scalars_evaluated_once_per_call(monkeypatch):
     hold_curvature_blocks(d, rep["algebra"])
     assert len(calls) == 2
     assert C2.c2_residuals(d) == rep["residuals"]  # the public call still works alone
+
+
+def test_classifier_and_flat_normal_form_compute_no_scalars(monkeypatch):
+    # each reads the one closed form it tests, Kaehler or Chern-flat,
+    # not every shared predicate with the scalars the cyt one needs
+    calls, real = [], C2.c2_scalars
+    monkeypatch.setattr(C2, "c2_scalars", lambda d: calls.append(d) or real(d))
+    rng = rng_for(77, 40)
+    assert classify_btp(c2_scramble(rng, make_btpv1(6, 1.0, cgauss(rng, 4))))["family"] == "v1"
+    chern_flat_normal_form(from_almost_abelian(aa_chern_flat(rng_for(55, 3), 4)))
+    assert calls == []
 
 
 def test_report_crosscheck_catches_a_sign_flip():
