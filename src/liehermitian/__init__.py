@@ -100,4 +100,13 @@ from .serial import (
     spec_from_data,
     validate_spec,
 )
-from .verify import run_battery
+
+
+def __getattr__(name):
+    # the battery loads on first use, so importing the package (and the
+    # check, classify and tensors commands) compiles neither verify nor
+    # sampling
+    if name == "run_battery":
+        from .verify import run_battery
+        return run_battery
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

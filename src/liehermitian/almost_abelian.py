@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import is_nilpotent, max_abs, require_ideal_pattern
-from .codim2 import Codim2Data, assemble, c2_report, c2_scalars, freeze_fields
+from .codim2 import Codim2Data, RouteContext, assemble, c2_report, freeze_fields
 from .errors import NotAstheno, ParameterDomain, PatternMismatch
 from . import hermitian
 
@@ -47,22 +47,23 @@ class AlmostAbelianData:
     # Codim2Data.PREDICATES and the closed forms codimension one adds,
     # keyed by their names in hermitian.PREDICATES but for nilpotent,
     # which aa_report holds against the lower central series instead.
+    # Y is A, so a route reads A* as c.Ys and A + A* as c.Y_herm.
     PREDICATES = {
         **Codim2Data.PREDICATES,
-        "nilpotent": lambda d, scal: max(
-            abs(d.lam),
-            max_abs(np.linalg.matrix_power(d.A, d.n - 1)) / (1.0 + max_abs(d.A)) ** (d.n - 1)),
-        "chern_kaehler_like": lambda d, scal: max(
-            max_abs(d.A.conj().T @ d.v),
-            max_abs(np.outer(d.v, np.conj(d.v)) + (d.A @ d.A.conj().T - d.A.conj().T @ d.A)
-                    - d.lam * (d.A + d.A.conj().T)),
+        "nilpotent": lambda c: max(
+            abs(c.lam),
+            max_abs(np.linalg.matrix_power(c.A, c.n - 1)) / (1.0 + max_abs(c.A)) ** (c.n - 1)),
+        "chern_kaehler_like": lambda c: max(
+            max_abs(c.Ys @ c.v),
+            max_abs(np.outer(c.v, np.conj(c.v)) + (c.A @ c.Ys - c.Ys @ c.A)
+                    - c.lam * c.Y_herm),
         ),
-        "btp": lambda d, scal: max(max_abs(d.A + d.A.conj().T), max_abs(d.A @ d.v)),
+        "btp": lambda c: max(max_abs(c.Y_herm), max_abs(c.A @ c.v)),
         "bkl": None,
         # at n = 3 the astheno condition is the pluriclosed one
-        "astheno_kaehler": lambda d, scal: (
-            d._spectrum[1][3] if d.n > 3
-            else Codim2Data.PREDICATES["pluriclosed"](d, scal) if d.n == 3 else None),
+        "astheno_kaehler": lambda c: (
+            c.d._spectrum[1][3] if c.n > 3
+            else Codim2Data.PREDICATES["pluriclosed"](c) if c.n == 3 else None),
     }
 
     n: int
@@ -171,7 +172,7 @@ def aa_residuals(d):
     the residual vanishes, and numerically when it stays below the data
     tolerance.  ``None`` marks a predicate with no content at this n.
     """
-    return hermitian.evaluate(AlmostAbelianData.PREDICATES, d, c2_scalars(d))
+    return hermitian.evaluate(AlmostAbelianData.PREDICATES, RouteContext(d))
 
 
 def spectral_pluriclosed_residual(d):

@@ -31,8 +31,6 @@ from . import __version__
 from . import forms
 from . import hermitian
 from . import serial
-from . import verify
-from . import sampling as sm
 from .algebra import max_abs, unimodularity_defect
 from .almost_abelian import aa_report, build_almost_abelian
 from .codim2 import build_codim2, c2_report, classify_btp, from_almost_abelian
@@ -162,12 +160,13 @@ def _load(args):
     return spec, family, data
 
 
-def _structure_checks(a):
+def _structure_checks(a, R):
+    """Jacobi, unimodularity and curvature symmetry residuals of the
+    algebra ``a`` with Chern curvature ``R``."""
     return {
         "jacobi_residual": a.jacobi_max,
         "unimodularity_defect": max_abs(unimodularity_defect(a)),
-        "curvature_hermitian_residual": hermitian.curvature_hermitian_residual(
-            hermitian.chern_curvature(a)),
+        "curvature_hermitian_residual": hermitian.curvature_hermitian_residual(R),
     }
 
 
@@ -189,7 +188,7 @@ def cmd_check(args):
         a = fam.pop("algebra")
         report["report"] = fam.pop("engine")
         report["family_report"] = fam
-    report["structure"] = _structure_checks(a)
+    report["structure"] = _structure_checks(a, hermitian.chern_curvature(a))
     _emit(serial.jsonable(report), args)
     return EXIT_OK
 
@@ -227,7 +226,7 @@ def cmd_tensors(args):
         "divergence": serial.cvec(hermitian.chern_divergence(a)),
     }
     report["scalars"] = hermitian.report_scalars(a, R, b11, eta)
-    report["structure"] = _structure_checks(a)
+    report["structure"] = _structure_checks(a, R)
     _emit(serial.jsonable(report), args)
     return EXIT_OK
 
@@ -261,7 +260,12 @@ def cmd_classify(args):
     return EXIT_OK
 
 
+# The sample and verify commands import sampling and verify where they
+# run, so check, classify and tensors neither compile nor run them.
+
+
 def _sample_general(rng):
+    from . import sampling as sm
     a = sm.random_general(rng, int(rng.integers(2, 5)))
     bound = 10.0 * a.tol
     dd = forms.d_squared_residual(a)
@@ -270,6 +274,7 @@ def _sample_general(rng):
 
 
 def _sample_aa(rng):
+    from . import sampling as sm
     unimod = bool(rng.integers(0, 2))
     d = sm.aa_random(rng, int(rng.integers(2, 6)), unimodular=unimod)
     try:
@@ -286,6 +291,7 @@ def _sample_aa(rng):
 
 
 def _sample_c2(rng):
+    from . import sampling as sm
     unimod = bool(rng.integers(0, 2))
     d = sm.c2_random(rng, int(rng.integers(3, 6)), unimodular=unimod)
     try:
@@ -301,6 +307,8 @@ def _sample_c2(rng):
 
 def _sample_generator(kind):
     def draw(rng):
+        from . import sampling as sm
+        from . import verify
         d = sm.c2_generator(rng, int(rng.integers(3, 7)), kind=kind)
         r, expected = verify.generator_answer(kind, d)
         checks = verify.generator_checks(kind, d, c2_report(d), r)
@@ -331,15 +339,17 @@ def cmd_sample(args):
     standalone spec file that reproduces the finding through the check
     command.
     """
+    from . import sampling as sm
     if args.count < 1:
         raise ParameterDomain("count must be at least 1")
+    seed = _seed(args.seed)
     draw = _SAMPLERS[args.family]
     outdir = os.path.dirname(args.output) if args.output else ""
     tallies = {}
     failures = []
     emitted = []
     for i in range(args.count):
-        rng = sm.rng_for(args.seed, i)
+        rng = sm.rng_for(seed, i)
         try:
             data, checks = draw(rng)
         except LieHermitianError as exc:
@@ -360,7 +370,7 @@ def cmd_sample(args):
                                   os.path.join(outdir, fname))
                 emitted.append(fname)
             failures.append(entry)
-    report = serial.report_header("sample", seed=args.seed)
+    report = serial.report_header("sample", seed=seed)
     report["generator"] = sm.GENERATOR_LABEL
     report["family"] = args.family
     report["count"] = args.count
@@ -372,11 +382,13 @@ def cmd_sample(args):
 
 
 def cmd_verify(args):
-    results = verify.run_battery(seed=args.seed, name_filter=args.filter)
+    from . import verify
+    seed = verify.DEFAULT_SEED if args.seed is None else _seed(args.seed)
+    results = verify.run_battery(seed=seed, name_filter=args.filter)
     if not results:
         raise ParameterDomain("no criterion matches the filter %r" % args.filter)
     if args.format == "json":
-        report = serial.report_header("verify", seed=args.seed)
+        report = serial.report_header("verify", seed=seed)
         report["results"] = [r.as_dict() for r in results]
         report["passed"] = all(r.passed for r in results)
         _emit(serial.jsonable(report), args)
@@ -399,12 +411,17 @@ def cmd_verify(args):
 # ------------------------------------------------------------------ glue
 
 
-def _common_flags(p, seed_default=None):
+def _seed(seed):
+    # SeedSequence takes no negative entropy
+    if seed < 0:
+        raise ParseError("--seed must be a nonnegative integer, got %d" % seed)
+    return seed
+
+
+def _common_flags(p):
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--output", default=None, metavar="PATH",
                    help="write the report here instead of stdout")
-    if seed_default is not None:
-        p.add_argument("--seed", type=int, default=seed_default)
 
 
 def build_parser():
@@ -427,13 +444,16 @@ def build_parser():
     p = sub.add_parser("sample", help="seeded random invariant suites")
     p.add_argument("family", choices=tuple(_SAMPLERS))
     p.add_argument("--count", type=int, default=20)
-    _common_flags(p, seed_default=0)
+    _common_flags(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="run the acceptance battery")
     p.add_argument("--filter", default=None, metavar="NAME",
                    help="run only criteria whose name contains NAME")
-    _common_flags(p, seed_default=verify.DEFAULT_SEED)
+    _common_flags(p)
+    # None stands for verify.DEFAULT_SEED, read once the command runs
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_verify)
     return top
 

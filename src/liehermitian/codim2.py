@@ -31,6 +31,7 @@ frame of its 1 x 1 paired cells in closed form.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,25 +106,25 @@ class Codim2Data:
     BLOCKS = ("X", "Y", "Z")
     # The closed form of each predicate the two families share, for any
     # real lam, keyed by its name in hermitian.PREDICATES and in report
-    # order.  A route takes the data and its scalars c2_scalars(d).
+    # order.  A route takes the RouteContext of the data.
     PREDICATES = {
-        "unimodular": lambda d, scal: c2_unimodularity_defect(d),
-        "balanced": lambda d, scal: max(abs(np.trace(d.X) - np.trace(d.Y)), max_abs(d.v)),
-        "kaehler": lambda d, scal: max(max_abs(d.v), max_abs(d.Z.T - d.Z), max_abs(d.X - d.Y)),
-        "pluriclosed": lambda d, scal: max_abs(
-            d.X @ d.X.conj().T - d.Y @ d.X.conj().T + d.Z.T @ np.conj(d.Z) - d.Z @ np.conj(d.Z)
-            + d.Y.conj().T @ d.Y - d.Y.conj().T @ d.X + d.lam * (d.Y - d.X)),
-        "chern_flat": lambda d, scal: max(
-            abs(d.lam),
-            max_abs(d.v),
-            max_abs(d.Z),
-            max_abs(d.Y @ d.Y.conj().T - d.Y.conj().T @ d.Y),
-            max_abs(d.Y @ d.X.conj().T - d.X.conj().T @ d.Y),
+        "unimodular": lambda c: c2_unimodularity_defect(c.d),
+        "balanced": lambda c: max(abs(np.trace(c.X) - np.trace(c.Y)), c.v_max),
+        "kaehler": lambda c: max(c.v_max, max_abs(c.Z.T - c.Z), max_abs(c.X - c.Y)),
+        "pluriclosed": lambda c: max_abs(
+            c.X @ c.Xs - c.Y @ c.Xs + c.Z.T @ np.conj(c.Z) - c.Z @ np.conj(c.Z)
+            + c.Ys @ c.Y - c.Ys @ c.X + c.lam * (c.Y - c.X)),
+        "chern_flat": lambda c: max(
+            abs(c.lam),
+            c.v_max,
+            max_abs(c.Z),
+            max_abs(c.Y @ c.Ys - c.Ys @ c.Y),
+            max_abs(c.Y @ c.Xs - c.Xs @ c.Y),
         ),
-        "cyt": lambda d, scal: max(
-            max_abs(d.X @ d.v),
-            max_abs(d.Y.conj().T @ d.v + d.Z.T @ np.conj(d.v)),
-            abs(scal["s_b"]),
+        "cyt": lambda c: max(
+            max_abs(c.X @ c.v),
+            max_abs(c.Ys @ c.v + c.Z.T @ np.conj(c.v)),
+            abs(c.scal["s_b"]),
         ),
     }
 
@@ -298,10 +299,42 @@ def c2_bismut_blocks(d, scal):
     return M, P
 
 
+class RouteContext:
+    """What the closed-form routes of one report share: the data ``d``,
+    of either family, with its fields (``c.lam``, ``c.X``, ...), and,
+    each formed on first use, the scalars ``scal`` (:func:`c2_scalars`),
+    the adjoints ``Xs`` and ``Ys`` of X and Y, ``Y_herm`` = Y + Y* and
+    ``v_max`` = max |v|."""
+
+    def __init__(self, d):
+        vars(self).update(vars(d))
+        self.d = d
+
+    @cached_property
+    def scal(self):
+        return c2_scalars(self.d)
+
+    @cached_property
+    def Xs(self):
+        return self.d.X.conj().T
+
+    @cached_property
+    def Ys(self):
+        return self.d.Y.conj().T
+
+    @cached_property
+    def Y_herm(self):
+        return self.d.Y + self.Ys
+
+    @cached_property
+    def v_max(self):
+        return max_abs(self.d.v)
+
+
 def c2_residuals(d):
     """Closed-form residuals of the predicates both families share, the
     routes of :attr:`Codim2Data.PREDICATES`, for data of either family."""
-    return hermitian.evaluate(Codim2Data.PREDICATES, d, c2_scalars(d))
+    return hermitian.evaluate(Codim2Data.PREDICATES, RouteContext(d))
 
 
 def c2_report(d):
@@ -316,8 +349,9 @@ def c2_report(d):
     alg = d.build()
     engine = hermitian.property_report(alg)
     tol = alg.tol
-    scal = c2_scalars(d)
-    res = hermitian.evaluate(d.PREDICATES, d, scal)
+    c = RouteContext(d)
+    res = hermitian.evaluate(d.PREDICATES, c)
+    scal = c.scal
     props = hermitian.decide(res, tol)
     hermitian.cross_check(props, engine["properties"], tol, res, engine["residuals"])
     hermitian.cross_check(scal, engine["scalars"], tol)
@@ -666,7 +700,7 @@ def classify_btp(d):
         report.update(family="NotBTP", params={"residual": worst})
         return report
 
-    if Codim2Data.PREDICATES["kaehler"](d, None) <= tol:  # reads no scalar
+    if Codim2Data.PREDICATES["kaehler"](RouteContext(d)) <= tol:
         report.update(family="Kahler", params={})
         return report
 
@@ -793,7 +827,7 @@ def chern_flat_normal_form(d):
     a third one of the same real part can sort between its copies; when
     no two eigenvalues are that close, the order is the sort's.
     """
-    res = Codim2Data.PREDICATES["chern_flat"](d, None)  # reads no scalar
+    res = Codim2Data.PREDICATES["chern_flat"](RouteContext(d))
     if res > d.tol:
         raise ParameterDomain(
             "data is not Chern-flat (residual %.3e)" % res

@@ -43,6 +43,7 @@ from .almost_abelian import (
     spectral_pluriclosed_residual,
 )
 from .codim2 import (
+    RouteContext,
     btpv0_obstruction,
     c2_bismut_blocks,
     c2_btp_residuals,
@@ -226,7 +227,7 @@ def criterion_5(col, draw):
         else:
             d = sm.aa_random(rng, n, unimodular=bool(i % 2))
         tol10 = 10.0 * d.tol
-        mat = AlmostAbelianData.PREDICATES["pluriclosed"](d, None)  # reads no scalar
+        mat = AlmostAbelianData.PREDICATES["pluriclosed"](RouteContext(d))
         spec = spectral_pluriclosed_residual(d)
         col.ok((mat <= tol10) == (spec <= tol10),
                "formulations draw %d: matrix %.3e spectral %.3e" % (i, mat, spec))
@@ -244,7 +245,7 @@ def criterion_6(col, draw):
             eng = rep["engine"]["properties"]
             col.ok(eng["btp"] and eng["bkl"], "projected draw %d not parallel (btp=%s bkl=%s)"
                    % (i, eng["btp"], eng["bkl"]))
-        col.ok(AlmostAbelianData.PREDICATES["btp"](d, None) <= 10.0 * d.tol,
+        col.ok(AlmostAbelianData.PREDICATES["btp"](RouteContext(d)) <= 10.0 * d.tol,
                "projected draw %d: constraint drifted" % i)
     for i in range(100):
         rng = draw(10000 + i)
@@ -254,7 +255,7 @@ def criterion_6(col, draw):
         if rep is not None:
             col.ok(not rep["engine"]["properties"]["btp"],
                    "perturbed draw %d still parallel" % i)
-        col.ok(AlmostAbelianData.PREDICATES["btp"](d, None) >= 0.1,
+        col.ok(AlmostAbelianData.PREDICATES["btp"](RouteContext(d)) >= 0.1,
                "perturbed draw %d residual too small" % i)
 
 

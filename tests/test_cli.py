@@ -316,8 +316,10 @@ def test_unwritable_output_exits_1_with_json(tmp_path, capsys, command):
 
 
 def test_check_and_classify_load_no_scipy(tmp_path):
-    # the package has no scipy dependency: neither a fresh `check` nor a
-    # fresh `classify` process loads it
+    # the package has no scipy dependency, and check, classify and
+    # tensors run neither the battery nor the samplers: a fresh process
+    # running them loads none of scipy, verify and sampling, while the
+    # package still hands out run_battery on demand
     rng = sampling.rng_for(606, 0)
     d = sampling.c2_hermitian_pair(rng, 4, unimodular=True)
     dense = change_frame(build_codim2(d), sampling.random_unitary(rng, 4))
@@ -329,8 +331,15 @@ def test_check_and_classify_load_no_scipy(tmp_path):
         from liehermitian import cli
         general, v1, out = sys.argv[1:]
         assert cli.main(["check", general, "--output", out]) == 0
+        assert cli.main(["tensors", general, "--output", out]) == 0
         assert cli.main(["classify", v1, "--output", out]) == 0
-        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                        or m in ("liehermitian.verify", "liehermitian.sampling"))
+        import liehermitian
+        from liehermitian import run_battery
+        from liehermitian.verify import run_battery as battery
+        assert liehermitian.run_battery is run_battery is battery
+        print(json.dumps(loaded))
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -343,7 +352,23 @@ def test_check_and_classify_load_no_scipy(tmp_path):
     assert json.loads(out.read_text())["classification"]["family"] == "v1"
 
 
+def test_package_refuses_an_unknown_attribute():
+    import liehermitian
+    with pytest.raises(AttributeError, match="no_such_name"):
+        liehermitian.no_such_name
+
+
 # ------------------------------------------------------------------ tensors
+
+
+def test_tensors_computes_the_curvature_once(tmp_path, capsys, monkeypatch):
+    # the structure checks read the curvature the dump already holds
+    path = write(tmp_path, "v1.json", btpv1_spec())
+    curvatures = count_calls(monkeypatch, hermitian, "chern_curvature")
+    code, rep = run_json(capsys, ["tensors", path])
+    assert code == 0
+    assert len(curvatures) == 1
+    assert rep["structure"]["curvature_hermitian_residual"] <= 10 * rep["tolerance"]
 
 
 def test_tensors_frozen_curvature_entry(tmp_path, capsys):
@@ -619,6 +644,20 @@ def test_sample_count_must_be_positive(capsys):
     code = cli.main(["sample", "general", "--count", "0"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [["sample", "btpv1", "--seed", "-5"],
+                                  ["verify", "--seed", "-1", "--filter", "criterion-4"]])
+def test_negative_seed_exits_2_with_json(capsys, argv):
+    # numpy's SeedSequence takes no negative entropy; the CLI refuses
+    # such a seed itself instead of ending in a traceback
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PARSE == 2
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == "ParseError"
+    assert argv[argv.index("--seed") + 1] in payload["message"]
 
 
 # ------------------------------------------------------------------- verify

@@ -283,6 +283,17 @@ def test_closed_scalars_evaluated_once_per_call(monkeypatch):
     assert C2.c2_residuals(d) == rep["residuals"]  # the public call still works alone
 
 
+def test_report_routes_share_one_context(monkeypatch):
+    # the routes of one report read the adjoints, Y + Y*, max |v| and
+    # the scalars off one RouteContext, which forms each once
+    made, init = [], C2.RouteContext.__init__
+    monkeypatch.setattr(C2.RouteContext, "__init__",
+                        lambda c, d: made.append(c) or init(c, d))
+    aa_report(aa_random(rng_for(71, 2), 4))
+    assert len(made) == 1
+    assert {"scal", "Xs", "Ys", "Y_herm", "v_max"} <= set(vars(made[0]))
+
+
 def test_classifier_and_flat_normal_form_compute_no_scalars(monkeypatch):
     # each reads the one closed form it tests, Kaehler or Chern-flat,
     # not every shared predicate with the scalars the cyt one needs
