@@ -19,7 +19,8 @@ and d phibar_j is the conjugate.  Each term coef * x_lo ^ x_hi (lo below
 hi) of some d x_g is a row of a term table, split into the rows of del
 (raising p) and of delbar (raising q); the rows of d are the two
 together.  The rows depend on n alone and are built once per dimension;
-their coefficients are read from C and D once per Algebra.  The graded
+their coefficients are read from C and D once per Algebra, and a row is
+live for the algebra when its coefficient is above the cut.  The graded
 Leibniz rule turns a monomial K containing g, with N = K ^ g disjoint
 from lo and hi, into N | lo | hi with the sign
 
@@ -30,19 +31,20 @@ Coefficients of magnitude at most 1e-14 are dropped once, when a result
 is returned.
 
 Which monomials meet which rows, with which sign and into which output,
-depends on n and the input monomials alone, not on the coefficients.
-So every derivation runs as a recorded plan: entries grouped by row,
-each with a source slot into [x, -x] for the step's input x, which
-carries the sign, and the pair of output slots 2 out, 2 out + 1 that
-its real and imaginary parts add into, the output read as float64.
-Slots take the smallest unsigned type that holds them.  One cache holds
-the plans, one per (n, part of d, input monomials), and keeps the most
+depends on n, the part of d, the input monomials and the live rows
+alone, not on the values of the coefficients.  So every derivation runs
+as a recorded plan of the live rows: entries grouped by row, each with
+a source slot into [x, -x] for the step's input x, which carries the
+sign, and the pair of output slots 2 out, 2 out + 1 that its real and
+imaginary parts add into, the output read as float64.  Slots take the
+smallest unsigned type that holds them.  One cache holds the plans, one
+per (n, part of d, input monomials, live rows), and keeps the most
 recently used up to _PLAN_ENTRIES entries in all; a step that needs more
 than that is refused.
 d, del and delbar replay one plan; partial(partialbar(omega^k)) replays
 two, delbar on the monomials of omega^k, then del on those it made.
-One kernel replays a plan on the coefficients of an algebra, one
-bincount per block of entries (see _replay).
+One kernel replays a plan on the live coefficients of an algebra, one
+bincount per block of at most _GRID entries (see _replay).
 """
 
 import functools
@@ -58,8 +60,6 @@ _ZERO_CUT = 1e-14
 _BAR = MAX_DIM  # bit of phibar_1
 _GRID = 1 << 18  # bound on (monomial, row) pairs tested, and on plan entries replayed at once
 _PLAN_ENTRIES = 1 << 21  # bound on the entries of the plans kept
-_SWEEP = 1 << 12  # entries a sweep visits in the time a gather's fixed cost takes
-_PAIR = {1: np.uint16, 2: np.uint32, 4: np.uint64}  # both slots of an entry as one item
 
 
 def _parity(x):
@@ -119,7 +119,7 @@ def max_coeff(f):
 
 
 _TABLES = weakref.WeakKeyDictionary()
-_D_PLANS = {}  # (n, part, key bytes) -> _d_plan, least recently used first
+_D_PLANS = {}  # (n, part, key bytes, live bytes) -> _d_plan, least recently used first
 
 
 @functools.lru_cache(maxsize=None)
@@ -151,8 +151,10 @@ def _rows(n):
 
 
 def _term_table(alg):
-    """The coefficients of the rows of del, delbar and d of _rows(n),
-    cached per algebra, with those at or below the cut set to 0."""
+    """(live, coef) for each of the rows of del, delbar and d of
+    _rows(n), cached per algebra: live holds the bytes of the boolean
+    mask of the rows whose coefficient is above the cut, and coef those
+    coefficients, in row order."""
     try:
         return _TABLES[alg]
     except KeyError:
@@ -160,7 +162,8 @@ def _term_table(alg):
     C, D = alg.C.ravel(), alg.D.transpose(1, 0, 2).ravel()
     source = np.concatenate((-C, D, -np.conj(D), -np.conj(C)))
     coefs = (source[rows[4]] for rows in _rows(alg.n))
-    _TABLES[alg] = tuple(np.where(np.abs(c) > _ZERO_CUT, c, 0) for c in coefs)
+    lives = ((c, np.abs(c) > _ZERO_CUT) for c in coefs)
+    _TABLES[alg] = tuple((live.tobytes(), c[live]) for c, live in lives)
     return _TABLES[alg]
 
 
@@ -199,35 +202,38 @@ def kaehler_power(n, k):
     return _to_dict(*_power(n, k), 0.0)
 
 
-def _plan_step(keys, n, part):
-    """Record the rows of del, delbar or d (part 0, 1 or 2) in dimension
-    n on the monomials keys, for any coefficients.
+def _plan_step(keys, n, part, live):
+    """Record the live rows (a boolean mask) of del, delbar or d (part 0,
+    1 or 2) in dimension n on the monomials keys, for any coefficients
+    of those rows.
 
-    Returns ((ptr, slots, src, size), monomials).  monomials are the
-    sorted monomials the rows can make, size of them.  The entries
-    ptr[t]:ptr[t+1] belong to row t; entry e adds coef[t] times entry
-    src[e] of [x, -x], for the input x, to output out, so that src
+    Returns ((entries, blocks, size), monomials).  monomials are the
+    sorted monomials the rows can make, size of them.  A block
+    (rows, count, slots, src) holds the entries of the live rows in the
+    slice rows, count[t] of them for its row t: entry e adds coef[t] times
+    entry src[e] of [x, -x], for the input x, to output out, so that src
     carries the sign, and slots[2e], slots[2e+1] are 2 out, 2 out + 1:
     the places of its real and imaginary part in the output viewed as
-    float64.  Rows are taken a block at a time so that no more than
-    _GRID (monomial, row) pairs are tested at once, and no temporary
-    holds more than a block.  A step that would record more entries
-    than the cache keeps, _PLAN_ENTRIES, is refused with InvalidDegree
-    as soon as its count passes that bound."""
-    rows = _rows(n)[part]
+    float64.  A block holds at most _GRID entries, unless it is one row
+    that holds more.  Rows are matched a group at a time so that no more
+    than _GRID (monomial, row) pairs are tested at once, and no
+    temporary holds more than a group.  A step that would record more
+    entries than the cache keeps, _PLAN_ENTRIES, is refused with
+    InvalidDegree as soon as its count passes that bound."""
+    rows = tuple(x[live] for x in _rows(n)[part])
     step = max(1, _GRID // max(1, keys.size))
     counts, made, inverse, src = [], [], [], []
     entries = 0
-    for start in range(0, rows[0].size, step):
-        block = tuple(x[start:start + step] for x in rows)
-        t, r, out, sign = _match(keys, block)
+    for start in range(0, max(1, rows[0].size), step):  # one empty group if none is live
+        group = tuple(x[start:start + step] for x in rows)
+        t, r, out, sign = _match(keys, group)
         entries += t.size
         if entries > _PLAN_ENTRIES:
             raise InvalidDegree(
                 f"a derivation step in dimension n={n} needs more than "
                 f"{_PLAN_ENTRIES} plan entries"
             )
-        counts.append(np.bincount(t, minlength=block[0].size))
+        counts.append(np.bincount(t, minlength=group[0].size))
         out, slot = np.unique(out, return_inverse=True)
         made.append(out)
         inverse.append(slot.astype(np.min_scalar_type(out.size)))
@@ -237,76 +243,54 @@ def _plan_step(keys, n, part):
     monomials.sort()
     monomials = monomials[np.diff(monomials, prepend=-1) != 0]
     slot_type = np.min_scalar_type(2 * monomials.size)
-    ptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    slots = np.empty((ptr[-1], 2), dtype=slot_type)
+    slots = np.empty((entries, 2), dtype=slot_type)
     at = 0
     for m, slot in zip(made, inverse):
         even = (2 * np.searchsorted(monomials, m)).astype(slot_type)[slot]
         slots[at:at + slot.size, 0] = even
         np.add(even, 1, out=slots[at:at + slot.size, 1])
         at += slot.size
-    return (ptr, slots.ravel(), np.concatenate(src), monomials.size), monomials
+    src, count = np.concatenate(src), np.concatenate(counts)
+    end = np.cumsum(count)
+    blocks, a = [], 0
+    while a < count.size:
+        b = max(a + 1, int(np.searchsorted(end, end[a] - count[a] + _GRID, "right")))
+        e = slice(end[a] - count[a], end[b - 1])
+        blocks.append((slice(a, b), count[a:b], slots[e].ravel(), src[e]))
+        a = b
+    return (entries, tuple(blocks), monomials.size), monomials
 
 
 def _replay(step, x, coef):
     """The output coefficients of a recorded step on the input
-    coefficients x, with row coefficients coef.
-
-    Gathering the live rows (coef nonzero) costs about twice as much per
-    entry as sweeping the plan in order, dead rows weighing 0, plus a
-    fixed cost of about _SWEEP swept entries.  So a plan is swept unless
-    it has _SWEEP entries or more beyond twice those of its live rows,
-    and the live rows are counted only in a plan of _SWEEP entries or
-    more.  Entries go a block at a time, at most _GRID of them (a longer
-    row goes alone): when gathering, the live rows a to b, with e
-    indexing their entries.  One bincount over the slots of a block adds
-    up its real and imaginary parts."""
-    ptr, slots, src, size = step
+    coefficients x, with the live rows' coefficients coef.  One bincount
+    over the slots of a block adds up its real and imaginary parts."""
+    _, blocks, size = step
     signed = np.concatenate((x, -x))
-    sweep = ptr[-1] < _SWEEP
-    if not sweep:
-        live = np.flatnonzero(coef)
-        count = ptr[live + 1] - ptr[live]
-        sweep = ptr[-1] < 2 * count.sum() + _SWEEP
-    if sweep and ptr[-1] <= _GRID:  # one block
-        w = signed.take(src)
-        w *= np.repeat(coef, ptr[1:] - ptr[:-1])
-        return np.bincount(slots, w.view(np.float64), 2 * size).view(complex)
-    if sweep:
-        live, count = np.arange(coef.size), ptr[1:] - ptr[:-1]
-    pairs = slots.view(_PAIR[slots.itemsize])
-    end = np.cumsum(count)
     y = np.zeros(2 * size)
-    a = 0
-    while a < live.size:
-        b = max(a + 1, int(np.searchsorted(end, end[a] - count[a] + _GRID, "right")))
-        e = slice(end[a] - count[a], end[b - 1])
-        if sweep:
-            pair, source = pairs[e], src[e]
-        else:
-            shift = ptr[live[a:b]] + count[a:b] - end[a:b]  # plan entry minus position
-            e = np.arange(e.start, e.stop) + np.repeat(shift, count[a:b])
-            pair, source = pairs.take(e), src.take(e)
-        w = signed.take(source)
-        w *= np.repeat(coef[live[a:b]], count[a:b])
-        y += np.bincount(pair.view(slots.dtype), w.view(np.float64), y.size)
-        a = b
+    for rows, count, slots, src in blocks:
+        w = signed.take(src)
+        w *= np.repeat(coef[rows], count)
+        y += np.bincount(slots, w.view(np.float64), y.size)
     return y.view(complex)
 
 
-def _d_plan(n, part, keys):
-    """The rows of del, delbar or d (part 0, 1 or 2) recorded on the
-    monomials with int64 key bytes keys, as _plan_step returns it.  The
-    one plan cache of the module, keyed on (n, part, keys) and never on
-    an algebra: once the plans kept hold more than _PLAN_ENTRIES
-    entries, the least recently used go first."""
-    key = (n, part, keys)
+def _d_plan(n, part, keys, live):
+    """The live rows of del, delbar or d (part 0, 1 or 2), with boolean
+    mask bytes live, recorded on the monomials with int64 key bytes
+    keys, as _plan_step returns it.  The one plan cache of the module,
+    keyed on (n, part, keys, live) and never on an algebra, so that
+    algebras with the same live rows share plans: once the plans kept
+    hold more than _PLAN_ENTRIES entries, the least recently used go
+    first."""
+    key = (n, part, keys, live)
     plan = _D_PLANS.pop(key, None)
     if plan is None:
-        plan = _plan_step(np.frombuffer(keys, dtype=np.int64), n, part)
-        held = plan[0][0][-1] + sum(p[0][0][-1] for p in _D_PLANS.values())
+        plan = _plan_step(np.frombuffer(keys, dtype=np.int64), n, part,
+                          np.frombuffer(live, dtype=bool))
+        held = plan[0][0] + sum(p[0][0] for p in _D_PLANS.values())
         while held > _PLAN_ENTRIES:
-            held -= _D_PLANS.pop(next(iter(_D_PLANS)))[0][0][-1]
+            held -= _D_PLANS.pop(next(iter(_D_PLANS)))[0][0]
     _D_PLANS[key] = plan  # last: most recently used
     return plan
 
@@ -314,8 +298,9 @@ def _d_plan(n, part, keys):
 def _apply(alg, part, keys, x):
     """(monomials, coefficients) of part 0, 1 or 2 (del, delbar, d) of the
     form with monomials keys and coefficients x, replayed from _d_plan."""
-    step, monomials = _d_plan(alg.n, part, keys.tobytes())
-    return monomials, _replay(step, x, _term_table(alg)[part])
+    live, coef = _term_table(alg)[part]
+    step, monomials = _d_plan(alg.n, part, keys.tobytes(), live)
+    return monomials, _replay(step, x, coef)
 
 
 def _derivation(alg, f, part):
@@ -348,7 +333,10 @@ def del_delbar_residual(alg, k):
     divides by k!, the factor every term of omega^k carries: callers'
     tolerances do not grow with k!, and its rounding noise would.
     Raises InvalidDegree for k outside 1..n-1, and for a middle power
-    whose plan would not fit the plan cache (k = 2 at n = 16)."""
+    whose plan would not fit the plan cache.  Plans hold the live rows
+    alone, so whether it fits depends on the frame: k = 2 at n = 16 is
+    refused in a dense frame, where every row is live, but a sparse
+    frame, such as an adapted codimension-two one, may answer."""
     if not 1 <= k <= alg.n - 1:
         raise InvalidDegree(
             f"power k={k} outside the meaningful range 1..{alg.n - 1}"

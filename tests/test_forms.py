@@ -23,7 +23,7 @@ import pytest
 from liehermitian import InvalidDegree, build_general, exterior_d, kaehler_power
 from liehermitian import forms as F
 from liehermitian import hermitian as H
-from liehermitian.algebra import change_frame
+from liehermitian.algebra import change_frame, make_algebra
 from liehermitian.codim2 import build_codim2
 from liehermitian.sampling import (
     aa_kaehler,
@@ -212,12 +212,13 @@ def test_partial_splits_d():
 
 
 def test_del_delbar_residual_zero_on_abelian():
-    # every row of the plan is dead, so nothing is gathered
+    # no row is live, so every plan is empty
     for n in (2, 4, 9, 16):
         a = build_general(n)
-        assert not any(np.any(coef) for coef in F._term_table(a))
+        assert not any(any(live) or coef.size for live, coef in F._term_table(a))
         for k in range(1, n) if n <= 4 else (1, n - 2, n - 1):
             assert F.del_delbar_residual(a, k) == 0.0
+            assert all(step == (0, (), 0) for _, step in ddbar_steps(a, k))
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
@@ -426,49 +427,54 @@ def test_del_delbar_plan_matches_generic_route(n, frame):
         assert abs(math.factorial(k) * F.del_delbar_residual(a, k) - ref) <= 1e-12 * scale
 
 
-def ddbar_steps(n, k):
-    """The _d_plan keys and steps of partial(partialbar(omega^k)), as
-    del_delbar_residual looks them up: delbar on the monomials of
-    omega^k, then del on those it made."""
-    keys, steps = F._power(n, k)[0], []
+def ddbar_steps(a, k):
+    """The _d_plan keys and steps of partial(partialbar(omega^k)) on the
+    live rows of a, as del_delbar_residual looks them up: delbar on the
+    monomials of omega^k, then del on those it made."""
+    keys, steps = F._power(a.n, k)[0], []
     for part in (1, 0):
-        key = (n, part, keys.tobytes())
+        key = (a.n, part, keys.tobytes(), F._term_table(a)[part][0])
         step, keys = F._d_plan(*key)
         steps.append((key, step))
     return steps
 
 
 def test_del_delbar_plans_are_shared_per_dimension():
+    # two dense frames, where every row is live, share both steps
     F._D_PLANS.clear()
     kaehler_power(6, 2)
     assert not F._D_PLANS  # recorded on first use only
-    first, second = dense_draw(6), three_frames(6)["adapted"]
+    first, second = dense_draw(6), three_frames(6)["dense"]
     F.del_delbar_residual(first, 2)
     plan = dict(F._D_PLANS)
     F.del_delbar_residual(second, 2)
     assert len(plan) == len(F._D_PLANS) == 2
     assert all(F._D_PLANS[key] is step for key, step in plan.items())
-    assert [key for key, _ in ddbar_steps(6, 2)] == list(plan)
+    assert [key for key, _ in ddbar_steps(first, 2)] == list(plan)
     inputs = math.comb(6, 2)
-    for (ptr, slots, src, size), _ in plan.values():
+    for (entries, blocks, size), _ in plan.values():
+        (rows, count, slots, src), = blocks  # one block of every live row
         # entry e writes its real part to slots[2e] = 2 out and its
         # imaginary part to slots[2e+1] = 2 out + 1 of the float64 output
+        assert rows == slice(0, count.size) and count.sum() == entries
         assert slots.dtype == np.min_scalar_type(2 * size)
         assert src.dtype == np.min_scalar_type(2 * inputs)
-        assert 2 * ptr[-1] == slots.size == 2 * src.size
+        assert 2 * entries == slots.size == 2 * src.size
         even, odd = slots[::2], slots[1::2]
         assert not (even % 2).any() and np.array_equal(odd, even + 1) and odd.max() < 2 * size
         assert src.min() < inputs <= src.max() < 2 * inputs  # both signs occur
         inputs = size
     # the slots of the three report powers fit 16 bits up to n = 16
+    a = dense_draw(16)
     for k in (1, 14, 15):
-        assert all(x.itemsize <= 2 for _, step in ddbar_steps(16, k) for x in step[1:3])
+        assert all(x.itemsize <= 2 for _, step in ddbar_steps(a, k)
+                   for block in step[1] for x in block[2:])
     # the residual of omega and partial_dbar of the form omega share a
     # single delbar step
     F._D_PLANS.clear()
     a = dense_draw(6)
     F.del_delbar_residual(a, 1)
-    (delbar, step), _ = ddbar_steps(6, 1)
+    (delbar, step), _ = ddbar_steps(a, 1)
     F.partial_dbar(a, kaehler_power(6, 1))
     assert len(F._D_PLANS) == 2 and F._D_PLANS[delbar][0] is step
 
@@ -483,8 +489,8 @@ def test_del_delbar_steps_share_the_plan_budget(monkeypatch):
     powers = (1, 7, 8, 4, 8)
     F._D_PLANS.clear()
     full = [F.del_delbar_residual(a, k) for k in powers]
-    sizes = {key: step[0][-1] for key, (step, _) in F._D_PLANS.items()}
-    steps = {k: [key for key, _ in ddbar_steps(9, k)] for k in powers}
+    sizes = {key: step[0] for key, (step, _) in F._D_PLANS.items()}
+    steps = {k: [key for key, _ in ddbar_steps(a, k)] for k in powers}
     assert sum(sizes[key] for k in (1, 7, 8) for key in steps[k]) == 73917
     monkeypatch.setattr(F, "_PLAN_ENTRIES", 60000)
     F._D_PLANS.clear()
@@ -514,7 +520,7 @@ def test_oversized_step_is_refused(monkeypatch):
     # the powers the reports take still replay
     F._D_PLANS.clear()
     a = dense_draw(16)
-    delbar = (16, 1, F._power(16, 2)[0].tobytes())
+    delbar = (16, 1, F._power(16, 2)[0].tobytes(), F._term_table(a)[1][0])
     matched, match = [], F._match
 
     def counted(keys, rows):
@@ -526,11 +532,46 @@ def test_oversized_step_is_refused(monkeypatch):
     with pytest.raises(InvalidDegree, match=f"n=16 .* {F._PLAN_ENTRIES} "):
         F.del_delbar_residual(a, 2)
     assert list(F._D_PLANS) == [delbar]
-    recorded = F._D_PLANS[delbar][0][0][-1]
+    recorded = F._D_PLANS[delbar][0][0]
     assert sum(matched) - recorded <= F._PLAN_ENTRIES + F._GRID
     for k in (1, 14, 15):
         F.del_delbar_residual(a, k)
-    assert sum(step[0][-1] for step, _ in F._D_PLANS.values()) <= F._PLAN_ENTRIES
+    assert sum(step[0] for step, _ in F._D_PLANS.values()) <= F._PLAN_ENTRIES
+
+
+def test_refusal_depends_on_the_live_rows():
+    # a plan holds the live rows alone: omega^2 at n = 16 fits the cache
+    # in the adapted frame of a sparse algebra (6,090 + 161,595 entries)
+    # and is refused in a dense frame of the same algebra
+    rng = rng_for(9, 16)
+    adapted = build_codim2(c2_from_aa(rng, 16, unimodular=True))
+    F._D_PLANS.clear()
+    assert F.del_delbar_residual(adapted, 2) > 1.0
+    assert [step[0] for _, step in ddbar_steps(adapted, 2)] == [6090, 161595]
+    with pytest.raises(InvalidDegree, match=f"n=16 .* {F._PLAN_ENTRIES} "):
+        F.del_delbar_residual(change_frame(adapted, random_unitary(rng, 16)), 2)
+
+
+def test_plans_are_keyed_on_live_rows():
+    # doubling the structure constants keeps the live rows, so the plans
+    # are shared, and multiplies the residual by 4 exactly; a dense frame
+    # of the same algebra records plans of its own, with more entries
+    frames = three_frames(8)
+    a = frames["adapted"]
+    double = make_algebra(8, 2 * a.C, 2 * a.D)
+    F._D_PLANS.clear()
+    residual = F.del_delbar_residual(a, 6)
+    sparse = dict(F._D_PLANS)
+    assert F.del_delbar_residual(double, 6) == 4 * residual > 0.0
+    assert list(F._D_PLANS) == list(sparse)
+    assert all(F._D_PLANS[key] is plan for key, plan in sparse.items())
+    F.del_delbar_residual(frames["dense"], 6)
+    dense = {key: plan for key, plan in F._D_PLANS.items() if key not in sparse}
+    assert len(dense) == 2
+    (delbar, first), (_, second) = sparse.items()
+    (dense_delbar, dense_first), (_, dense_second) = dense.items()
+    assert dense_delbar[:3] == delbar[:3] and dense_delbar[3] != delbar[3]
+    assert first[0][0] < dense_first[0][0] and second[0][0] < dense_second[0][0]
 
 
 def random_two_form(rng, n, count):
@@ -571,41 +612,29 @@ def test_replayed_del_delbar_matches_definition(n, frame):
         assert abs(residual - F.max_coeff(ref)) <= 1e-12 * scale
 
 
-def live_share(a, steps):
-    """Share of the entries of each del-delbar step that belong to rows
-    with a nonzero coefficient; the replay sweeps a step above one half."""
-    table = F._term_table(a)
-    return [float(np.diff(step[0])[table[part] != 0].sum() / step[0][-1])
-            for (_, part, _), step in steps]
-
-
 @pytest.mark.parametrize("n", range(3, 11))
 def test_del_delbar_residual_agrees_across_replay_branches(n):
     # the coefficient of the (n, n)-form partial(partialbar(omega^(n-1)))
-    # does not change under a unitary change of frame; the sparse frames
-    # gather their live rows and the dense frame sweeps the plan
+    # does not change under a unitary change of frame, although each
+    # frame replays plans of its own live rows
     frames = three_frames(n)
     a = frames["adapted"]
     scale = F.max_coeff(kaehler_power(n, n - 1)) * max(np.abs(a.C).max(), np.abs(a.D).max()) ** 2
-    steps = ddbar_steps(n, n - 1)
-    got = {}
-    for name, b in frames.items():
-        share = live_share(b, steps)
-        assert all(s > 0.5 for s in share) if name == "dense" else all(s <= 0.5 for s in share)
-        got[name] = F.del_delbar_residual(b, n - 1)
+    got = {name: F.del_delbar_residual(b, n - 1) for name, b in frames.items()}
     assert got["adapted"] > 0.0
     assert max(got.values()) - min(got.values()) <= 1e-12 * scale
 
 
-def reference_replay(step, x, coef, sweep):
-    """forms._replay as a loop of np.add.at over the rows: every row when
-    the plan is swept, the rows with a nonzero coefficient otherwise.
-    Each block of rows holding at most _GRID entries (a longer row
-    alone) is summed apart and then added up, as the replay does."""
-    ptr, slots, src, size = step
+def reference_replay(step, x, coef):
+    """forms._replay as a loop of np.add.at over the live rows of a
+    plan.  Each block of rows holding at most _GRID entries (a longer
+    row alone) is summed apart and then added up, as the replay does."""
+    _, blocks, size = step
+    count, slots, src = (np.concatenate(parts) for parts in list(zip(*blocks))[1:])
+    ptr = np.concatenate(([0], np.cumsum(count)))
     signed = np.concatenate((x, -x))
     y, block, used = np.zeros(size, complex), np.zeros(size, complex), 0
-    for t in range(coef.size) if sweep else np.flatnonzero(coef):
+    for t in range(coef.size):
         e = np.arange(ptr[t], ptr[t + 1])
         if used and used + e.size > F._GRID:
             y, block, used = y + block, np.zeros(size, complex), 0
@@ -618,63 +647,54 @@ def reference_replay(step, x, coef, sweep):
 @pytest.mark.parametrize("n", [4, 8, 13])
 def test_replay_matches_reference_bit_for_bit(n, frame):
     # both steps of partial(partialbar(omega^k)) for k = 1 and n - 1 and
-    # the 1-form d plan; a plan of fewer than _SWEEP entries beyond twice its
-    # live ones is swept, and the n = 13, k = 1 del step (371,124
-    # entries) takes two blocks both ways
+    # the 1-form d plan; at n = 13 the dense k = 1 del step (371,124
+    # entries) takes two blocks, where the sparse frames' steps hold at
+    # most 6,480 entries
     a = three_frames(n)[frame]
     table = F._term_table(a)
     cases = []
     for k in (1, n - 1):
         x = F._power(n, k)[1]
-        for (_, part, _), step in ddbar_steps(n, k):
-            cases.append((step, x, table[part]))
-            x = F._replay(step, x, table[part])
+        for (_, part, _, _), step in ddbar_steps(a, k):
+            cases.append((step, x, table[part][1]))
+            x = F._replay(step, x, table[part][1])
     f = H.bismut_trace_form(a)
     generators = np.int64(1) << np.r_[:n, F._BAR:F._BAR + n]
-    step, _ = F._d_plan(n, 2, generators.tobytes())
+    step, _ = F._d_plan(n, 2, generators.tobytes(), table[2][0])
     x = np.array([f.get(((i,), ()), 0) for i in range(1, n + 1)]
                  + [f.get(((), (i,)), 0) for i in range(1, n + 1)], dtype=complex)
-    cases.append((step, x, table[2]))
-    seen = set()
+    cases.append((step, x, table[2][1]))
     for step, x, coef in cases:
-        ptr = step[0]
-        live = int(np.diff(ptr)[coef != 0].sum())
-        sweep = ptr[-1] < 2 * live + F._SWEEP
-        seen.add((sweep, 2 * live > ptr[-1], ptr[-1] > F._GRID))
-        assert np.array_equal(F._replay(step, x, coef), reference_replay(step, x, coef, sweep))
-    if frame == "dense":
-        assert (True, True, n == 13) in seen  # swept for its live share
-    else:
-        assert (True, False, False) in seen  # swept for its size alone
-        if n > 4:
-            assert (False, False, False) in seen  # gathered in one block
-        if n == 13:
-            assert (False, False, True) in seen  # gathered in two blocks
+        assert np.array_equal(F._replay(step, x, coef), reference_replay(step, x, coef))
+    assert max(len(step[1]) for step, _, _ in cases) == (2 if (n, frame) == (13, "dense") else 1)
 
 
 def test_d_plans_are_shared_and_bounded():
     # the trace forms keep only coefficients above the cut (2 and 12
     # here in the adapted frame, 12 and 12 in the dense one); a plan is
-    # keyed on the monomials of its input, so forms with the same
-    # monomials share one, and the three on all 12 generators share
+    # keyed on the monomials of its input and the live rows, so the two
+    # dense forms on all 12 generators share one, and the adapted form
+    # on all 12 has one of its own
     F._D_PLANS.clear()
-    sizes, monomials = [], set()
+    sizes, monomials, keys = [], set(), set()
     for a in (three_frames(6)["adapted"], dense_draw(6)):
         for f in (H.chern_trace_form(a), H.bismut_trace_form(a)):
             assert min(abs(c) for c in f.values()) > F._ZERO_CUT
             sizes.append(len(f))
             monomials.add(F._from_dict(f)[0].tobytes())
+            keys.add((F._from_dict(f)[0].tobytes(), F._term_table(a)[2][0]))
             exterior_d(a, f)
-            assert len(F._D_PLANS) == len(monomials)
-    assert len(set(sizes)) > 1 and len(monomials) == 2
-    # d of a closed form and of the top form records an empty plan
+            assert len(F._D_PLANS) == len(keys)
+    assert len(set(sizes)) > 1 and len(monomials) == 2 and len(F._D_PLANS) == 3
+    # d of a closed form and of the top form records a plan of no entries
     a = dense_draw(9)
     top = {(tuple(range(1, 10)), tuple(range(1, 10))): 1.0 + 0j}
     assert exterior_d(a, {}) == exterior_d(a, top) == F.partial_d(a, top) == {}
+    assert [step[0] for step, _ in list(F._D_PLANS.values())[3:]] == [0, 0, 0]
     for i in range(1, 10):
         for j in range(1, 10):
             exterior_d(a, {((i,), (j,)): 1.0 + 0j})
-    assert len(F._D_PLANS) == 2 + 3 + 81  # all small: none is dropped
+    assert len(F._D_PLANS) == 3 + 3 + 81  # all small: none is dropped
 
 
 def test_d_plans_are_bounded_by_entries():
@@ -685,16 +705,16 @@ def test_d_plans_are_bounded_by_entries():
     a = dense_draw(16, unimodular=False)
     rng = rng_for(80, 16)
     twos = [random_two_form(rng, 16, 1200) for _ in range(10)]
-    keys = [(16, 2, F._from_dict(f)[0].tobytes()) for f in twos]
+    keys = [(16, 2, F._from_dict(f)[0].tobytes(), F._term_table(a)[2][0]) for f in twos]
     for f in twos[:9]:
         exterior_d(a, f)
-        assert sum(step[0][-1] for step, _ in F._D_PLANS.values()) <= F._PLAN_ENTRIES
+        assert sum(step[0] for step, _ in F._D_PLANS.values()) <= F._PLAN_ENTRIES
     kept = len(F._D_PLANS)
     assert 1 < kept < 9 and list(F._D_PLANS) == keys[9 - kept:9]
     exterior_d(a, twos[9 - kept])  # the oldest kept, used again, stays
     exterior_d(a, twos[9])
     assert keys[9 - kept] in F._D_PLANS and keys[10 - kept] not in F._D_PLANS
-    held = sum(step[0][-1] for step, _ in F._D_PLANS.values())
-    nbytes = sum(x.nbytes for step, monomials in F._D_PLANS.values()
-                 for x in (*step[:3], monomials))
+    held = sum(step[0] for step, _ in F._D_PLANS.values())
+    nbytes = sum(monomials.nbytes + sum(x.nbytes for block in step[1] for x in block[1:])
+                 for step, monomials in F._D_PLANS.values())
     assert held <= F._PLAN_ENTRIES and nbytes <= 8 * held

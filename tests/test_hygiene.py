@@ -2,9 +2,9 @@
 
 Every module of ``src/liehermitian`` except ``__init__.py`` (whose
 imports are the public re-exports) must use each of its module-level
-imports, and each of its module-level functions and classes must be
-referenced somewhere in ``src/``, ``tests/``, ``demos/`` or ``bench/``
-outside its own definition.  No module of the package reads a private
+imports, and each of its module-level functions, classes and assigned
+names must be referenced somewhere in ``src/``, ``tests/``, ``demos/``
+or ``bench/`` outside its own definition.  No module of the package reads a private
 name (one with a leading underscore that is not a dunder) of another
 package module.  No module of the package imports scipy, which is a
 test-only dependency.  Every exception class of ``errors.py`` but the
@@ -63,6 +63,18 @@ def test_module_level_definitions_are_referenced():
                     for path in MODULES for node in _tree(path).body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and everywhere[node.name] <= _names(node)[node.name]]
+    assert not unreferenced, "never referenced: %s" % unreferenced
+
+
+def test_module_level_assignments_are_referenced():
+    everywhere = sum((_names(_tree(path)) for path in _sources()), Counter())
+    unreferenced = ["%s.%s" % (path.stem, target.id)
+                    for path in MODULES for node in _tree(path).body
+                    if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for target in ast.walk(node)
+                    if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)
+                    and not target.id.startswith("__")
+                    and everywhere[target.id] <= _names(node)[target.id]]
     assert not unreferenced, "never referenced: %s" % unreferenced
 
 
