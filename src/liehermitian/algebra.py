@@ -34,6 +34,12 @@ from .errors import (
 MAX_DIM = 16
 
 
+def require_dimension(n):
+    """Raise DimensionMismatch unless 2 <= n <= MAX_DIM, the documented domain."""
+    if not (2 <= n <= MAX_DIM):
+        raise DimensionMismatch(f"n must be between 2 and {MAX_DIM}, got {n}")
+
+
 def max_abs(arr):
     """Largest absolute value of an array, 0.0 for empty input."""
     a = np.asarray(arr)
@@ -173,8 +179,7 @@ def make_algebra(n, C, D, tol=None):
     exact antisymmetrization is stored.  ``tol`` defaults to the
     scale-aware value of :func:`default_tolerance`.
     """
-    if not (2 <= n <= MAX_DIM):
-        raise DimensionMismatch(f"n must be between 2 and {MAX_DIM}, got {n}")
+    require_dimension(n)
     C = np.asarray(C, dtype=complex)
     D = np.asarray(D, dtype=complex)
     if C.shape != (n, n, n) or D.shape != (n, n, n):
@@ -217,8 +222,7 @@ def build_general(n, C_entries=(), D_entries=(), tol=None):
     AntisymmetryViolation.  An exact duplicate key raises DuplicateEntry
     even if the values agree.
     """
-    if not (2 <= n <= MAX_DIM):
-        raise DimensionMismatch(f"n must be between 2 and {MAX_DIM}, got {n}")
+    require_dimension(n)
     C = np.zeros((n, n, n), dtype=complex)
     D = np.zeros((n, n, n), dtype=complex)
     seen_c = {}

@@ -8,9 +8,10 @@ so the family is a free parameter space.  It is the slice Z = 0,
 X = -A*, Y = A of the codimension-two family, whose code validates,
 assembles, evaluates and reports it, with any real lam allowed: the
 shared predicates and the scalars come from the closed forms of
-:mod:`liehermitian.codim2` read on those blocks, and :func:`aa_report`
-is :func:`~liehermitian.codim2.c2_report` on the slice.  What
-codimension one adds lives here, in the table
+:mod:`liehermitian.codim2` read on those blocks and on the derived
+ones of :class:`~liehermitian.codim2.FamilyBlocks` (A* is ``Ys``), and
+:func:`aa_report` is :func:`~liehermitian.codim2.c2_report` on the
+slice.  What codimension one adds lives here, in the table
 ``AlmostAbelianData.PREDICATES`` that extends the shared one:
 nilpotency, the Chern-Kaehler-like, BTP and BKL conditions and, from
 n = 4, the eigenvalue profile of the astheno-Kaehler condition.
@@ -26,13 +27,13 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import is_nilpotent, max_abs, require_ideal_pattern
-from .codim2 import Codim2Data, RouteContext, assemble, c2_report, freeze_fields
+from .codim2 import Codim2Data, FamilyBlocks, assemble, c2_report, freeze_fields
 from .errors import NotAstheno, ParameterDomain, PatternMismatch
 from . import hermitian
 
 
 @dataclass(frozen=True)
-class AlmostAbelianData:
+class AlmostAbelianData(FamilyBlocks):
     """Defining parameters of a codimension-one-abelian algebra.
 
     ``lam`` scales the bracket of the transverse direction with itself
@@ -62,7 +63,7 @@ class AlmostAbelianData:
         "bkl": None,
         # at n = 3 the astheno condition is the pluriclosed one
         "astheno_kaehler": lambda c: (
-            c.d._spectrum[1][3] if c.n > 3
+            c._spectrum[1][3] if c.n > 3
             else Codim2Data.PREDICATES["pluriclosed"](c) if c.n == 3 else None),
     }
 
@@ -75,8 +76,8 @@ class AlmostAbelianData:
     def __post_init__(self):
         freeze_fields(self, nonnegative=False)
         # stored once: every shared closed form reads them
-        for name, M in (("X", -self.A.conj().T), ("Y", self.A),
-                        ("Z", np.zeros(self.A.shape, dtype=complex))):
+        object.__setattr__(self, "Y", self.A)
+        for name, M in (("X", -self.Ys), ("Z", np.zeros(self.A.shape, dtype=complex))):
             M.setflags(write=False)
             object.__setattr__(self, name, M)
 
@@ -91,7 +92,7 @@ class AlmostAbelianData:
             return eigs, None
         m = n - 1
         h = trace_sum(A)
-        comm_res = max_abs(A.conj().T @ A - A @ A.conj().T)
+        comm_res = max_abs(self.Ys @ A - A @ self.Ys)
         scale = 1e-7 * (1.0 + max_abs(A) + abs(lam))
         doubled = 2.0 * eigs.real
         if abs(lam) <= scale:
@@ -172,7 +173,7 @@ def aa_residuals(d):
     the residual vanishes, and numerically when it stays below the data
     tolerance.  ``None`` marks a predicate with no content at this n.
     """
-    return hermitian.evaluate(AlmostAbelianData.PREDICATES, RouteContext(d))
+    return hermitian.evaluate(AlmostAbelianData.PREDICATES, d)
 
 
 def spectral_pluriclosed_residual(d):
@@ -183,7 +184,7 @@ def spectral_pluriclosed_residual(d):
     in the test suite.
     """
     A, lam = d.A, d.lam
-    comm = A @ A.conj().T - A.conj().T @ A
+    comm = A @ d.Ys - d.Ys @ A
     eigs = np.linalg.eigvals(A)
     if eigs.size == 0:
         return max_abs(comm)

@@ -450,7 +450,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the acceptance battery")
     p.add_argument("--filter", default=None, metavar="NAME",
-                   help="run only criteria whose name contains NAME")
+                   help="run only criteria whose label 'criterion-N slug' contains NAME")
     _common_flags(p)
     # None stands for verify.DEFAULT_SEED, read once the command runs
     p.add_argument("--seed", type=int, default=None)

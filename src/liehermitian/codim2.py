@@ -11,8 +11,9 @@ pair of quadratic matrix equations checked by
 The codimension-one family of :mod:`liehermitian.almost_abelian` is
 the slice Z = 0, X = -A*, Y = A, and its data exposes those blocks, so
 both families share one parameter model kept here: the field validation
-of :func:`freeze_fields`, the (C, D) assembly of :func:`assemble`, the
-one closed form of each shared predicate, in the table
+of :func:`freeze_fields`, the derived blocks of :class:`FamilyBlocks`
+kept on the data, the (C, D) assembly of :func:`assemble`, the one
+closed form of each shared predicate, in the table
 ``Codim2Data.PREDICATES`` keyed by the names of ``hermitian.PREDICATES``,
 and of each scalar, in :func:`c2_scalars`, valid for either sign of lam,
 and the one report :func:`c2_report`, which decides the table its data
@@ -40,6 +41,7 @@ from .algebra import (
     default_tolerance,
     make_algebra,
     max_abs,
+    require_dimension,
     require_ideal_pattern,
 )
 from .errors import (
@@ -57,14 +59,13 @@ def freeze_fields(data, *, nonnegative):
     """Validate and freeze the fields shared by both abelian-ideal families.
 
     ``data`` is a frozen dataclass with fields n, lam, v, tol and one
-    (n-1) x (n-1) matrix per name in its ``BLOCKS``.  Checks n >= 2, a real
-    ``lam`` (and, when ``nonnegative``, its sign, before any shape), the
-    length of ``v`` and the shape of each block; stores ``lam`` as a
-    float and the arrays as read-only complex arrays, and fills in the
-    scale-aware default ``tol``.
+    (n-1) x (n-1) matrix per name in its ``BLOCKS``.  Checks 2 <= n <= 16,
+    a real ``lam`` (and, when ``nonnegative``, its sign, before any
+    shape), the length of ``v`` and the shape of each block; stores
+    ``lam`` as a float and the arrays as read-only complex arrays, and
+    fills in the scale-aware default ``tol``.
     """
-    if data.n < 2:
-        raise DimensionMismatch("need n >= 2, got %d" % data.n)
+    require_dimension(data.n)
     lam = complex(data.lam)
     if lam.imag != 0.0:
         raise ParameterDomain("lam must be real, got %r" % data.lam)
@@ -93,8 +94,32 @@ def freeze_fields(data, *, nonnegative):
         object.__setattr__(data, "tol", default_tolerance([data.lam], *fields.values()))
 
 
+def _block(form):
+    """A read-only array ``form(d)``, formed on first use and kept on d."""
+    def get(d):
+        arr = form(d)
+        arr.setflags(write=False)
+        return arr
+    return cached_property(get)
+
+
+class FamilyBlocks:
+    """The blocks the closed forms of either family derive from its fields
+    (lam, v, X, Y, Z), each formed on first use and kept on the data, so
+    a closed form takes the data itself.  The arrays are read-only;
+    whoever hands the scalars out copies them."""
+
+    scal = cached_property(lambda d: c2_scalars(d))
+    v_max = cached_property(lambda d: max_abs(d.v))
+    Xs = _block(lambda d: d.X.conj().T)
+    Ys = _block(lambda d: d.Y.conj().T)
+    B = _block(lambda d: d.Y - d.X)
+    Am = _block(lambda d: d.Z.T - d.Z)
+    Y_herm = _block(lambda d: d.Y + d.Ys)
+
+
 @dataclass(frozen=True)
-class Codim2Data:
+class Codim2Data(FamilyBlocks):
     """Raw parameters (lam, v, X, Y, Z) of the codimension-two family.
 
     Construction validates shapes and the sign of ``lam`` but not the
@@ -106,14 +131,14 @@ class Codim2Data:
     BLOCKS = ("X", "Y", "Z")
     # The closed form of each predicate the two families share, for any
     # real lam, keyed by its name in hermitian.PREDICATES and in report
-    # order.  A route takes the RouteContext of the data.
+    # order.  A route takes the data and reads its blocks off it.
     PREDICATES = {
-        "unimodular": lambda c: c2_unimodularity_defect(c.d),
+        "unimodular": lambda c: c2_unimodularity_defect(c),
         "balanced": lambda c: max(abs(np.trace(c.X) - np.trace(c.Y)), c.v_max),
-        "kaehler": lambda c: max(c.v_max, max_abs(c.Z.T - c.Z), max_abs(c.X - c.Y)),
+        "kaehler": lambda c: max(c.v_max, max_abs(c.Am), max_abs(c.B)),
         "pluriclosed": lambda c: max_abs(
             c.X @ c.Xs - c.Y @ c.Xs + c.Z.T @ np.conj(c.Z) - c.Z @ np.conj(c.Z)
-            + c.Ys @ c.Y - c.Ys @ c.X + c.lam * (c.Y - c.X)),
+            + c.Ys @ c.Y - c.Ys @ c.X + c.lam * c.B),
         "chern_flat": lambda c: max(
             abs(c.lam),
             c.v_max,
@@ -158,8 +183,7 @@ def integrability_residuals(d):
 
     and the data is integrable exactly when both vanish.
     """
-    X, Y, Z, lam = d.X, d.Y, d.Z, d.lam
-    Xs = X.conj().T
+    X, Xs, Y, Z, lam = d.X, d.Xs, d.Y, d.Z, d.lam
     M1 = lam * (Xs + Y) + (Xs @ Y - Y @ Xs) - Z @ np.conj(Z)
     M2 = lam * Z - (Z @ X.T + Y @ Z)
     return M1, M2
@@ -253,9 +277,9 @@ def c2_scalars(d):
     return {"s": s, "s_hat": s_hat, "s_b": s_b}
 
 
-def c2_ricci_closed(d, scal):
-    """The three Chern Ricci contractions in closed form; scal is c2_scalars(d)."""
-    n, lam, v, X, Y, Z = d.n, d.lam, d.v, d.X, d.Y, d.Z
+def c2_ricci_closed(d):
+    """The three Chern Ricci contractions in closed form."""
+    n, lam, v, Y, Ys, Z, scal = d.n, d.lam, d.v, d.Y, d.Ys, d.Z, d.scal
     vsq = float(np.vdot(v, v).real)
 
     ric1 = np.zeros((n, n), dtype=complex)
@@ -267,28 +291,27 @@ def c2_ricci_closed(d, scal):
     row = -(v @ Z.conj().T + np.conj(v) @ Y)
     ric2[0, 1:] = row
     ric2[1:, 0] = np.conj(row)
-    comm = Y @ Y.conj().T - Y.conj().T @ Y
     ric2[1:, 1:] = (
-        np.outer(v, np.conj(v)) + Z @ Z.conj().T + comm - lam * (Y + Y.conj().T)
+        np.outer(v, np.conj(v)) + Z @ Z.conj().T + (Y @ Ys - Ys @ Y) - lam * d.Y_herm
     )
 
     ric3 = np.zeros((n, n), dtype=complex)
     ric3[0, 0] = scal["s_hat"]
     ric3[0, 1:] = -(v @ np.conj(Z))
-    ric3[1:, 0] = -(Y.conj().T @ v)
+    ric3[1:, 0] = -(Ys @ v)
     return ric1, ric2, ric3
 
 
-def c2_bismut_blocks(d, scal):
+def c2_bismut_blocks(d):
     """(1,1) and (2,0) coefficient matrices of the Bismut Ricci form.
 
     The (1,1) block is Hermitian with support on the first row and
     column only; its corner is the Bismut scalar.  The (2,0) block is
-    antisymmetric with first row -(X v).  scal as in c2_ricci_closed.
+    antisymmetric with first row -(X v).
     """
     n, v, X, Y, Z = d.n, d.v, d.X, d.Y, d.Z
     M = np.zeros((n, n), dtype=complex)
-    M[0, 0] = scal["s_b"]
+    M[0, 0] = d.scal["s_b"]
     row = -(np.conj(v) @ Y + v @ np.conj(Z))
     M[0, 1:] = row
     M[1:, 0] = np.conj(row)
@@ -299,42 +322,10 @@ def c2_bismut_blocks(d, scal):
     return M, P
 
 
-class RouteContext:
-    """What the closed-form routes of one report share: the data ``d``,
-    of either family, with its fields (``c.lam``, ``c.X``, ...), and,
-    each formed on first use, the scalars ``scal`` (:func:`c2_scalars`),
-    the adjoints ``Xs`` and ``Ys`` of X and Y, ``Y_herm`` = Y + Y* and
-    ``v_max`` = max |v|."""
-
-    def __init__(self, d):
-        vars(self).update(vars(d))
-        self.d = d
-
-    @cached_property
-    def scal(self):
-        return c2_scalars(self.d)
-
-    @cached_property
-    def Xs(self):
-        return self.d.X.conj().T
-
-    @cached_property
-    def Ys(self):
-        return self.d.Y.conj().T
-
-    @cached_property
-    def Y_herm(self):
-        return self.d.Y + self.Ys
-
-    @cached_property
-    def v_max(self):
-        return max_abs(self.d.v)
-
-
 def c2_residuals(d):
     """Closed-form residuals of the predicates both families share, the
     routes of :attr:`Codim2Data.PREDICATES`, for data of either family."""
-    return hermitian.evaluate(Codim2Data.PREDICATES, RouteContext(d))
+    return hermitian.evaluate(Codim2Data.PREDICATES, d)
 
 
 def c2_report(d):
@@ -344,14 +335,14 @@ def c2_report(d):
     Builds the algebra once with ``d.build()`` and runs the engine once.
     Booleans must match exactly, ``s``, ``s_hat`` and ``s_b`` within ten
     times the tolerance; any disagreement raises CrossCheckFailure.  The
-    algebra is returned under ``"algebra"``.
+    algebra is returned under ``"algebra"``, and ``"scalars"`` is a copy
+    of ``d.scal``.
     """
     alg = d.build()
     engine = hermitian.property_report(alg)
     tol = alg.tol
-    c = RouteContext(d)
-    res = hermitian.evaluate(d.PREDICATES, c)
-    scal = c.scal
+    res = hermitian.evaluate(d.PREDICATES, d)
+    scal = dict(d.scal)
     props = hermitian.decide(res, tol)
     hermitian.cross_check(props, engine["properties"], tol, res, engine["residuals"])
     hermitian.cross_check(scal, engine["scalars"], tol)
@@ -381,14 +372,11 @@ def c2_btp_residuals(d):
     unimodular integrable data the whole system vanishes exactly when
     the Bismut torsion is parallel.
     """
-    lam, v, X, Y, Z = d.lam, d.v, d.X, d.Y, d.Z
-    B = Y - X
-    Am = Z.T - Z
+    lam, v, X, Xs, Z, B, Am = d.lam, d.v, d.X, d.Xs, d.Z, d.B, d.Am
     tB = np.trace(B)
     tZ = np.trace(Z)
     Bc = np.conj(B)
     Zc = np.conj(Z)
-    Xs = X.conj().T
 
     # terms that differ only by i <-> k (j <-> k in w1) share a product
     bz = contract("kj,li->ijkl", B, Z)
@@ -700,7 +688,7 @@ def classify_btp(d):
         report.update(family="NotBTP", params={"residual": worst})
         return report
 
-    if Codim2Data.PREDICATES["kaehler"](RouteContext(d)) <= tol:
+    if Codim2Data.PREDICATES["kaehler"](d) <= tol:
         report.update(family="Kahler", params={})
         return report
 
@@ -714,7 +702,7 @@ def classify_btp(d):
         _structural("Z must be supported on its first row",
                     max_abs(cur.Z[1:, :]), check)
         _structural("the first row of B must conjugate the first row of Z",
-                    max_abs((cur.Y - cur.X)[0, :] - np.conj(cur.Z[0, :])), check)
+                    max_abs(cur.B[0, :] - np.conj(cur.Z[0, :])), check)
         _structural("the transverse action must decouple from the coupling vector",
                     max(max_abs(cur.X[0, :]), max_abs(cur.X[:, 0])), check)
         z1 = np.array(cur.Z[0, 1:])
@@ -744,7 +732,7 @@ def classify_btp(d):
         cur = rotate_codim2(d, frame)
         _structural("the upper left block of Z must vanish",
                     abs(cur.Z[0, 0]), np.sqrt(check))
-        Bcur = np.array(cur.Y - cur.X)
+        Bcur = np.array(cur.B)
         Bcur[0, 1:] = 0.0
         _structural("B must be supported on its upper right block",
                     max_abs(Bcur), check)
@@ -755,11 +743,11 @@ def classify_btp(d):
         cur = rotate_codim2(cur, U)
         frame = U @ frame
         _structural("B must vanish beyond the paired columns",
-                    max_abs((cur.Y - cur.X)[0, 2:]), check)
+                    max_abs(cur.B[0, 2:]), check)
         # The paired cells z and b have one modulus s; the phase of b
         # moves into the second frame vector, leaving b = s, z = s W.
         z = cur.Z[0, 1]
-        b = (cur.Y - cur.X)[0, 1]
+        b = cur.B[0, 1]
         s = abs(b)
         _structural("the paired cell of B must be nonzero", float(s <= tol), 0.5)
         _structural("the paired cells of B and Z must have equal modulus",
@@ -827,7 +815,7 @@ def chern_flat_normal_form(d):
     a third one of the same real part can sort between its copies; when
     no two eigenvalues are that close, the order is the sort's.
     """
-    res = Codim2Data.PREDICATES["chern_flat"](RouteContext(d))
+    res = Codim2Data.PREDICATES["chern_flat"](d)
     if res > d.tol:
         raise ParameterDomain(
             "data is not Chern-flat (residual %.3e)" % res

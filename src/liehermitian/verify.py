@@ -29,6 +29,7 @@ of rank r >= 2 must be refuted exactly as the rank obstruction of
 :func:`~liehermitian.codim2.btpv0_obstruction` predicts.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +44,11 @@ from .almost_abelian import (
     spectral_pluriclosed_residual,
 )
 from .codim2 import (
-    RouteContext,
     btpv0_obstruction,
     c2_bismut_blocks,
     c2_btp_residuals,
     c2_report,
     c2_ricci_closed,
-    c2_scalars,
     chern_flat_normal_form,
     classify_btp,
 )
@@ -185,7 +184,7 @@ def criterion_4(col, draw):
         rng = draw(i)
         n = int(rng.integers(2, 6))
         d = sm.aa_random(rng, n, unimodular=True)
-        scal = c2_scalars(d)
+        scal = d.scal
         a = d.build()
         bound = 10.0 * a.tol
         col.near(abs(scal["s"] + d.lam ** 2), "s draw %d" % i, bound)
@@ -227,7 +226,7 @@ def criterion_5(col, draw):
         else:
             d = sm.aa_random(rng, n, unimodular=bool(i % 2))
         tol10 = 10.0 * d.tol
-        mat = AlmostAbelianData.PREDICATES["pluriclosed"](RouteContext(d))
+        mat = AlmostAbelianData.PREDICATES["pluriclosed"](d)
         spec = spectral_pluriclosed_residual(d)
         col.ok((mat <= tol10) == (spec <= tol10),
                "formulations draw %d: matrix %.3e spectral %.3e" % (i, mat, spec))
@@ -245,7 +244,7 @@ def criterion_6(col, draw):
             eng = rep["engine"]["properties"]
             col.ok(eng["btp"] and eng["bkl"], "projected draw %d not parallel (btp=%s bkl=%s)"
                    % (i, eng["btp"], eng["bkl"]))
-        col.ok(AlmostAbelianData.PREDICATES["btp"](RouteContext(d)) <= 10.0 * d.tol,
+        col.ok(AlmostAbelianData.PREDICATES["btp"](d) <= 10.0 * d.tol,
                "projected draw %d: constraint drifted" % i)
     for i in range(100):
         rng = draw(10000 + i)
@@ -255,7 +254,7 @@ def criterion_6(col, draw):
         if rep is not None:
             col.ok(not rep["engine"]["properties"]["btp"],
                    "perturbed draw %d still parallel" % i)
-        col.ok(AlmostAbelianData.PREDICATES["btp"](RouteContext(d)) >= 0.1,
+        col.ok(AlmostAbelianData.PREDICATES["btp"](d) >= 0.1,
                "perturbed draw %d residual too small" % i)
 
 
@@ -352,8 +351,7 @@ def hold_curvature_blocks(d, a):
     names = ("ric1", "ric2", "ric3", "bismut_one_one", "bismut_two_zero")
     engine = (hermitian.ricci_first(R), hermitian.ricci_second(R),
               hermitian.ricci_third(R), *hermitian.bismut_ricci_blocks(a))
-    scal = c2_scalars(d)
-    hermitian.cross_check(dict(zip(names, c2_ricci_closed(d, scal) + c2_bismut_blocks(d, scal))),
+    hermitian.cross_check(dict(zip(names, c2_ricci_closed(d) + c2_bismut_blocks(d))),
                           dict(zip(names, engine)), a.tol)
     return engine[0]
 
@@ -394,7 +392,7 @@ def criterion_10(col, draw):
 
 def _paired_blocks(d, r):
     """(S, W) read off an unscrambled make_btpv0 draw of block rank r."""
-    S = np.diag((d.Y - d.X)[:r, r : 2 * r]).real
+    S = np.diag(d.B[:r, r : 2 * r]).real
     return S, d.Z[:r, r : 2 * r] / S[:, None]
 
 
@@ -558,9 +556,13 @@ SLUGS = {number: c.slug for number, c in _CRITERIA.items()}
 def run_battery(seed=DEFAULT_SEED, name_filter=None):
     """Run the numbered criteria, optionally restricted by substring.
 
-    ``name_filter`` matches against "criterion-N" and the slug, case
-    insensitive.  Returns a list of CriterionResult in numeric order.
+    ``name_filter`` matches against the label "criterion-N slug", case
+    insensitive; where it ends in a digit, the label may not go on with
+    another, so "criterion-1" selects criterion 1 alone, not 10, 11 and
+    13.  Returns a list of CriterionResult in numeric order.
     """
+    if name_filter:
+        tail = r"(?!\d)" if name_filter[-1].isdigit() else ""
+        pattern = re.compile(re.escape(name_filter) + tail, re.IGNORECASE)
     return [c(seed) for number, c in sorted(_CRITERIA.items())
-            if not name_filter
-            or name_filter.lower() in ("criterion-%d %s" % (number, c.slug)).lower()]
+            if not name_filter or pattern.search("criterion-%d %s" % (number, c.slug))]

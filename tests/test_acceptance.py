@@ -86,6 +86,24 @@ def test_criterion_4_reads_both_scalars_off_one_curvature(monkeypatch):
     assert res.checks == 400 and len(calls) == 100
 
 
+@pytest.mark.parametrize("name_filter, numbers", [
+    ("criterion-1", [1]),
+    ("criterion-10 c2-curvature", [10]),
+    ("CRITERION-13", [13]),
+    ("criterion-1 duality", [1]),
+    ("duality", [1]),
+    ("c2-", [9, 10]),
+], ids=str)
+def test_filter_ending_in_a_digit_is_not_a_prefix(monkeypatch, name_filter, numbers):
+    # run nothing: each criterion stands in by its number
+    stubs = {}
+    for number, slug in verify.SLUGS.items():
+        stubs[number] = lambda seed, number=number: number
+        stubs[number].slug = slug
+    monkeypatch.setattr(verify, "_CRITERIA", stubs)
+    assert verify.run_battery(name_filter=name_filter) == numbers
+
+
 def test_battery_is_seed_stable():
     one = verify.run_battery(name_filter="criterion-4")
     two = verify.run_battery(name_filter="criterion-4")

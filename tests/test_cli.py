@@ -441,6 +441,19 @@ def test_classify_general_rejected(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("family, blocks", [("codim2", "XYZ"), ("almost_abelian", "A")])
+def test_classify_refuses_n_above_the_domain(tmp_path, capsys, family, blocks):
+    # all-zero data at n = 17 would classify as Kahler if let through
+    zero = serial.cmat(np.zeros((16, 16)))
+    payload = {"lambda": 0.0, "v": serial.cvec(np.zeros(16)), **dict.fromkeys(blocks, zero)}
+    spec = {"schema": "lie-hermitian/v1", "n": 17, "family": family, "payload": payload}
+    code = cli.main(["classify", write(tmp_path, "big.json", spec)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PARSE == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "DimensionMismatch"
+
+
 def test_classify_non_unimodular_exits_3(tmp_path, capsys):
     spec = {"schema": "lie-hermitian/v1", "n": 2, "family": "almost_abelian",
             "payload": {"lambda": 1.0, "v": [[0.0, 0.0]],

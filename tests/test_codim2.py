@@ -41,7 +41,6 @@ from liehermitian import (
 )
 from liehermitian import codim2 as C2
 from liehermitian import hermitian as H
-from liehermitian import verify
 from liehermitian.algebra import change_frame, max_abs
 from liehermitian.hermitian import bismut_torsion_derivative_residuals, sign_mutation
 from liehermitian.sampling import (
@@ -177,6 +176,10 @@ def test_almost_abelian_is_the_codim2_assembly():
     ("c2", dict(v=zeros(3)[0]), DimensionMismatch),
     ("c2", dict(Y=zeros(1)), DimensionMismatch),
     ("c2", dict(Z=np.zeros(4, dtype=complex)), DimensionMismatch),
+    # well-shaped data above MAX_DIM = 16
+    ("aa", dict(n=17, v=zeros(16)[0], A=zeros(16)), DimensionMismatch),
+    ("c2", dict(n=17, v=zeros(16)[0], X=zeros(16), Y=zeros(16), Z=zeros(16)),
+     DimensionMismatch),
 ])
 def test_malformed_family_data_error_classes(family, fields, error):
     from liehermitian import AlmostAbelianData
@@ -266,32 +269,45 @@ def test_closed_curvature_blocks_catch_a_sign_flip():
 
 
 def test_closed_scalars_evaluated_once_per_call(monkeypatch):
-    calls = []
-
-    def counted(d):
-        calls.append(d)
-        return real(d)
-
-    real = C2.c2_scalars
-    for module in (C2, verify):
-        monkeypatch.setattr(module, "c2_scalars", counted)
+    # the data keeps its scalars: one evaluation serves its report, its
+    # curvature blocks and its residuals, and other data forms its own
+    calls, real = [], C2.c2_scalars
+    monkeypatch.setattr(C2, "c2_scalars", lambda d: calls.append(d) or real(d))
     d = _curvature_draws("c2_random")[0]
     rep = c2_report(d)
-    assert len(calls) == 1
     hold_curvature_blocks(d, rep["algebra"])
-    assert len(calls) == 2
-    assert C2.c2_residuals(d) == rep["residuals"]  # the public call still works alone
+    assert C2.c2_residuals(d) == rep["residuals"]
+    assert len(calls) == 1 and calls[0] is d
+    twin = Codim2Data(n=d.n, lam=d.lam, v=d.v, X=d.X, Y=d.Y, Z=d.Z, tol=d.tol)
+    assert C2.c2_residuals(twin) == rep["residuals"]  # the public call works alone
+    assert len(calls) == 2 and calls[1] is twin
 
 
-def test_report_routes_share_one_context(monkeypatch):
+def test_report_routes_share_one_context():
     # the routes of one report read the adjoints, Y + Y*, max |v| and
-    # the scalars off one RouteContext, which forms each once
-    made, init = [], C2.RouteContext.__init__
-    monkeypatch.setattr(C2.RouteContext, "__init__",
-                        lambda c, d: made.append(c) or init(c, d))
-    aa_report(aa_random(rng_for(71, 2), 4))
-    assert len(made) == 1
-    assert {"scal", "Xs", "Ys", "Y_herm", "v_max"} <= set(vars(made[0]))
+    # the scalars off the data, which forms each once and keeps it
+    d = aa_random(rng_for(71, 2), 4)
+    aa_report(d)
+    kept = {name: vars(d)[name] for name in ("scal", "Xs", "Ys", "Y_herm", "v_max")}
+    aa_report(d)
+    assert all(vars(d)[name] is value for name, value in kept.items())
+
+
+def test_derived_blocks_are_read_only():
+    d = c2_random(rng_for(71, 3), 4)
+    for name in ("Xs", "Ys", "B", "Am", "Y_herm"):
+        with pytest.raises(ValueError):
+            getattr(d, name)[0, 0] = 1.0
+    assert np.array_equal(d.B, d.Y - d.X) and np.array_equal(d.Am, d.Z.T - d.Z)
+
+
+def test_report_scalars_are_a_copy():
+    d = c2_random(rng_for(71, 4), 4)
+    first = c2_report(d)["scalars"]
+    kept = dict(first)
+    first["s"] = 1e300
+    first.clear()
+    assert c2_report(d)["scalars"] == kept
 
 
 def test_classifier_and_flat_normal_form_compute_no_scalars(monkeypatch):

@@ -242,7 +242,7 @@ def test_btp_system_equals_one_product_per_term(n, monkeypatch):
     rng = rng_for(5151, n)
     X, Y, Z = (_gaussian(rng, m, m) for _ in range(3))
     v = _gaussian(rng, m)
-    d = SimpleNamespace(n=n, lam=2.0, v=v, X=X, Y=Y, Z=Z)
+    d = codim2.Codim2Data(n=n, lam=2.0, v=v, X=X, Y=Y, Z=Z)
     seen = []
     monkeypatch.setattr(codim2, "max_abs", lambda x: seen.append(x) or max_abs(x))
     codim2.c2_btp_residuals(d)
