@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateEntry,
     IndexOutOfRange,
+    NonFiniteValue,
     NotUnitary,
     PatternMismatch,
 )
@@ -187,7 +188,7 @@ def make_algebra(n, C, D, tol=None):
             f"expected shape {(n, n, n)}, got C{C.shape} D{D.shape}"
         )
     if not (np.isfinite(C).all() and np.isfinite(D).all()):
-        raise ValueError("structure constants must be finite")
+        raise NonFiniteValue("structure constants must be finite")
     scale = max(max_abs(C), max_abs(D))
     asym = max_abs(C + C.transpose(0, 2, 1))
     if asym > 1e-12 * (1.0 + scale):
@@ -231,7 +232,7 @@ def build_general(n, C_entries=(), D_entries=(), tol=None):
         _check_entry_indices(n, j, i, k)
         v = complex(v)
         if not (np.isfinite(v.real) and np.isfinite(v.imag)):
-            raise ValueError(f"non-finite C entry at ({j},{i},{k})")
+            raise NonFiniteValue(f"non-finite C entry at ({j},{i},{k})")
         key = (j, i, k)
         if key in seen_c:
             raise DuplicateEntry(f"C entry ({j},{i},{k}) given twice")
@@ -252,7 +253,7 @@ def build_general(n, C_entries=(), D_entries=(), tol=None):
         _check_entry_indices(n, j, i, k)
         v = complex(v)
         if not (np.isfinite(v.real) and np.isfinite(v.imag)):
-            raise ValueError(f"non-finite D entry at ({j},{i},{k})")
+            raise NonFiniteValue(f"non-finite D entry at ({j},{i},{k})")
         key = (j, i, k)
         if key in seen_d:
             raise DuplicateEntry(f"D entry ({j},{i},{k}) given twice")

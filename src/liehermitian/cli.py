@@ -9,13 +9,12 @@ byte-identical output.
 
 Exit codes are stable and documented: 0 for success including valid
 negative answers (a metric that is simply not pluriclosed, a
-classification answering NotBTP), 2 for unreadable or malformed input,
-3 for well-formed input that fails a structural requirement (Jacobi,
-integrability, unimodularity where demanded), 4 when a closed form and
-the tensor engine disagree, and 1 for anything else the library
-refuses, a report value that overflowed to inf or NaN
-(NonFiniteValue), an ArithmeticError (a complex "real" scalar), a
-numpy LinAlgError and an OSError while writing the output included.
+classification answering NotBTP); a refusal exits with the
+``exit_code`` its error class declares, by the table in the
+:mod:`liehermitian.errors` docstring (2 malformed input, 3 structural
+failure, 4 closed form against engine, 1 anything else), and an
+ArithmeticError (a complex "real" scalar), a numpy LinAlgError or an
+OSError while writing the output exits 1.
 Each refusal writes a JSON error to stderr and nothing to stdout.
 """
 
@@ -35,55 +34,18 @@ from .algebra import max_abs, unimodularity_defect
 from .almost_abelian import aa_report, build_almost_abelian
 from .codim2 import build_codim2, c2_report, classify_btp, from_almost_abelian
 from .errors import (
-    AntisymmetryViolation,
-    CrossCheckFailure,
-    DimensionMismatch,
-    DuplicateEntry,
-    IndexOutOfRange,
-    IntegrabilityViolation,
-    InvalidAlgebra,
-    InvalidDegree,
-    LieHermitianError,
-    NegativeLambda,
-    NonFiniteValue,
-    NotUnimodular,
-    NotUnitary,
-    ParameterDomain,
-    ParseError,
-)
+    CrossCheckFailure, LieHermitianError, NonFiniteValue, ParameterDomain, ParseError)
 
 EXIT_OK = 0
 EXIT_OTHER = 1
-EXIT_PARSE = 2
-EXIT_STRUCTURE = 3
-EXIT_CROSSCHECK = 4
-
-_PARSE_CLASSES = (
-    ParseError,
-    ParameterDomain,
-    DimensionMismatch,
-    IndexOutOfRange,
-    DuplicateEntry,
-    AntisymmetryViolation,
-    NotUnitary,
-    InvalidDegree,
-)
-_STRUCTURE_CLASSES = (
-    InvalidAlgebra,
-    IntegrabilityViolation,
-    NotUnimodular,
-    NegativeLambda,
-)
+EXIT_PARSE = ParseError.exit_code
+EXIT_CROSSCHECK = CrossCheckFailure.exit_code
 
 
 def exit_code_for(exc):
-    if isinstance(exc, _PARSE_CLASSES):
-        return EXIT_PARSE
-    if isinstance(exc, _STRUCTURE_CLASSES):
-        return EXIT_STRUCTURE
-    if isinstance(exc, CrossCheckFailure):
-        return EXIT_CROSSCHECK
-    return EXIT_OTHER
+    """The code a package error declares, EXIT_OTHER for the numpy and
+    OS errors that main also catches."""
+    return exc.exit_code if isinstance(exc, LieHermitianError) else EXIT_OTHER
 
 
 def _error_payload(exc):

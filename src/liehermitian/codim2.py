@@ -146,11 +146,8 @@ class Codim2Data(FamilyBlocks):
             max_abs(c.Y @ c.Ys - c.Ys @ c.Y),
             max_abs(c.Y @ c.Xs - c.Xs @ c.Y),
         ),
-        "cyt": lambda c: max(
-            max_abs(c.X @ c.v),
-            max_abs(c.Ys @ c.v + c.Z.T @ np.conj(c.v)),
-            abs(c.scal["s_b"]),
-        ),
+        # CYT: the Bismut Ricci form vanishes
+        "cyt": lambda c: max(map(max_abs, c2_bismut_blocks(c))),
     }
 
     n: int
@@ -434,8 +431,7 @@ def make_btpv1(n, v2, a=(), tol=None):
     Requires v2 > 0 and len(a) = n - 2.  The result is unimodular,
     pluriclosed and torsion-parallel for every choice of a.
     """
-    if n < 2:
-        raise DimensionMismatch("need n >= 2")
+    require_dimension(n)
     v2 = _as_positive_real(v2, "v2")
     a = np.asarray(a, dtype=complex).reshape(-1)
     if a.shape != (n - 2,):

@@ -1,36 +1,51 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class declares the exit code the command line returns for it in
+its ``exit_code`` attribute: 2 for malformed input (ParseError,
+ParameterDomain, DimensionMismatch, IndexOutOfRange, DuplicateEntry,
+AntisymmetryViolation, NotUnitary, InvalidDegree), 3 for well-formed
+input that fails a structural requirement (InvalidAlgebra,
+IntegrabilityViolation, NotUnimodular, NegativeLambda), 4 for a closed
+form that disagrees with the tensor engine (CrossCheckFailure), and 1,
+the base class's code, for everything else (PatternMismatch,
+NotAstheno, NonFiniteValue).
+"""
 
 
 class LieHermitianError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+
 
 class IndexOutOfRange(LieHermitianError):
-    pass
+    exit_code = 2
 
 
 class DuplicateEntry(LieHermitianError):
-    pass
+    exit_code = 2
 
 
 class AntisymmetryViolation(LieHermitianError):
-    pass
+    exit_code = 2
 
 
 class DimensionMismatch(LieHermitianError):
-    pass
+    exit_code = 2
 
 
 class NotUnitary(LieHermitianError):
-    pass
+    exit_code = 2
 
 
 class InvalidDegree(LieHermitianError):
-    pass
+    exit_code = 2
 
 
 class InvalidAlgebra(LieHermitianError):
     """Raised when an operation requires the Jacobi identity to hold and it does not."""
+
+    exit_code = 3
 
 
 class PatternMismatch(LieHermitianError):
@@ -44,21 +59,23 @@ class PatternMismatch(LieHermitianError):
 class IntegrabilityViolation(LieHermitianError):
     """Codimension-two data fails its quadratic compatibility equations."""
 
+    exit_code = 3
+
     def __init__(self, message, residuals=None):
         super().__init__(message)
         self.residuals = residuals
 
 
 class NegativeLambda(LieHermitianError):
-    pass
+    exit_code = 3
 
 
 class ParameterDomain(LieHermitianError):
-    pass
+    exit_code = 2
 
 
 class NotUnimodular(LieHermitianError):
-    pass
+    exit_code = 3
 
 
 class CrossCheckFailure(LieHermitianError):
@@ -67,6 +84,8 @@ class CrossCheckFailure(LieHermitianError):
     Carries both residuals so a report can show what disagreed and by
     how much.
     """
+
+    exit_code = 4
 
     def __init__(self, message, name=None, closed=None, engine=None):
         super().__init__(message)
@@ -92,3 +111,5 @@ class NonFiniteValue(LieHermitianError, ValueError):
 
 class ParseError(LieHermitianError):
     """Input file could not be parsed or fails schema validation."""
+
+    exit_code = 2

@@ -9,7 +9,7 @@ of random data is visible in saved output.
 
 import numpy as np
 
-from .algebra import make_algebra, max_abs
+from .algebra import make_algebra, max_abs, require_dimension
 from .almost_abelian import AlmostAbelianData, trace_sum
 from .codim2 import (
     Codim2Data,
@@ -61,8 +61,7 @@ def hopf_algebra(n=2):
     which makes this the standard witness for the positive-scalar sign
     class.  Its Chern scalar curvature is exactly 1 for every n.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    require_dimension(n)
     C = np.zeros((n, n, n), dtype=complex)
     c = -1j / np.sqrt(2.0)
     C[0, 0, 1] = c

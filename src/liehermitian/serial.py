@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from . import __version__
-from .algebra import build_general
+from .algebra import build_general, require_dimension
 from .almost_abelian import AlmostAbelianData
 from .codim2 import Codim2Data, make_btpv0, make_btpv1, make_btpv2
 from .errors import NonFiniteValue, ParseError
@@ -132,8 +132,10 @@ def validate_spec(obj):
     """Check a decoded JSON object against the spec-file schema.
 
     Returns the object unchanged.  Everything structural is checked
-    here; value-level domain rules (positivity, unitarity, Jacobi) are
-    left to the builders so their error classes stay meaningful.
+    here, the range of n by ``require_dimension`` (DimensionMismatch,
+    as in the builders); value-level domain rules (positivity,
+    unitarity, Jacobi) are left to the builders so their error classes
+    stay meaningful.
     """
     if not isinstance(obj, dict):
         _fail("top level", "expected a JSON object")
@@ -145,9 +147,7 @@ def validate_spec(obj):
             _fail("top level", "missing key %r" % key)
     if obj["schema"] != SCHEMA:
         _fail("schema", "expected %r, got %r" % (SCHEMA, obj["schema"]))
-    n = _integer(obj["n"], "n")
-    if n < 2:
-        _fail("n", "need n >= 2, got %d" % n)
+    require_dimension(_integer(obj["n"], "n"))
     family = obj["family"]
     if family not in FAMILIES:
         _fail("family", "unknown family %r, expected one of %s" % (family, list(FAMILIES)))

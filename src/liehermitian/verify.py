@@ -18,9 +18,10 @@ and draws its sample i from ``draw(i)``, which is
 The family reports compare their closed forms with the engine
 themselves (:func:`~liehermitian.hermitian.cross_check`), so the
 criteria do not repeat those comparisons: each report call counts as
-one check, and an error it raises is recorded as a failed draw.  The
-closed Ricci contractions and Bismut Ricci blocks, which no report
-carries, are held against the engine in criterion 10 by
+one check, and an error it raises is recorded as a failed draw.  A
+report reads the closed Bismut Ricci blocks only through its ``cyt``
+residual, and no report carries the closed Ricci contractions, so both
+are held entrywise against the engine in criterion 10 by
 :func:`hold_curvature_blocks`, one check per draw.
 
 Criterion 11 samples the paired-block generator over its whole block

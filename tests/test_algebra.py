@@ -7,6 +7,7 @@ from liehermitian import (
     DimensionMismatch,
     DuplicateEntry,
     IndexOutOfRange,
+    NonFiniteValue,
     NotUnitary,
     build_general,
     change_frame,
@@ -82,6 +83,20 @@ def test_make_algebra_rejects_asymmetric_c():
     C[0, 1, 0] = 1.0
     with pytest.raises(AntisymmetryViolation):
         make_algebra(2, C, np.zeros_like(C))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.0, -np.inf)])
+def test_builders_refuse_non_finite_input_typed(bad):
+    # NonFiniteValue is a ValueError too, so callers catching that still work
+    C = np.zeros((2, 2, 2), dtype=complex)
+    D = np.zeros_like(C)
+    D[0, 1, 0] = bad
+    with pytest.raises(NonFiniteValue):
+        make_algebra(2, C, D)
+    with pytest.raises(NonFiniteValue, match=r"C entry at \(1,1,2\)"):
+        build_general(2, C_entries=[(1, 1, 2, bad)])
+    with pytest.raises(NonFiniteValue, match=r"D entry at \(1,2,1\)"):
+        build_general(2, D_entries=[(1, 2, 1, bad)])
 
 
 def test_jacobi_residual_zero_for_hopf():

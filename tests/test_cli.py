@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liehermitian import algebra, cli, codim2, hermitian, sampling, serial, verify
+from liehermitian import algebra, cli, codim2, errors, hermitian, sampling, serial, verify
 from liehermitian.algebra import change_frame, max_abs
 from liehermitian.almost_abelian import build_almost_abelian
 from liehermitian.codim2 import build_codim2, classify_btp, from_almost_abelian
-from liehermitian.errors import CrossCheckFailure, NotUnimodular, ParseError
+from liehermitian.errors import CrossCheckFailure
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -236,10 +236,30 @@ def test_non_jacobi_spec_exits_3(tmp_path, capsys, command):
     assert json.loads(captured.err)["error"] == "InvalidAlgebra"
 
 
-def test_exit_code_table():
-    assert cli.exit_code_for(ParseError("x")) == 2
-    assert cli.exit_code_for(NotUnimodular("x")) == 3
-    assert cli.exit_code_for(CrossCheckFailure("x")) == 4
+EXIT_CODES = {
+    # malformed input
+    "ParseError": 2, "ParameterDomain": 2, "DimensionMismatch": 2, "IndexOutOfRange": 2,
+    "DuplicateEntry": 2, "AntisymmetryViolation": 2, "NotUnitary": 2, "InvalidDegree": 2,
+    # well-formed input that fails a structural requirement
+    "InvalidAlgebra": 3, "IntegrabilityViolation": 3, "NotUnimodular": 3,
+    "NegativeLambda": 3,
+    "CrossCheckFailure": 4,
+    # anything else the library refuses
+    "LieHermitianError": 1, "PatternMismatch": 1, "NotAstheno": 1, "NonFiniteValue": 1,
+}
+
+
+@pytest.mark.parametrize("cls, code", [
+    # every class of errors.py, so one left out of EXIT_CODES fails
+    *((cls, EXIT_CODES.get(name)) for name, cls in vars(errors).items()
+      if isinstance(cls, type) and issubclass(cls, errors.LieHermitianError)),
+    # the numpy and OS errors main catches besides the package's own
+    (ArithmeticError, 1),
+    (np.linalg.LinAlgError, 1),
+    (OSError, 1),
+], ids=lambda x: x.__name__ if isinstance(x, type) else None)
+def test_exit_code_table(cls, code):
+    assert cli.exit_code_for(cls("x")) == code
 
 
 def _svd_fails(*args, **kwargs):

@@ -41,6 +41,11 @@ def test_hopf_satisfies_jacobi():
         assert sm.hopf_algebra(n).jacobi_max <= 1e-12
 
 
+def test_hopf_refuses_n_below_two():
+    with pytest.raises(DimensionMismatch):
+        sm.hopf_algebra(1)
+
+
 @pytest.mark.parametrize("kind", ["v1", "v2", "v0"])
 def test_generators_are_integrable_and_unimodular(kind):
     for i in range(3):

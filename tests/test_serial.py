@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from liehermitian import ParseError, canonical_json, load_spec, materialize, validate_spec
+from liehermitian import (
+    DimensionMismatch, ParseError, canonical_json, load_spec, materialize, validate_spec)
 from liehermitian import serial
 from liehermitian.algebra import max_abs
 from liehermitian import sampling as sm
@@ -30,6 +31,15 @@ def test_validate_rejects_missing_key():
     s = minimal_spec()
     del s["n"]
     with pytest.raises(ParseError, match="n"):
+        validate_spec(s)
+
+
+@pytest.mark.parametrize("n", [1, 17])
+def test_validate_refuses_n_outside_the_domain(n):
+    # the abelian payload is valid at any n, so only the range refuses it
+    s = minimal_spec()
+    s["n"] = n
+    with pytest.raises(DimensionMismatch, match="between 2 and 16"):
         validate_spec(s)
 
 
