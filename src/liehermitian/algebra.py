@@ -46,7 +46,8 @@ def max_abs(arr):
     a = np.asarray(arr)
     if a.size == 0:
         return 0.0
-    return float(np.abs(a).max())
+    # the ufunc reduction itself, without ndarray.max's Python wrapper
+    return float(np.maximum.reduce(np.abs(a), axis=None))
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,6 +78,26 @@ def _contraction_plan(spec):
     )
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _contraction_shapes(spec, shape_a, shape_b):
+    """The plan of ``spec`` with the matrix shapes for operands of these
+    shapes: (perm of A, A's matrix shape, perm of B, B's matrix shape,
+    the product's shape before the output perm, that perm)."""
+    pa, pb, nsum, pout = _contraction_plan(spec)
+    if (len(shape_a), len(shape_b)) != (len(pa), len(pb)):
+        raise ValueError(f"{spec!r} takes operands of rank {len(pa)} and {len(pb)}, "
+                         f"got shapes {shape_a} and {shape_b}")
+    a = tuple(shape_a[p] for p in pa)
+    b = tuple(shape_b[p] for p in pb)
+    free_a, summed = a[: len(a) - nsum], a[len(a) - nsum:]
+    if summed != b[:nsum]:
+        raise ValueError(f"summed axes of {spec!r} differ: {summed} vs {b[:nsum]}")
+    k = math.prod(summed)
+    free_b = b[nsum:]
+    return (pa, (math.prod(free_a), k), pb, (k, math.prod(free_b)),
+            free_a + free_b, pout)
+
+
 def contract(spec, A, B):
     """``np.einsum(spec, A, B)`` for two operands, computed as one matrix
     product so that BLAS does the summation.
@@ -88,22 +109,16 @@ def contract(spec, A, B):
     (empty output) are allowed.  Repeated indices inside one operand
     (traces), indices shared by both operands and the output, and more
     than two operands raise ValueError; single-operand traces stay with
-    ``np.einsum``.  Each spec is parsed once.
+    ``np.einsum``.  Each spec is parsed once, and its matrix shapes are
+    worked out once per pair of operand shapes.
 
     The summation order differs from einsum's, so results agree to
     roundoff, not bit for bit.  The returned array may be a transposed
     view.
     """
-    pa, pb, nsum, pout = _contraction_plan(spec)
-    A = A.transpose(pa)
-    B = B.transpose(pb)
-    free_a, summed = A.shape[: A.ndim - nsum], A.shape[A.ndim - nsum:]
-    free_b = B.shape[nsum:]
-    if summed != B.shape[:nsum]:
-        raise ValueError(f"summed axes of {spec!r} differ: {summed} vs {B.shape[:nsum]}")
-    k = math.prod(summed)
-    prod = A.reshape(math.prod(free_a), k) @ B.reshape(k, math.prod(free_b))
-    return prod.reshape(free_a + free_b).transpose(pout)
+    pa, ma, pb, mb, shape, pout = _contraction_shapes(spec, A.shape, B.shape)
+    product = A.transpose(pa).reshape(ma) @ B.transpose(pb).reshape(mb)
+    return product.reshape(shape).transpose(pout)
 
 
 def default_tolerance(*arrays):

@@ -193,6 +193,16 @@ def torsion_cov_deriv(T, G, barred):
         out[j, i, k, l] = sum_r (  T^j_{rk} conj(G^i_{rl})
                                  + T^j_{ir} conj(G^k_{rl})
                                  - T^r_{ik} conj(G^r_{jl}) ).
+
+    T must be antisymmetric in its lower pair, as every torsion is:
+    with T^j_{ir} = -T^j_{ri}, the second sum is the first with i and k
+    exchanged and its sign flipped, so it is read off the first product
+    as a transposed view and each derivative takes two products.
+    :func:`chern_torsion` is antisymmetric up to the rounding of its
+    three-term sum, and exactly so on Gaussian-integer data.  Under
+    ``sign_mutation(torsion_index=2)`` the torsion is not antisymmetric,
+    and the result is the formula above with -T^j_{ri} in place of
+    T^j_{ir} in the second sum.
     """
     if T.shape != G.shape:
         raise DimensionMismatch(
@@ -200,16 +210,10 @@ def torsion_cov_deriv(T, G, barred):
         )
     if barred:
         Gc = np.conj(G)
-        return (
-            contract("jrk,irl->jikl", T, Gc)
-            + contract("jir,krl->jikl", T, Gc)
-            - contract("rik,rjl->jikl", T, Gc)
-        )
-    return (
-        -contract("jrk,ril->jikl", T, G)
-        - contract("jir,rkl->jikl", T, G)
-        + contract("rik,jrl->jikl", T, G)
-    )
+        X = contract("jrk,irl->jikl", T, Gc)
+        return X - X.transpose(0, 2, 1, 3) - contract("rik,rjl->jikl", T, Gc)
+    X = contract("jrk,ril->jikl", T, G)
+    return X.transpose(0, 2, 1, 3) - X + contract("rik,jrl->jikl", T, G)
 
 
 def bismut_torsion_derivative_residuals(a):
@@ -321,17 +325,18 @@ def skt_tensor(a):
             + T^j_{kr} conj(D^i_{rl}) + T^l_{ir} conj(D^k_{rj})
             - T^l_{kr} conj(D^i_{rj})
 
-    Antisymmetric in (i,k) and, after conjugation, in (j,l).
+    Antisymmetric in (i,k) and, after conjugation, in (j,l).  The last
+    four terms are one product relabelled (i <-> k, j <-> l, or both),
+    so the tensor takes two products.
     """
     T = chern_torsion(a)
-    Cc = np.conj(a.C)
-    Dc = np.conj(a.D)
+    X = contract("jir,krl->ikjl", T, np.conj(a.D))
     return (
-        -contract("rik,rjl->ikjl", T, Cc)
-        - contract("jir,krl->ikjl", T, Dc)
-        + contract("jkr,irl->ikjl", T, Dc)
-        + contract("lir,krj->ikjl", T, Dc)
-        - contract("lkr,irj->ikjl", T, Dc)
+        -contract("rik,rjl->ikjl", T, np.conj(a.C))
+        - X
+        + X.transpose(1, 0, 2, 3)
+        + X.transpose(0, 1, 3, 2)
+        - X.transpose(1, 0, 3, 2)
     )
 
 

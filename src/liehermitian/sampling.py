@@ -19,7 +19,7 @@ from .codim2 import (
     make_btpv2,
     rotate_codim2,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ParameterDomain
 
 GENERATOR_LABEL = "numpy PCG64, SeedSequence(seed, spawn_key=(index,))"
 
@@ -326,7 +326,7 @@ def c2_generator(rng, n, kind=None):
         r = int(rng.integers(1, (n - 1) // 2 + 1))
         S, W = grouped_singular_data(rng, r)
         return make_btpv0(n, r, S, W, cgauss(rng, n - 1 - 2 * r))
-    raise ValueError("unknown generator kind %r" % (kind,))
+    raise ParameterDomain("unknown generator kind %r" % (kind,))
 
 
 def takagi_symmetric_unitary(rng, r):
@@ -349,7 +349,7 @@ def grouped_singular_data(rng, r, groups=None):
     else:
         sizes = list(groups)
         if sum(sizes) != r:
-            raise ValueError("groups must sum to r")
+            raise ParameterDomain("groups %r must sum to r = %d" % (tuple(sizes), r))
     vals = np.sort(0.5 + 2.0 * rng.random(len(sizes)))[::-1]
     S = np.concatenate([np.full(g, val) for g, val in zip(sizes, vals)])
     W = np.zeros((r, r), dtype=complex)

@@ -56,9 +56,24 @@ CHECK_COUNTS = {1: 200, 2: 200, 3: 320, 4: 400, 5: 2400, 6: 600, 7: 769,
                 8: 200, 9: 200, 10: 743, 11: 400, 13: 5}
 
 
+# The detail line of every criterion at the default seed (empty where the
+# criterion writes none).  A kernel change that flips a draw shows up here.
+DETAILS = {
+    7: "134 astheno positives among 200 draws",
+    8: "symmetry class collapses to flat: True",
+    11: "18 rank>=2 paired-block draws, 18 refuted as the obstruction predicts, "
+        "0 unexplained",
+}
+
+
 def test_battery_verdicts_and_check_counts_are_pinned(battery):
     got = {number: (res.passed, res.checks) for number, res in battery.items()}
     assert got == {number: (True, count) for number, count in CHECK_COUNTS.items()}
+
+
+def test_battery_details_are_pinned(battery):
+    got = {number: res.detail for number, res in battery.items()}
+    assert got == {number: DETAILS.get(number, "") for number in CHECK_COUNTS}
 
 
 def test_rank_obstruction_fully_explains_11(battery):

@@ -23,7 +23,9 @@ from liehermitian import AlmostAbelianData, build_almost_abelian, cli, codim2
 from liehermitian.algebra import (change_frame, contract, jacobi_tensors,
                                   lower_central_dims, max_abs)
 from liehermitian.codim2 import build_codim2
-from liehermitian.hermitian import chern_curvature, sign_mutation
+from liehermitian.hermitian import (bismut_connection, chern_connection, chern_curvature,
+                                    chern_torsion, sign_mutation, skt_tensor,
+                                    torsion_cov_deriv)
 from liehermitian.sampling import c2_from_aa, random_unitary, rng_for
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liehermitian"
@@ -42,9 +44,10 @@ def _calls(name):
 
 
 # One product per term, as (sign, spec, first operand, second operand):
-# the Jacobi tensors, the Chern curvature (signs of _CURVATURE_SIGNS) and
-# the shared parts of the BTP residual system.  Operands are named in
-# the dict each test passes.
+# the Jacobi tensors, the Chern curvature (signs of _CURVATURE_SIGNS),
+# the shared parts of the BTP residual system, the unbarred and barred
+# covariant derivatives of the torsion and the pluriclosed tensor.
+# Operands are named in the dict each test passes.
 REFERENCE_TERMS = {
     "jcc": [(1, "rij,lrk->ijkl", "C", "C"), (1, "rjk,lri->ijkl", "C", "C"),
             (1, "rki,lrj->ijkl", "C", "C")],
@@ -64,6 +67,13 @@ REFERENCE_TERMS = {
     "v2": [(1, "k,li->ikl", "v", "Bc"), (-1, "i,lk->ikl", "v", "Bc"),
            (-1, "l,ik->ikl", "vc", "Am")],
     "w1": [(1, "l,kj->jkl", "v", "B"), (-1, "k,lj->jkl", "v", "B")],
+    "unbarred": [(-1, "jrk,ril->jikl", "T", "G"), (-1, "jir,rkl->jikl", "T", "G"),
+                 (1, "rik,jrl->jikl", "T", "G")],
+    "barred": [(1, "jrk,irl->jikl", "T", "Gc"), (1, "jir,krl->jikl", "T", "Gc"),
+               (-1, "rik,rjl->jikl", "T", "Gc")],
+    "skt": [(-1, "rik,rjl->ikjl", "T", "Cc"), (-1, "jir,krl->ikjl", "T", "Dc"),
+            (1, "jkr,irl->ikjl", "T", "Dc"), (1, "lir,krj->ikjl", "T", "Dc"),
+            (-1, "lkr,irj->ikjl", "T", "Dc")],
 }
 
 CONTRACT_CALLS = list(_calls("contract"))
@@ -150,6 +160,12 @@ def test_contract_refuses_what_it_does_not_compute(spec):
 def test_contract_refuses_mismatched_summed_axes():
     with pytest.raises(ValueError):
         contract("ij,jk->ik", np.ones((2, 3)), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((2,), (2, 2)), ((2, 2), (2, 2, 2))])
+def test_contract_refuses_operands_of_another_rank(shape_a, shape_b):
+    with pytest.raises(ValueError, match="rank 2 and 2"):
+        contract("ij,jk->ik", np.ones(shape_a), np.ones(shape_b))
 
 
 def test_change_frame_roundtrip_at_the_largest_dimension():
@@ -255,3 +271,21 @@ def test_btp_system_equals_one_product_per_term(n, monkeypatch):
            "v": v, "vc": np.conj(v)}
     for name, tensor in zip(("eq1", "eq2", "v1", "v2", "w1"), (eq1, eq2, v1, v2, w1)):
         assert np.array_equal(tensor, _reference(name, ops)), name
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_torsion_derivatives_equal_one_product_per_term(n):
+    a = SimpleNamespace(**_gaussian_algebra(n))
+    T = chern_torsion(a)
+    for G in (chern_connection(a), bismut_connection(a)):
+        ops = {"T": T, "G": G, "Gc": np.conj(G)}
+        for barred, name in ((False, "unbarred"), (True, "barred")):
+            got = torsion_cov_deriv(T, G, barred=barred)
+            assert np.array_equal(got, _reference(name, ops)), name
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_skt_tensor_equals_one_product_per_term(n):
+    a = SimpleNamespace(**_gaussian_algebra(n))
+    ops = {"T": chern_torsion(a), "Cc": np.conj(a.C), "Dc": np.conj(a.D)}
+    assert np.array_equal(skt_tensor(a), _reference("skt", ops))

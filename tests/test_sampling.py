@@ -5,7 +5,7 @@ from liehermitian import build_codim2, c2_report, property_report
 from liehermitian.algebra import max_abs, unimodularity_defect
 from liehermitian.almost_abelian import build_almost_abelian
 from liehermitian.codim2 import make_btpv0, make_btpv1, make_btpv2
-from liehermitian.errors import DimensionMismatch
+from liehermitian.errors import DimensionMismatch, ParameterDomain
 from liehermitian import sampling as sm
 
 
@@ -58,6 +58,16 @@ def test_generators_are_integrable_and_unimodular(kind):
 def test_generator_refuses_n_below_three(kind):
     with pytest.raises(DimensionMismatch):
         sm.c2_generator(sm.rng_for(43, 0), 2, kind=kind)
+
+
+def test_generator_refuses_an_unknown_kind():
+    with pytest.raises(ParameterDomain, match="v3"):
+        sm.c2_generator(sm.rng_for(43, 0), 4, kind="v3")
+
+
+def test_grouped_singular_data_refuses_groups_off_the_rank():
+    with pytest.raises(ParameterDomain, match="must sum to r = 5"):
+        sm.grouped_singular_data(sm.rng_for(44, 2), 5, groups=(3, 1))
 
 
 def test_mixed_draw_refuses_n_below_three():
