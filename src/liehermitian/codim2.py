@@ -27,8 +27,9 @@ carries the torsion-parallel machinery: the residual system of
 :func:`classify_btp` that reduces any Bismut-torsion-parallel metric of
 the family to one of those normal forms.  The paired-block form
 ``make_btpv0`` is torsion-parallel only at block rank one (the rank-one
-cap); the classifier states the cap as a structural check and reads the
-frame of its 1 x 1 paired cells in closed form.
+cap).  The classifier certifies each answer by its postcondition; six
+guards, the cap among them, stop its v0 reduction where it would index
+or divide by what is not there (listed at :func:`classify_btp`).
 """
 
 from dataclasses import dataclass
@@ -635,16 +636,11 @@ def rotate_codim2(d, U):
 # Classification
 
 
-def _structural(msg, value, bound):
-    if value > bound:
-        raise CrossCheckFailure(
-            "torsion-parallel reduction found inconsistent structure: "
-            + msg
-            + " (%.3e > %.3e)" % (value, bound),
-            name="classify",
-            closed=value,
-            engine=bound,
-        )
+def _inconsistent(msg, value, relation, bound):
+    """The refusal of a classify_btp guard that found ``value relation bound``."""
+    return CrossCheckFailure("torsion-parallel reduction found inconsistent structure: "
+                             "%s (%.3g %s %.3g)" % (msg, value, relation, bound),
+                             name="classify", closed=value, engine=bound)
 
 
 _NORMAL_FORMS = {"v1": make_btpv1, "v2": make_btpv2, "v0": make_btpv0}
@@ -662,11 +658,17 @@ def classify_btp(d):
     raises NotUnimodular; non-integrable input raises
     IntegrabilityViolation.
 
-    Each torsion-parallel branch rotates its leading block into place
-    and checks its structure (CrossCheckFailure where it fails); then the
-    rest of X is diagonalized into ``params["a"]``, and the input moved by
-    the frame must agree entrywise with what the make_btpv* constructor
-    builds from ``params``, and have the same property report.
+    Each torsion-parallel branch rotates its leading block into place and
+    diagonalizes the rest of X into ``params["a"]``.  The postcondition
+    is the certificate: the input moved by the frame must agree entrywise
+    with the normal form make_btpv* builds from ``params``, and have its
+    property report, or a CrossCheckFailure names the block.  Six guards
+    of the v0 branch refuse earlier, as CrossCheckFailure "classify",
+    where the reduction cannot go on: Z is nonzero (a block to pair),
+    2r <= n - 1 (the right block of Z is not empty), rank one (1 x 1
+    paired cells), that block at full rank (its row gives a direction),
+    a nonzero paired cell of B (its phase is divided out) and equal
+    moduli (W unitary, as make_btpv0 requires).
     """
     tol = d.tol
     n, m = d.n, d.n - 1
@@ -688,19 +690,10 @@ def classify_btp(d):
         report.update(family="Kahler", params={})
         return report
 
-    check = 100.0 * tol
     vnorm = float(np.linalg.norm(d.v))
     if vnorm > tol:
         frame = _unitary_sending_to_e1(d.v)
         cur = rotate_codim2(d, frame)
-        _structural("lam must vanish when the coupling vector is nonzero",
-                    abs(cur.lam), check)
-        _structural("Z must be supported on its first row",
-                    max_abs(cur.Z[1:, :]), check)
-        _structural("the first row of B must conjugate the first row of Z",
-                    max_abs(cur.B[0, :] - np.conj(cur.Z[0, :])), check)
-        _structural("the transverse action must decouple from the coupling vector",
-                    max(max_abs(cur.X[0, :]), max_abs(cur.X[:, 0])), check)
         z1 = np.array(cur.Z[0, 1:])
         znorm = float(np.linalg.norm(z1))
         if znorm <= tol:
@@ -709,51 +702,38 @@ def classify_btp(d):
             U = _block_unitary(np.eye(1), _unitary_sending_to_e1(z1))
             cur = rotate_codim2(cur, U)
             frame = U @ frame
-            _structural("the coupling cell must decouple from the diagonal tail",
-                        max(max_abs(cur.X[1, 1:]), max_abs(cur.X[1:, 1])), check)
             family, params, p = "v2", {"v2": vnorm, "p": znorm}, 2
     else:
-        _structural("lam must vanish for torsion-parallel data", abs(d.lam), check)
-        # Rank and row compression of Z.  The torsion-parallel equations
-        # cap its rank at one, so the paired blocks are 1 x 1 cells.
         P, sv, Qh = np.linalg.svd(d.Z)
         r = int(np.count_nonzero(sv > tol))
-        _structural("Z must be nonzero alongside a nonzero torsion",
-                    float(r == 0), 0.5)
-        _structural("Z must be singular on torsion-parallel data",
-                    float(2 * r > m), 0.5)
-        _structural("Z must have rank one on torsion-parallel data",
-                    float(r), 1.5)
+        if r == 0:
+            raise _inconsistent("Z must be nonzero alongside a nonzero torsion", r, "==", 0)
+        if 2 * r > m:
+            raise _inconsistent("Z must be singular on torsion-parallel data", 2 * r, ">", m)
+        if r > 1:
+            raise _inconsistent("Z must have rank one on torsion-parallel data", r, ">", 1)
         frame = P.conj().T
         cur = rotate_codim2(d, frame)
-        _structural("the upper left block of Z must vanish",
-                    abs(cur.Z[0, 0]), np.sqrt(check))
-        Bcur = np.array(cur.B)
-        Bcur[0, 1:] = 0.0
-        _structural("B must be supported on its upper right block",
-                    max_abs(Bcur), check)
-        Py, sy, Qyh = np.linalg.svd(cur.Z[:1, 1:])
-        _structural("the right block of Z must have full rank",
-                    float(sy[0] <= tol), 0.5)
+        _, sy, Qyh = np.linalg.svd(cur.Z[:1, 1:])
+        if sy[0] <= tol:
+            raise _inconsistent("the right block of Z must have full rank", sy[0], "<=", tol)
         U = _block_unitary(np.eye(1), np.conj(Qyh))
         cur = rotate_codim2(cur, U)
         frame = U @ frame
-        _structural("B must vanish beyond the paired columns",
-                    max_abs(cur.B[0, 2:]), check)
         # The paired cells z and b have one modulus s; the phase of b
         # moves into the second frame vector, leaving b = s, z = s W.
         z = cur.Z[0, 1]
         b = cur.B[0, 1]
         s = abs(b)
-        _structural("the paired cell of B must be nonzero", float(s <= tol), 0.5)
-        _structural("the paired cells of B and Z must have equal modulus",
-                    abs(abs(z) - s), check)
+        if s <= tol:
+            raise _inconsistent("the paired cell of B must be nonzero", s, "<=", tol)
+        gap = abs(abs(z) - s)
+        if gap > 100.0 * tol:
+            raise _inconsistent("the paired cells of B and Z must have equal modulus",
+                                gap, ">", 100.0 * tol)
         U = _block_unitary(np.eye(1), b / s, np.eye(m - 2))
         cur = rotate_codim2(cur, U)
         frame = U @ frame
-        _structural("the transverse action must vanish on the paired blocks",
-                    max_abs(cur.X[:2, :]) + max_abs(cur.X[:, :2]),
-                    np.sqrt(check))
         params = {"r": 1, "S": np.array([s]), "W": np.array([[z * b / s**2]])}
         family, p = "v0", 2
 

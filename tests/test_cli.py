@@ -503,32 +503,39 @@ def test_classify_not_btp_is_exit_zero(tmp_path, capsys):
     assert rep["classification"]["params"]["residual"] == pytest.approx(1.05)
 
 
-def _unit_cells(s1, s2):
-    # n = 4 data whose only cells are Y = s1 E_01 and Z = s2 E_01
+def _cells(y01, z01, z12=0.0, v0=0.0):
+    # n = 4 data whose only entries are Y = y01 E_01, Z = z01 E_01 + z12 E_12
+    # and v = v0 e_0
     Y, Z = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
-    Y[0, 1], Z[0, 1] = s1, s2
-    return codim2.Codim2Data(n=4, lam=0.0, v=np.zeros(3, dtype=complex),
-                             X=np.zeros((3, 3), dtype=complex), Y=Y, Z=Z)
+    Y[0, 1], Z[0, 1], Z[1, 2] = y01, z01, z12
+    v = np.array([v0, 0.0, 0.0], dtype=complex)
+    return codim2.Codim2Data(n=4, lam=0.0, v=v, X=np.zeros((3, 3), dtype=complex),
+                             Y=Y, Z=Z)
 
 
-@pytest.mark.parametrize("s1, s2, residuals, message", [
+@pytest.mark.parametrize("cells, residuals, quantity, message", [
     # Z of order 50 tol passes the residual system with no cell of B
-    (0.0, 5e-8, "real", "the paired cell of B must be nonzero"),
-    (1.0, 1.5, "zero", "the paired cells of B and Z must have equal modulus"),
-], ids=["vanishing-b-cell", "unequal-moduli"])
+    ((0.0, 5e-8), "real", "classify", "the paired cell of B must be nonzero"),
+    ((1.0, 1.5), "zero", "classify", "the paired cells of B and Z must have equal modulus"),
+    # Z off its first row beside a coupling vector: no normal form fits,
+    # and the postcondition names the block
+    ((0.0, 0.0, 1.0, 1.0), "zero", "Z",
+     "input and its torsion-parallel normal form disagree on 'Z'"),
+], ids=["vanishing-b-cell", "unequal-moduli", "z-off-first-row"])
 def test_classify_v0_structure_failure_exits_4(tmp_path, capsys, monkeypatch,
-                                               s1, s2, residuals, message):
+                                               cells, residuals, quantity, message):
     if residuals == "zero":
         real = codim2.c2_btp_residuals
         monkeypatch.setattr(codim2, "c2_btp_residuals",
                             lambda d: dict.fromkeys(real(d), 0.0))
-    spec = serial.jsonable(serial.spec_from_data(_unit_cells(s1, s2)))
+    spec = serial.jsonable(serial.spec_from_data(_cells(*cells)))
     code = cli.main(["classify", write(tmp_path, "cells.json", spec)])
     captured = capsys.readouterr()
     assert code == cli.EXIT_CROSSCHECK == 4
     assert captured.out == ""
     payload = json.loads(captured.err)
     assert payload["error"] == "CrossCheckFailure"
+    assert payload["quantity"] == quantity
     assert message in payload["message"]
 
 

@@ -650,7 +650,7 @@ def unit_cells(s1, s2, n=4):
 @pytest.fixture
 def residuals_vanish(monkeypatch):
     # every input passes the residual system, so classify_btp reaches
-    # the structural checks of its v0 branch
+    # the guards of its v0 branch and its postcondition
     real = C2.c2_btp_residuals
     monkeypatch.setattr(C2, "c2_btp_residuals",
                         lambda d: dict.fromkeys(real(d), 0.0))
@@ -669,6 +669,40 @@ def test_classify_refuses_unequal_paired_cells(residuals_vanish, scramble):
         d = c2_scramble(rng_for(82, 1), d)
     with pytest.raises(CrossCheckFailure, match="must have equal modulus"):
         classify_btp(d)
+
+
+def postcondition_violator(block):
+    """Integrable, unimodular n = 4 data that no normal form fits, which
+    the postcondition of classify_btp refuses on ``block``."""
+    e = np.eye(3, dtype=complex)
+    X, Y, Z = zeros(3), zeros(3), zeros(3)
+    lam, v = 0.0, np.zeros(3, dtype=complex)
+    if block == "lam":
+        # lam beside a nonzero coupling vector
+        lam, v = 1.0, e[1]
+        X[0, 0] = 0.5
+        Y = -X
+    elif block == "Z":
+        # Z off its first row beside a nonzero coupling vector
+        v = e[0]
+        Z[1, 2] = 1.0
+    else:
+        # B beyond the paired columns
+        Z[0, 1] = 1.0
+        Y = Z.copy()
+        Y[0, 2] = 0.7
+    return Codim2Data(n=4, lam=lam, v=v, X=X, Y=Y, Z=Z)
+
+
+# The data that would break the other structure the postcondition holds
+# (X decoupled from v, the coupling cell decoupled from the tail, lam or
+# X on the paired blocks in the v0 branch) is not integrable: it raises
+# IntegrabilityViolation before classify_btp picks a branch.
+@pytest.mark.parametrize("block", ["lam", "Z", "Y"])
+def test_classify_postcondition_refuses_what_no_normal_form_fits(residuals_vanish, block):
+    with pytest.raises(CrossCheckFailure, match="disagree on '%s'" % block) as caught:
+        classify_btp(postcondition_violator(block))
+    assert caught.value.name == block
 
 
 @pytest.mark.parametrize("scramble", [False, True], ids=["adapted", "scrambled"])
