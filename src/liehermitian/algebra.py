@@ -34,6 +34,16 @@ from .errors import (
 
 MAX_DIM = 16
 
+# The tolerance policy: every bound is one of these times the scale named.
+TOL_FACTOR = 1e-9  # the default tol, times 1 + max |entry| of the data
+ROUND_CUT = 1e-12  # rounding cut, times 1 + scale or n; absolute on unit-size draws
+ASTHENO_CUT = 1e-7  # the astheno profile's coincidences, times 1 + |A| + |lam|
+ZERO_CUT = 1e-14  # forms coefficients at most this, absolute, are dropped
+RANK_CUT = 1e-8  # numerical rank of a generator draw's Z, absolute
+TOL_X10 = 10.0  # times tol: cross-checks and the battery's bounds
+TOL_X100 = 100.0  # times tol: imaginary parts, equal moduli; times 10 tol: loose battery bounds
+TOL_X1000 = 1000.0  # times 10 tol: the torsion Bianchi identity under sign mutation
+
 
 def require_dimension(n):
     """Raise DimensionMismatch unless 2 <= n <= MAX_DIM, the documented domain."""
@@ -122,11 +132,11 @@ def contract(spec, A, B):
 
 
 def default_tolerance(*arrays):
-    """Scale-aware default comparison tolerance: 1e-9 * (1 + max magnitude)."""
+    """Scale-aware default comparison tolerance: TOL_FACTOR * (1 + max magnitude)."""
     m = 0.0
     for a in arrays:
         m = max(m, max_abs(a))
-    return 1e-9 * (1.0 + m)
+    return TOL_FACTOR * (1.0 + m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +216,7 @@ def make_algebra(n, C, D, tol=None):
         raise NonFiniteValue("structure constants must be finite")
     scale = max(max_abs(C), max_abs(D))
     asym = max_abs(C + C.transpose(0, 2, 1))
-    if asym > 1e-12 * (1.0 + scale):
+    if asym > ROUND_CUT * (1.0 + scale):
         raise AntisymmetryViolation(
             f"C is not antisymmetric in its lower index pair (defect {asym:.3e})"
         )
@@ -310,7 +320,7 @@ def require_ideal_pattern(a, allowed_d, pattern):
     return float(lam.real)
 
 
-def check_unitary(U, n=None, tol=1e-9):
+def check_unitary(U, n=None, *, tol):
     """Validate that U is an n-by-n unitary matrix; raises NotUnitary."""
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
@@ -331,7 +341,7 @@ def change_frame(a, U):
     upper index.  Applying U and then conj(U).T returns to the original
     frame.
     """
-    U = check_unitary(U, n=a.n, tol=max(1e-12 * a.n, a.tol))
+    U = check_unitary(U, n=a.n, tol=max(ROUND_CUT * a.n, a.tol))
     # one factor at a time on the stacked pair (C, D): the upper index,
     # then each lower index
     T = contract("jm,smpq->sjpq", np.conj(U), np.stack([a.C, a.D]))

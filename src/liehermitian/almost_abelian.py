@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import is_nilpotent, max_abs, require_ideal_pattern
+from .algebra import ASTHENO_CUT, is_nilpotent, max_abs, require_ideal_pattern
 from .codim2 import Codim2Data, FamilyBlocks, assemble, c2_report, freeze_fields
 from .errors import NotAstheno, ParameterDomain, PatternMismatch
 from . import hermitian
@@ -93,7 +93,7 @@ class AlmostAbelianData(FamilyBlocks):
         m = n - 1
         h = trace_sum(A)
         comm_res = max_abs(self.Ys @ A - A @ self.Ys)
-        scale = 1e-7 * (1.0 + max_abs(A) + abs(lam))
+        scale = ASTHENO_CUT * (1.0 + max_abs(A) + abs(lam))
         doubled = 2.0 * eigs.real
         if abs(lam) <= scale:
             # The two admissible values coincide; every eigenvalue must sit

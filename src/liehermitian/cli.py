@@ -30,7 +30,7 @@ from . import __version__
 from . import forms
 from . import hermitian
 from . import serial
-from .algebra import max_abs, unimodularity_defect
+from .algebra import TOL_X10, max_abs, unimodularity_defect
 from .almost_abelian import aa_report, build_almost_abelian
 from .codim2 import build_codim2, c2_report, classify_btp, from_almost_abelian
 from .errors import (
@@ -122,13 +122,13 @@ def _load(args):
     return spec, family, data
 
 
-def _structure_checks(a, R):
+def _structure_checks(t):
     """Jacobi, unimodularity and curvature symmetry residuals of the
-    algebra ``a`` with Chern curvature ``R``."""
+    algebra of ``t = hermitian.report_tensors(a)``."""
     return {
-        "jacobi_residual": a.jacobi_max,
-        "unimodularity_defect": max_abs(unimodularity_defect(a)),
-        "curvature_hermitian_residual": hermitian.curvature_hermitian_residual(R),
+        "jacobi_residual": t.a.jacobi_max,
+        "unimodularity_defect": max_abs(unimodularity_defect(t.a)),
+        "curvature_hermitian_residual": hermitian.curvature_hermitian_residual(t.R),
     }
 
 
@@ -142,28 +142,26 @@ def cmd_check(args):
     report["family"] = family
     report["n"] = data.n
     if family == "general":
-        a = data
-        report["report"] = hermitian.property_report(a)
+        t = hermitian.report_tensors(data)
+        report["report"] = hermitian.property_report(data, t)
     else:
-        # The family report built the algebra and holds the engine's report.
+        # The family report formed the tensors and holds the engine's report.
         fam = aa_report(data) if family == "almost_abelian" else c2_report(data)
-        a = fam.pop("algebra")
+        t = fam.pop("tensors")
+        del fam["algebra"]
         report["report"] = fam.pop("engine")
         report["family_report"] = fam
-    report["structure"] = _structure_checks(a, hermitian.chern_curvature(a))
+    report["structure"] = _structure_checks(t)
     _emit(serial.jsonable(report), args)
     return EXIT_OK
 
 
 def cmd_tensors(args):
     spec, family, data = _load(args)
-    a = serial.algebra_of(family, data)
-    hermitian.require_lie_algebra(a)
+    t = hermitian.report_tensors(serial.algebra_of(family, data))
+    a, T, R, eta = t.a, t.T, t.R, t.eta
     cut = a.tol
-    T = hermitian.chern_torsion(a)
-    eta = hermitian.torsion_trace(T)
-    R = hermitian.chern_curvature(a)
-    b11, b20 = hermitian.bismut_ricci_blocks(a)
+    b11, b20 = hermitian.one_one_matrix(t.rho_b, a.n), hermitian.two_zero_matrix(t.rho_b, a.n)
     report = serial.report_header("tensors", tol=a.tol)
     report["input"] = spec
     report["family"] = family
@@ -188,7 +186,7 @@ def cmd_tensors(args):
         "divergence": serial.cvec(hermitian.chern_divergence(a)),
     }
     report["scalars"] = hermitian.report_scalars(a, R, b11, eta)
-    report["structure"] = _structure_checks(a, R)
+    report["structure"] = _structure_checks(t)
     _emit(serial.jsonable(report), args)
     return EXIT_OK
 
@@ -229,7 +227,7 @@ def cmd_classify(args):
 def _sample_general(rng):
     from . import sampling as sm
     a = sm.random_general(rng, int(rng.integers(2, 5)))
-    bound = 10.0 * a.tol
+    bound = TOL_X10 * a.tol
     dd = forms.d_squared_residual(a)
     checks = {"duality": (a.jacobi_max <= bound) == (dd <= bound)}
     return a, checks
@@ -243,7 +241,7 @@ def _sample_aa(rng):
         a, checks = aa_report(d)["algebra"], {"cross_check": True}
     except CrossCheckFailure:
         a, checks = build_almost_abelian(d), {"cross_check": False}
-    bound = 10.0 * a.tol
+    bound = TOL_X10 * a.tol
     checks["jacobi"] = a.jacobi_max <= bound
     if unimod:
         checks["gauduchon"] = forms.del_delbar_residual(a, a.n - 1) <= bound
@@ -260,7 +258,7 @@ def _sample_c2(rng):
         a, checks = c2_report(d)["algebra"], {"cross_check": True}
     except CrossCheckFailure:
         a, checks = build_codim2(d), {"cross_check": False}
-    bound = 10.0 * a.tol
+    bound = TOL_X10 * a.tol
     checks["jacobi"] = a.jacobi_max <= bound
     if max_abs(unimodularity_defect(a)) <= bound:
         checks["gauduchon"] = forms.del_delbar_residual(a, a.n - 1) <= bound

@@ -38,6 +38,9 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (
+    ROUND_CUT,
+    TOL_X10,
+    TOL_X100,
     contract,
     default_tolerance,
     make_algebra,
@@ -333,11 +336,12 @@ def c2_report(d):
     Builds the algebra once with ``d.build()`` and runs the engine once.
     Booleans must match exactly, ``s``, ``s_hat`` and ``s_b`` within ten
     times the tolerance; any disagreement raises CrossCheckFailure.  The
-    algebra is returned under ``"algebra"``, and ``"scalars"`` is a copy
-    of ``d.scal``.
+    algebra is returned under ``"algebra"``, its ``report_tensors`` under
+    ``"tensors"``, and ``"scalars"`` is a copy of ``d.scal``.
     """
     alg = d.build()
-    engine = hermitian.property_report(alg)
+    t = hermitian.report_tensors(alg)
+    engine = hermitian.property_report(alg, t)
     tol = alg.tol
     res = hermitian.evaluate(d.PREDICATES, d)
     scal = dict(d.scal)
@@ -353,6 +357,7 @@ def c2_report(d):
         "scalars": scal,
         "engine": engine,
         "algebra": alg,
+        "tensors": t,
     }
 
 
@@ -553,7 +558,7 @@ def _fix_column_phases(Q):
     for j in range(Q.shape[1]):
         col = Q[:, j]
         big = np.abs(col)
-        idx = int(np.argmax(big > 1e-12 * (big.max() + 1.0)))
+        idx = int(np.argmax(big > ROUND_CUT * (big.max() + 1.0)))
         ph = col[idx]
         if abs(ph) > 0.0:
             Q[:, j] = col * (np.conj(ph) / abs(ph))
@@ -728,9 +733,9 @@ def classify_btp(d):
         if s <= tol:
             raise _inconsistent("the paired cell of B must be nonzero", s, "<=", tol)
         gap = abs(abs(z) - s)
-        if gap > 100.0 * tol:
+        if gap > TOL_X100 * tol:
             raise _inconsistent("the paired cells of B and Z must have equal modulus",
-                                gap, ">", 100.0 * tol)
+                                gap, ">", TOL_X100 * tol)
         U = _block_unitary(np.eye(1), b / s, np.eye(m - 2))
         cur = rotate_codim2(cur, U)
         frame = U @ frame
@@ -802,7 +807,7 @@ def chern_flat_normal_form(d):
     label = []
     for i, z in enumerate(vals):
         label.append(next((j for j in range(i) if label[j] == j
-                           and abs(z - vals[j]) <= 10.0 * d.tol), i))
+                           and abs(z - vals[j]) <= TOL_X10 * d.tol), i))
     label = np.array(label, dtype=int)
     order = np.argsort(label, kind="stable")
     vals, label, U = vals[order], label[order], Q[:, order].conj().T

@@ -27,8 +27,8 @@ from lo and hi, into N | lo | hi with the sign
     (-1)^|(K & below(g)) ^ (N & (below(lo) ^ below(hi)))|:
 
 one count for moving g to the front, one for shuffling lo and hi into N.
-Coefficients of magnitude at most 1e-14 are dropped once, when a result
-is returned.
+Coefficients of magnitude at most ``algebra.ZERO_CUT`` (1e-14) are dropped
+once, when a result is returned.
 
 Which monomials meet which rows, with which sign and into which output,
 depends on n, the part of d, the input monomials and the live rows
@@ -53,10 +53,9 @@ from math import factorial
 
 import numpy as np
 
-from .algebra import MAX_DIM
+from .algebra import MAX_DIM, ZERO_CUT
 from .errors import InvalidDegree
 
-_ZERO_CUT = 1e-14
 _BAR = MAX_DIM  # bit of phibar_1
 _GRID = 1 << 18  # bound on (monomial, row) pairs tested, and on plan entries replayed at once
 _PLAN_ENTRIES = 1 << 21  # bound on the entries of the plans kept
@@ -162,7 +161,7 @@ def _term_table(alg):
     C, D = alg.C.ravel(), alg.D.transpose(1, 0, 2).ravel()
     source = np.concatenate((-C, D, -np.conj(D), -np.conj(C)))
     coefs = (source[rows[4]] for rows in _rows(alg.n))
-    lives = ((c, np.abs(c) > _ZERO_CUT) for c in coefs)
+    lives = ((c, np.abs(c) > ZERO_CUT) for c in coefs)
     _TABLES[alg] = tuple((live.tobytes(), c[live]) for c, live in lives)
     return _TABLES[alg]
 
@@ -184,7 +183,7 @@ def invariant_one_form(alpha):
     alpha = [complex(c) for c in alpha]
     f = {((k + 1,), ()): c for k, c in enumerate(alpha)}
     f.update({((), (k + 1,)): -c.conjugate() for k, c in enumerate(alpha)})
-    return {key: c for key, c in f.items() if abs(c) > _ZERO_CUT}
+    return {key: c for key, c in f.items() if abs(c) > ZERO_CUT}
 
 
 @functools.lru_cache(maxsize=None)
@@ -305,7 +304,7 @@ def _apply(alg, part, keys, x):
 
 def _derivation(alg, f, part):
     """Part 0, 1 or 2 (del, delbar, d) of the form f, as a dict."""
-    return _to_dict(*_apply(alg, part, *_from_dict(f)), _ZERO_CUT)
+    return _to_dict(*_apply(alg, part, *_from_dict(f)), ZERO_CUT)
 
 
 def exterior_d(alg, f):
@@ -345,7 +344,7 @@ def del_delbar_residual(alg, k):
     for part in (1, 0):
         keys, x = _apply(alg, part, keys, x)
     worst = float(np.abs(x).max(initial=0.0)) / factorial(k)
-    return worst if worst > _ZERO_CUT else 0.0
+    return worst if worst > ZERO_CUT else 0.0
 
 
 def d_squared_residual(alg):

@@ -39,7 +39,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import forms
-from .algebra import contract, max_abs, unimodularity_defect
+from .algebra import TOL_X10, TOL_X100, contract, max_abs, unimodularity_defect
 from .errors import CrossCheckFailure, DimensionMismatch, InvalidAlgebra
 
 # term signs for (C, D, D-swapped) in the torsion and for the four
@@ -389,7 +389,7 @@ def scalar_identity_residuals(a):
 
 def _realpart(z, tol):
     z = complex(z)
-    if abs(z.imag) > 100 * tol:
+    if abs(z.imag) > TOL_X100 * tol:
         raise ArithmeticError(
             f"expected a real scalar, got imaginary part {z.imag:.3e}"
         )
@@ -440,10 +440,9 @@ def evaluate(table, *args):
     return res
 
 
-# Each predicate's engine route, in report order, on what property_report
-# forms once: the algebra t.a, the Chern torsion t.T and curvature t.R,
-# the torsion trace t.eta and the Bismut Ricci form t.rho_b.  Routes look
-# forms functions up when called, so a wrapper installed there sees them.
+# Each predicate's engine route, in report order, on the namespace t of
+# report_tensors.  Routes look forms functions up when called, so a
+# wrapper installed there sees them.
 PREDICATES = {
     "kaehler": lambda t: max_abs(t.T),
     "balanced": lambda t: max_abs(t.eta),
@@ -464,7 +463,18 @@ PREDICATES = {
 }
 
 
-def property_report(a):
+def report_tensors(a):
+    """The tensors a report reads, each formed once: a namespace of the
+    algebra ``a``, its Chern torsion ``T`` and curvature ``R``, the torsion
+    trace ``eta`` and the Bismut Ricci form ``rho_b``.  Raises
+    InvalidAlgebra as :func:`property_report` does."""
+    require_lie_algebra(a)
+    T = chern_torsion(a)
+    return SimpleNamespace(a=a, T=T, R=chern_curvature(a), eta=torsion_trace(T),
+                           rho_b=bismut_ricci_form(a))
+
+
+def property_report(a, t=None):
     """Classify the frame metric of an algebra against the standard
     special-metric conditions, the predicates of :data:`PREDICATES`.
 
@@ -472,16 +482,13 @@ def property_report(a):
     condition does not apply), 'residuals' (the numbers the booleans
     threshold), 'scalars' and 'jacobi_residual'.  The astheno condition
     is reported as None in complex dimension 2, where it is vacuous.
+    ``t`` is ``report_tensors(a)`` when the caller has formed it already.
 
     Raises InvalidAlgebra when the Jacobi residual exceeds the
     tolerance; none of the predicates mean anything in that case.
     """
     n, tol = a.n, a.tol
-    require_lie_algebra(a)
-
-    T = chern_torsion(a)
-    t = SimpleNamespace(a=a, T=T, R=chern_curvature(a), eta=torsion_trace(T),
-                        rho_b=bismut_ricci_form(a))
+    t = report_tensors(a) if t is None else t
     res = evaluate(PREDICATES, t)
     return {
         "n": n,
@@ -526,7 +533,7 @@ def cross_check(closed, engine, tol, closed_res=None, engine_res=None,
                                         engine=engine_res[key])
             continue
         gaps[key] = gap = max_abs(np.asarray(mine) - np.asarray(theirs))
-        if gap > 10.0 * tol:
+        if gap > TOL_X10 * tol:
             if np.ndim(mine) == 0:
                 raise CrossCheckFailure(message, name=key, closed=mine, engine=theirs)
             raise CrossCheckFailure(message, name=key, closed=gap, engine=0.0)

@@ -9,7 +9,7 @@ of random data is visible in saved output.
 
 import numpy as np
 
-from .algebra import make_algebra, max_abs, require_dimension
+from .algebra import ROUND_CUT, make_algebra, max_abs, require_dimension
 from .almost_abelian import AlmostAbelianData, trace_sum
 from .codim2 import (
     Codim2Data,
@@ -124,7 +124,7 @@ def aa_btp_perturbed(rng, n):
     mode = int(rng.integers(0, 2))
     A = np.array(d.A)
     v = np.array(d.v)
-    if mode == 0 or max_abs(v) <= 1e-12:
+    if mode == 0 or max_abs(v) <= ROUND_CUT:
         G = cgauss(rng, (m, m))
         H = G + G.conj().T
         H = H / max_abs(H)
@@ -134,7 +134,7 @@ def aa_btp_perturbed(rng, n):
         S = cgauss(rng, (m, m))
         K = (S - S.conj().T) / 2.0
         w = K @ v
-        if max_abs(w) <= 1e-12:
+        if max_abs(w) <= ROUND_CUT:
             K = K + 1j * np.eye(m)
             w = K @ v
         A = A + (0.11 / max_abs(w)) * K

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import forms
 from . import hermitian
-from .algebra import max_abs
+from .algebra import RANK_CUT, TOL_X10, TOL_X100, TOL_X1000, max_abs
 from .almost_abelian import (
     AlmostAbelianData,
     aa_report,
@@ -147,7 +147,7 @@ def criterion_1(col, draw):
     for i in range(200):
         rng = draw(i)
         a, _ = _mixed_algebra(rng, i)
-        bound = 10.0 * a.tol
+        bound = TOL_X10 * a.tol
         dd = forms.d_squared_residual(a)
         agree = (a.jacobi_max <= bound) == (dd <= bound)
         col.ok(agree, "draw %d: jacobi %.3e vs d^2 %.3e disagree" % (i, a.jacobi_max, dd))
@@ -159,7 +159,7 @@ def criterion_2(col, draw):
     for i in range(200):
         a = _unimodular_algebra(draw(i), i)
         col.near(forms.del_delbar_residual(a, a.n - 1),
-                 "draw %d" % i, 10.0 * a.tol)
+                 "draw %d" % i, TOL_X10 * a.tol)
 
 
 @_criterion(3, "skt-agreement", "pluriclosed tensor equals the del-delbar coefficients")
@@ -170,7 +170,7 @@ def criterion_3(col, draw):
         a, valid = _mixed_algebra(rng, i)
         if valid is None and a.jacobi_max > a.tol:
             continue
-        bound = 10.0 * a.tol
+        bound = TOL_X10 * a.tol
         col.near(hermitian.skt_form_tensor_residual(a), "entrywise draw %d" % i, bound)
         tens = max_abs(hermitian.skt_tensor(a))
         dd = forms.del_delbar_residual(a, 1)
@@ -187,7 +187,7 @@ def criterion_4(col, draw):
         d = sm.aa_random(rng, n, unimodular=True)
         scal = d.scal
         a = d.build()
-        bound = 10.0 * a.tol
+        bound = TOL_X10 * a.tol
         col.near(abs(scal["s"] + d.lam ** 2), "s draw %d" % i, bound)
         col.near(abs(scal["s_hat"] + 2.0 * d.lam ** 2 + float(np.vdot(d.v, d.v).real)),
                  "s_hat draw %d" % i, bound)
@@ -226,7 +226,7 @@ def criterion_5(col, draw):
             d = sm.aa_normal_matrix(rng, n, unimodular=bool(i % 2))
         else:
             d = sm.aa_random(rng, n, unimodular=bool(i % 2))
-        tol10 = 10.0 * d.tol
+        tol10 = TOL_X10 * d.tol
         mat = AlmostAbelianData.PREDICATES["pluriclosed"](d)
         spec = spectral_pluriclosed_residual(d)
         col.ok((mat <= tol10) == (spec <= tol10),
@@ -245,7 +245,7 @@ def criterion_6(col, draw):
             eng = rep["engine"]["properties"]
             col.ok(eng["btp"] and eng["bkl"], "projected draw %d not parallel (btp=%s bkl=%s)"
                    % (i, eng["btp"], eng["bkl"]))
-        col.ok(AlmostAbelianData.PREDICATES["btp"](d) <= 10.0 * d.tol,
+        col.ok(AlmostAbelianData.PREDICATES["btp"](d) <= TOL_X10 * d.tol,
                "projected draw %d: constraint drifted" % i)
     for i in range(100):
         rng = draw(10000 + i)
@@ -295,14 +295,14 @@ def criterion_7(col, draw):
         except NotAstheno as exc:
             col.ok(False, "draw %d: profile refused an astheno sample (%s)" % (i, exc))
             continue
-        tol10 = 10.0 * d.tol
+        tol10 = TOL_X10 * d.tol
         col.near(comm, "draw %d commutator" % i, tol10)
         col.near(abs(h * (n - 2) + (n - 1 - k) * d.lam), "draw %d trace relation" % i,
-                 100.0 * tol10)
+                 TOL_X100 * tol10)
         re_eigs = np.sort(np.linalg.eigvals(d.A).real)
         lo = np.sum(np.abs(re_eigs[:k] - h / 2.0)) if k else 0.0
         hi = np.sum(np.abs(re_eigs[k:] - (d.lam + h) / 2.0))
-        col.near(lo + hi, "draw %d eigenvalue split" % i, 100.0 * tol10)
+        col.near(lo + hi, "draw %d eigenvalue split" % i, TOL_X100 * tol10)
     return "%d astheno positives among 200 draws" % astheno_seen
 
 
@@ -371,7 +371,7 @@ def criterion_10(col, draw):
         if rep is None:
             continue
         a = rep["algebra"]
-        bound = 10.0 * a.tol
+        bound = TOL_X10 * a.tol
         ric1 = col.report(lambda data: hold_curvature_blocks(data, a), d, "draw %d blocks" % i)
         if ric1 is None:
             continue
@@ -403,7 +403,7 @@ def generator_answer(kind, d):
     classify_btp must return, which is NotBTP for rank r >= 2."""
     if kind != "v0":
         return None, kind
-    r = int(np.linalg.matrix_rank(d.Z, tol=1e-8))
+    r = int(np.linalg.matrix_rank(d.Z, tol=RANK_CUT))
     return r, "NotBTP" if r >= 2 else "v0"
 
 
@@ -427,7 +427,7 @@ def generator_checks(kind, d, rep, r):
         checks.update(torsion_parallel=eng["btp"], not_balanced=not eng["balanced"],
                       not_pluriclosed=not eng["pluriclosed"])
     else:
-        bound = 10.0 * rep["tol"]
+        bound = TOL_X10 * rep["tol"]
         eq1 = c2_btp_residuals(d)["eq1"]
         checks.update(balanced=eng["balanced"], not_pluriclosed=not eng["pluriclosed"],
                       eq1=abs(eq1 - btpv0_obstruction(*_paired_blocks(d, r))) <= bound)
@@ -480,7 +480,7 @@ def criterion_11(col, draw):
             col.ok(False, "%s: raised %s" % (label, exc))
             continue
         good = out["family"] == expected
-        bound = 10.0 * d.tol
+        bound = TOL_X10 * d.tol
         if good and expected in ("v1", "v2"):
             good = abs(out["params"]["v2"] - np.linalg.norm(d.v)) <= bound
         if good and expected == "v2":
@@ -507,10 +507,10 @@ def _mutation_probe(draw):
     bad = []
     for i in range(10):
         a = _unimodular_algebra(draw(i), i)
-        bound = 10.0 * a.tol
+        bound = TOL_X10 * a.tol
         if hermitian.ricci_form_trace_residual(a) > bound:
             bad.append("ricci-trace draw %d" % i)
-        if hermitian.torsion_bianchi_residual(a) > 1000.0 * bound:
+        if hermitian.torsion_bianchi_residual(a) > TOL_X1000 * bound:
             bad.append("bianchi draw %d" % i)
         res = hermitian.scalar_identity_residuals(a)
         if max(res["s"], res["s_hat"]) > bound:

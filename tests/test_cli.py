@@ -140,6 +140,43 @@ def test_check_builds_once_and_emits_no_algebra(tmp_path, capsys, monkeypatch, s
     assert "algebra" not in keys_of(rep)
 
 
+@pytest.mark.parametrize("spec", [aa_spec, codim2_spec, btpv1_spec, abelian_spec])
+def test_check_forms_the_chern_curvature_once(tmp_path, capsys, monkeypatch, spec):
+    # the structure checks read the curvature the report formed
+    path = write(tmp_path, "spec.json", spec())
+    curvatures = count_calls(monkeypatch, hermitian, "chern_curvature")
+    code, _ = run_json(capsys, ["check", path])
+    assert code == 0 and len(curvatures) == 1
+
+
+def non_unimodular_spec():
+    d = sampling.aa_random(sampling.rng_for(5, 1), 5)
+    return serial.spec_from_data(d)
+
+
+@pytest.mark.parametrize("cmd,spec", [
+    ("check", aa_spec), ("tensors", aa_spec), ("classify", aa_spec),
+    ("check", codim2_spec), ("tensors", codim2_spec), ("classify", codim2_spec),
+    ("classify", non_unimodular_spec)])
+def test_tol_flag_is_the_spec_tolerance(tmp_path, capsys, cmd, spec):
+    # --tol writes the spec's "tolerance", so both give the same bytes
+    # on stdout and stderr, and the same exit code
+    given = spec()
+    flagged = write(tmp_path, "flagged.json", given)
+    written = write(tmp_path, "written.json", dict(given, tolerance=1e-6))
+
+    def run(argv):
+        code = cli.main(argv)
+        return (code,) + tuple(capsys.readouterr())
+
+    by_flag = run([cmd, flagged, "--tol", "1e-6"])
+    assert by_flag == run([cmd, written])
+    if by_flag[0] == 0:
+        assert by_flag != run([cmd, flagged])
+    else:
+        assert json.loads(by_flag[2])["error"] == "NotUnimodular"
+
+
 @pytest.mark.parametrize("spec", [aa_spec, codim2_spec])
 def test_check_writes_the_engine_report_once(tmp_path, capsys, spec):
     path = write(tmp_path, "spec.json", spec())

@@ -679,7 +679,7 @@ def test_d_plans_are_shared_and_bounded():
     sizes, monomials, keys = [], set(), set()
     for a in (three_frames(6)["adapted"], dense_draw(6)):
         for f in (H.chern_trace_form(a), H.bismut_trace_form(a)):
-            assert min(abs(c) for c in f.values()) > F._ZERO_CUT
+            assert min(abs(c) for c in f.values()) > F.ZERO_CUT
             sizes.append(len(f))
             monomials.add(F._from_dict(f)[0].tobytes())
             keys.add((F._from_dict(f)[0].tobytes(), F._term_table(a)[2][0]))

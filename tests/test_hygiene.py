@@ -8,7 +8,8 @@ or ``bench/`` outside its own definition.  No module of the package reads a priv
 name (one with a leading underscore that is not a dunder) of another
 package module.  No module of the package imports scipy, which is a
 test-only dependency.  Every exception class of ``errors.py`` but the
-base class is raised somewhere in ``src/``.
+base class is raised somewhere in ``src/``.  Every bound's constant is
+one of the tolerance constants of ``algebra.py``.
 """
 
 import ast
@@ -117,3 +118,44 @@ def test_every_error_class_is_raised():
               if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
               and isinstance(node.exc.func, ast.Name)}
     assert not defined - raised, "never raised: %s" % sorted(defined - raised)
+
+
+# The block of algebra.py that holds every constant a bound is built from.
+TOLERANCE_CONSTANTS = {"TOL_FACTOR", "ROUND_CUT", "ASTHENO_CUT", "ZERO_CUT", "RANK_CUT",
+                       "TOL_X10", "TOL_X100", "TOL_X1000"}
+
+
+def _number(node):
+    return (isinstance(node, ast.Constant) and not isinstance(node.value, bool)
+            and isinstance(node.value, (int, float, complex)))
+
+
+def _mentions_bound(node):
+    """Whether an identifier or string key in the subtree names a
+    tolerance or a bound."""
+    words = [item.id if isinstance(item, ast.Name) else
+             item.attr if isinstance(item, ast.Attribute) else item.value
+             for item in ast.walk(node)
+             if isinstance(item, (ast.Name, ast.Attribute))
+             or isinstance(item, ast.Constant) and isinstance(item.value, str)]
+    return any("tol" in w.lower() or "bound" in w.lower() for w in words)
+
+
+def test_bounds_read_the_tolerance_constants():
+    # no literal below 1e-3 outside the block, and no literal multiple
+    # of a tolerance or bound anywhere
+    trees = {path.name: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
+    block = {id(node.value): node.targets[0].id for node in trees["algebra.py"].body
+             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+             and node.targets[0].id in TOLERANCE_CONSTANTS}
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if _number(node) and 0 < abs(node.value) < 1e-3 and id(node) not in block:
+                found.append("%s:%d %r" % (name, node.lineno, node.value))
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                found += ["%s:%d %s" % (name, node.lineno, ast.unparse(node))
+                          for lit, other in ((node.left, node.right), (node.right, node.left))
+                          if _number(lit) and _mentions_bound(other)]
+    assert not found, "bound constants written outside algebra's block: %s" % found
+    assert set(block.values()) == TOLERANCE_CONSTANTS
