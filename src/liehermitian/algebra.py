@@ -180,22 +180,40 @@ def jacobi_tensors(n, C, D):
     """The three Jacobi tensors whose simultaneous vanishing is the
     Jacobi identity for the complexified bracket.
 
-    Returns rank-4 arrays indexed [i, j, k, l]; :func:`make_algebra`
-    keeps their max-abs entries as ``Algebra.jacobi``.  Terms that are
-    a relabelling of another term's indices reuse its product: the
-    cyclic terms of the CC tensor, and the i <-> k partners in the other
-    two.
+    Yields rank-4 arrays indexed [i, j, k, l], the CC, CD and CDbar
+    tensors in turn, each formed once the one before has been taken, so
+    that :func:`make_algebra`, which keeps their max-abs entries as
+    ``Algebra.jacobi``, holds one at a time.  Terms that are a
+    relabelling of another term's indices reuse its product: the cyclic
+    terms of the CC tensor, and the i <-> k partners in the other two.
+    Each tensor is summed in place, term by term in the order of the
+    formula, and each product is freed once read: no more than two
+    rank-4 temporaries live beside the tensor being formed.
     """
-    Dc = np.conj(D)
     cc = contract("rij,lrk->ijkl", C, C)
-    jcc = cc + cc.transpose(2, 0, 1, 3) + cc.transpose(1, 2, 0, 3)
+    jcc = cc + cc.transpose(2, 0, 1, 3)
+    jcc += cc.transpose(1, 2, 0, 3)
+    del cc
+    yield jcc
+    del jcc
     dd = contract("rji,lrk->ijkl", D, D)
-    jcd = contract("rik,ljr->ijkl", C, D) + dd - dd.transpose(2, 1, 0, 3)
+    jcd = contract("rik,ljr->ijkl", C, D) + dd
+    jcd -= dd.transpose(2, 1, 0, 3)
+    del dd
+    yield jcd
+    del jcd
+    Dc = np.conj(D)
+    # copied to C order, where the in-place sums run fastest, before cd
+    # is formed: a caller that keeps all three tensors holds four at most
+    jcdbar = contract("rik,rjl->ijkl", C, Dc).copy()
     cd = contract("jrk,irl->ijkl", C, Dc)
+    jcdbar -= cd
+    jcdbar += cd.transpose(2, 1, 0, 3)
+    del cd
     ddc = contract("lri,kjr->ijkl", D, Dc)
-    jcdbar = (contract("rik,rjl->ijkl", C, Dc) - cd + cd.transpose(2, 1, 0, 3)
-              - ddc + ddc.transpose(2, 1, 0, 3))
-    return jcc, jcd, jcdbar
+    jcdbar -= ddc
+    jcdbar += ddc.transpose(2, 1, 0, 3)
+    yield jcdbar
 
 
 def make_algebra(n, C, D, tol=None):
@@ -225,8 +243,7 @@ def make_algebra(n, C, D, tol=None):
         tol = default_tolerance(C, D)
     C = _freeze(C)
     D = _freeze(D)
-    jcc, jcd, jcdbar = jacobi_tensors(n, C, D)
-    jac = (max_abs(jcc), max_abs(jcd), max_abs(jcdbar))
+    jac = tuple(map(max_abs, jacobi_tensors(n, C, D)))
     return Algebra(n=n, C=C, D=D, tol=float(tol), jacobi=jac)
 
 

@@ -381,11 +381,20 @@ def c2_btp_residuals(d):
     Bc = np.conj(B)
     Zc = np.conj(Z)
 
-    # terms that differ only by i <-> k (j <-> k in w1) share a product
+    # terms that differ only by i <-> k (j <-> k in w1) share a product;
+    # eq1 and eq2 are rank 4, so each is reduced to its max-abs once
+    # formed, and each product freed once read
     bz = contract("kj,li->ijkl", B, Z)
-    eq1 = bz - bz.transpose(2, 1, 0, 3) - contract("ik,lj->ijkl", Am, B)
+    eq = bz - bz.transpose(2, 1, 0, 3)
+    del bz
+    eq -= contract("ik,lj->ijkl", Am, B)
+    eq1 = max_abs(eq)
     bb = contract("kj,li->ijkl", B, Bc)
-    eq2 = bb - bb.transpose(2, 1, 0, 3) - contract("ik,lj->ijkl", Am, Zc)
+    eq = bb - bb.transpose(2, 1, 0, 3)
+    del bb
+    eq -= contract("ik,lj->ijkl", Am, Zc)
+    eq2 = max_abs(eq)
+    del eq
     vz = contract("k,li->ikl", v, Z)
     v1 = vz - vz.transpose(1, 0, 2) - contract("l,ik->ikl", v, Am)
     vb = contract("k,li->ikl", v, Bc)
@@ -395,8 +404,8 @@ def c2_btp_residuals(d):
     w2 = contract("l,kj->jkl", np.conj(v), B) - contract("k,lj->jkl", v, Zc)
 
     return {
-        "eq1": max_abs(eq1),
-        "eq2": max_abs(eq2),
+        "eq1": eq1,
+        "eq2": eq2,
         "eq3a": max_abs(tB * Z - Z @ B.T + B @ Am),
         "eq3b": max_abs(tB * Bc - Bc @ B.T + Zc @ Am),
         "eq4a": max_abs(Z.T @ B - tZ * B - Am @ B),

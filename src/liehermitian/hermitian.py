@@ -26,7 +26,9 @@ and the Chern curvature, a (1,1)-form valued endomorphism, is
 
 The fourth sum is the conjugate of the third with i <-> j and k <-> l,
 so :func:`chern_curvature` forms the third product once and reads the
-fourth term off it; each sign still multiplies one term alone.
+fourth term off it; each sign still multiplies one term alone.  A sign
+multiplies the rank-3 D of its term, not the rank-4 product, which is
+exact and saves a pass over the product.
 
 The module-level sign tuples below exist only so the verification
 harness can flip individual terms and confirm that the identity battery
@@ -46,6 +48,10 @@ from .errors import CrossCheckFailure, DimensionMismatch, InvalidAlgebra
 # curvature terms.  Do not edit; flip temporarily via sign_mutation().
 _TORSION_SIGNS = [-1.0, -1.0, 1.0]
 _CURVATURE_SIGNS = [1.0, -1.0, -1.0, -1.0]
+
+# numpy adds into the buffer of a temporary operand of at least this
+# many bytes (its NPY_MIN_ELIDE_BYTES); see chern_curvature
+_ELIDE_BYTES = 256 * 1024
 
 
 @contextlib.contextmanager
@@ -132,13 +138,22 @@ def chern_curvature(a):
     D = a.D
     Dc = np.conj(D)
     s1, s2, s3, s4 = _CURVATURE_SIGNS
-    X = contract("jri,klr->ijkl", D, Dc)
-    return (
-        s1 * contract("rki,rlj->ijkl", D, Dc)
-        + s2 * contract("lri,krj->ijkl", D, Dc)
-        + s3 * X
-        + s4 * np.conj(X.transpose(1, 0, 3, 2))
-    )
+    # The terms are summed in formula order, in place, each product freed
+    # once added: below _ELIDE_BYTES into a fresh C-contiguous array, from
+    # there into the first product.  Those are the layouts numpy gives the
+    # one-expression sum s1*P1 + s2*P2 + ..., and the einsum traces of the
+    # scalars and Ricci contractions follow memory order, so the layout
+    # fixes their last bits.
+    P = contract("rki,rlj->ijkl", s1 * D, Dc)
+    R = P if P.nbytes >= _ELIDE_BYTES else np.empty(P.shape, P.dtype)
+    np.add(P, contract("lri,krj->ijkl", s2 * D, Dc), out=R)
+    del P
+    X = contract("jri,klr->ijkl", s3 * D, Dc)
+    R += X
+    # the fourth term is s4 conj(X) with i <-> j and k <-> l; X carries s3
+    np.conjugate(X, out=X)
+    (np.add if s3 == s4 else np.subtract)(R, X.transpose(1, 0, 3, 2), out=R)
+    return R
 
 
 def ricci_first(R):
@@ -211,9 +226,15 @@ def torsion_cov_deriv(T, G, barred):
     if barred:
         Gc = np.conj(G)
         X = contract("jrk,irl->jikl", T, Gc)
-        return X - X.transpose(0, 2, 1, 3) - contract("rik,rjl->jikl", T, Gc)
+        out = X - X.transpose(0, 2, 1, 3)
+        del X
+        out -= contract("rik,rjl->jikl", T, Gc)
+        return out
     X = contract("jrk,ril->jikl", T, G)
-    return X.transpose(0, 2, 1, 3) - X + contract("rik,jrl->jikl", T, G)
+    out = X.transpose(0, 2, 1, 3) - X
+    del X
+    out += contract("rik,jrl->jikl", T, G)
+    return out
 
 
 def bismut_torsion_derivative_residuals(a):
@@ -239,11 +260,12 @@ def torsion_bianchi_residual(a):
     for the canonical connection.  Zero (to roundoff) whenever the
     Jacobi identity holds; one of the battery checks the sign-mutation
     harness is expected to break."""
-    T = chern_torsion(a)
-    DbarT = torsion_cov_deriv(T, chern_connection(a), barred=True)
     R = chern_curvature(a)
     rhs = np.einsum("kjil->likj", R) - np.einsum("ijkl->likj", R)
-    return max_abs(DbarT - rhs)
+    del R
+    DbarT = torsion_cov_deriv(chern_torsion(a), chern_connection(a), barred=True)
+    DbarT -= rhs
+    return max_abs(DbarT)
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +352,13 @@ def skt_tensor(a):
     so the tensor takes two products.
     """
     T = chern_torsion(a)
+    S = contract("rik,rjl->ikjl", T, -np.conj(a.C))
     X = contract("jir,krl->ikjl", T, np.conj(a.D))
-    return (
-        -contract("rik,rjl->ikjl", T, np.conj(a.C))
-        - X
-        + X.transpose(1, 0, 2, 3)
-        + X.transpose(0, 1, 3, 2)
-        - X.transpose(1, 0, 3, 2)
-    )
+    S -= X
+    S += X.transpose(1, 0, 2, 3)
+    S += X.transpose(0, 1, 3, 2)
+    S -= X.transpose(1, 0, 3, 2)
+    return S
 
 
 def skt_form_tensor_residual(a):

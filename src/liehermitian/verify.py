@@ -343,17 +343,20 @@ def criterion_9(col, draw):
         col.report(c2_report, d, "draw %d" % i)
 
 
-def hold_curvature_blocks(d, a):
+def hold_curvature_blocks(d, t):
     """Hold c2_ricci_closed and c2_bismut_blocks of family data ``d``
-    against the Ricci contractions and Bismut Ricci blocks of its algebra
-    ``a`` through :func:`~liehermitian.hermitian.cross_check`, which names
-    the first that disagrees.  Returns the engine's first contraction."""
-    R = hermitian.chern_curvature(a)
+    against the Ricci contractions and Bismut Ricci blocks read off the
+    report tensors ``t`` of its algebra (``report_tensors``, which
+    ``c2_report`` returns under ``"tensors"``) through
+    :func:`~liehermitian.hermitian.cross_check`, which names the first
+    that disagrees.  Returns the engine's first contraction."""
+    R, n = t.R, t.a.n
     names = ("ric1", "ric2", "ric3", "bismut_one_one", "bismut_two_zero")
     engine = (hermitian.ricci_first(R), hermitian.ricci_second(R),
-              hermitian.ricci_third(R), *hermitian.bismut_ricci_blocks(a))
+              hermitian.ricci_third(R), hermitian.one_one_matrix(t.rho_b, n),
+              hermitian.two_zero_matrix(t.rho_b, n))
     hermitian.cross_check(dict(zip(names, c2_ricci_closed(d) + c2_bismut_blocks(d))),
-                          dict(zip(names, engine)), a.tol)
+                          dict(zip(names, engine)), t.a.tol)
     return engine[0]
 
 
@@ -370,9 +373,9 @@ def criterion_10(col, draw):
         rep = col.report(c2_report, d, "draw %d" % i)
         if rep is None:
             continue
-        a = rep["algebra"]
-        bound = TOL_X10 * a.tol
-        ric1 = col.report(lambda data: hold_curvature_blocks(data, a), d, "draw %d blocks" % i)
+        t = rep["tensors"]
+        bound = TOL_X10 * t.a.tol
+        ric1 = col.report(lambda data: hold_curvature_blocks(data, t), d, "draw %d blocks" % i)
         if ric1 is None:
             continue
         # (i) flat samples reconstruct to zero curvature through the normal form

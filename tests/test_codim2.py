@@ -42,7 +42,8 @@ from liehermitian import (
 from liehermitian import codim2 as C2
 from liehermitian import hermitian as H
 from liehermitian.algebra import change_frame, max_abs
-from liehermitian.hermitian import bismut_torsion_derivative_residuals, sign_mutation
+from liehermitian.hermitian import (bismut_torsion_derivative_residuals, report_tensors,
+                                    sign_mutation)
 from liehermitian.sampling import (
     aa_chern_flat,
     aa_random,
@@ -256,15 +257,18 @@ def test_closed_curvature_blocks_match_the_engine(kind):
     for d in _curvature_draws(kind):
         if kind == "aa_negative_lambda":
             assert d.lam < 0.0
-        hold_curvature_blocks(d, d.build())  # CrossCheckFailure would propagate
+        hold_curvature_blocks(d, report_tensors(d.build()))  # CrossCheckFailure would propagate
 
 
 def test_closed_curvature_blocks_catch_a_sign_flip():
     d = _curvature_draws("c2_random")[1]
     a = d.build()
     with sign_mutation(curvature_index=1):
+        # the tensors are formed under the flipped sign, or the check
+        # would hold the closed forms against the unflipped curvature
+        t = report_tensors(a)
         with pytest.raises(CrossCheckFailure) as info:
-            hold_curvature_blocks(d, a)
+            hold_curvature_blocks(d, t)
     assert info.value.name in ("ric1", "ric2", "ric3")
 
 
@@ -275,7 +279,7 @@ def test_closed_scalars_evaluated_once_per_call(monkeypatch):
     monkeypatch.setattr(C2, "c2_scalars", lambda d: calls.append(d) or real(d))
     d = _curvature_draws("c2_random")[0]
     rep = c2_report(d)
-    hold_curvature_blocks(d, rep["algebra"])
+    hold_curvature_blocks(d, rep["tensors"])
     assert C2.c2_residuals(d) == rep["residuals"]
     assert len(calls) == 1 and calls[0] is d
     twin = Codim2Data(n=d.n, lam=d.lam, v=d.v, X=d.X, Y=d.Y, Z=d.Z, tol=d.tol)

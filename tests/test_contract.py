@@ -7,12 +7,15 @@ package uses, guard that no multi-operand ``np.einsum`` comes back, and
 check the frame change built on it.  Where one term of a tensor is an
 index relabelling of another, the package forms the product once; the
 reference formulas below keep one product per term, and exact
-Gaussian-integer tests hold the two equal.
+Gaussian-integer tests hold the two equal.  The last tests pin the
+memory layout of the Chern curvature and bound the working memory of
+the rank-4 kernels.
 """
 
 import ast
 import json
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,7 +29,8 @@ from liehermitian.codim2 import build_codim2
 from liehermitian.hermitian import (bismut_connection, chern_connection, chern_curvature,
                                     chern_torsion, sign_mutation, skt_tensor,
                                     torsion_cov_deriv)
-from liehermitian.sampling import c2_from_aa, random_unitary, rng_for
+from liehermitian.sampling import (c2_from_aa, c2_generator, c2_scramble, random_unitary,
+                                   rng_for)
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liehermitian"
 
@@ -289,3 +293,63 @@ def test_skt_tensor_equals_one_product_per_term(n):
     a = SimpleNamespace(**_gaussian_algebra(n))
     ops = {"T": chern_torsion(a), "Cc": np.conj(a.C), "Dc": np.conj(a.D)}
     assert np.array_equal(skt_tensor(a), _reference("skt", ops))
+
+
+# ------------------------------------------------- layout and working memory
+
+
+@pytest.mark.parametrize("n", [4, 11, 12, 16])
+def test_chern_curvature_memory_layout(n):
+    # s, s_hat and the Ricci traces are einsum reductions, which sum in
+    # memory order, so R's layout fixes their last bits.  It is the
+    # layout numpy gives the one-expression sum s1*P1 + s2*P2 + ...:
+    # C-contiguous below 256 KiB (n <= 11), and from there, where numpy
+    # adds into the first temporary's buffer, that of the first product.
+    rng = rng_for(5152, n)
+    D = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    R = chern_curvature(SimpleNamespace(D=D))
+    if n <= 11:
+        assert R.flags.c_contiguous
+    else:
+        assert R.strides == contract("rki,rlj->ijkl", D, np.conj(D)).strides
+
+
+def _peak_units(f, n):
+    """Peak memory traced while f() runs, above what was traced before,
+    in units of one rank-4 complex tensor, 16 n^4 bytes.  f runs once
+    untraced first, so that caches are filled."""
+    f()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (16 * n ** 4)
+
+
+def test_rank4_kernels_hold_two_temporaries_at_most():
+    # each kernel holds no more than two rank-4 temporaries beside the
+    # tensors it returns; numpy's iteration buffers take the rest of
+    # each bound.  Freed all at once, more would make glibc hand the
+    # pages back to the system, and the next call fault them in again.
+    n = 13
+    rng = rng_for(5153, n)
+    d = c2_scramble(rng, c2_generator(rng, n, kind="v1"))
+    a = change_frame(d.build(), random_unitary(rng, n))
+    T, G = chern_torsion(a), bismut_connection(a)
+    kernels = {
+        "jacobi_tensors": (3, lambda: tuple(jacobi_tensors(n, a.C, a.D))),
+        "chern_curvature": (1, lambda: chern_curvature(a)),
+        "unbarred derivative": (1, lambda: torsion_cov_deriv(T, G, barred=False)),
+        "barred derivative": (1, lambda: torsion_cov_deriv(T, G, barred=True)),
+        "skt_tensor": (1, lambda: skt_tensor(a)),
+    }
+    for name, (returned, f) in kernels.items():
+        assert _peak_units(f, n) <= returned + 2, name
+    # make_algebra reduces each Jacobi tensor before the next is formed,
+    # and the rank-4 tensors of the two reports and the residual system
+    # are never alive together
+    assert _peak_units(lambda: codim2.classify_btp(d), n) <= 5
